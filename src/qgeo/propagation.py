@@ -5,7 +5,8 @@ The integrator is the midpoint exponential rule: each step applies
 midpoint.  Two-level generators use the exact Pauli exponential; larger ones
 a scaling-and-squaring Taylor series.  Either way every step is unitary to
 round-off, so norm drift is a genuine error signal rather than an expected
-artifact, and it is checked at every step.
+artifact, and it is checked at every step.  A trace holds its node states
+as one ``(n_nodes, dim)`` amplitude array.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import (
     FormulaError,
     GridError,
     IntegrationError,
+    NormalizationError,
 )
 from .hamiltonian import (
     Hamiltonian,
@@ -130,32 +132,48 @@ def _expm_series(a: np.ndarray) -> np.ndarray:
     return total
 
 
+def _require_unit_rows(amps: np.ndarray, error: type[Exception]) -> None:
+    """Raise ``error`` unless every row has unit norm within MAX_NORM_DRIFT."""
+    drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
+    worst = int(np.argmax(drift))  # a NaN row wins argmax and fails the test
+    if not drift[worst] <= MAX_NORM_DRIFT:
+        raise error(
+            f"norm drift {drift[worst]:.3e} at node {worst} exceeds {MAX_NORM_DRIFT:.1e}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class EvolutionTrace:
-    """Discretized evolution: nodes, states, and per-node energy statistics.
+    """Discretized evolution: nodes, amplitudes, and per-node energy statistics.
 
+    ``amplitudes`` is a read-only ``(n_nodes, dim)`` array; row ``i`` is the
+    state at ``times[i]``, of unit norm within :data:`MAX_NORM_DRIFT`.
     ``energy_mean[i]`` and ``energy_dispersion[i]`` are always statistics of
-    the energy *observable* at ``times[i]`` in the state ``states[i]``, so
-    they can be recomputed from the Hamiltonian spec that produced the trace.
+    the energy *observable* at ``times[i]`` in that state, so they can be
+    recomputed from the Hamiltonian spec that produced the trace.
     """
 
     times: np.ndarray
-    states: tuple[QuantumState, ...]
+    amplitudes: np.ndarray
     energy_mean: np.ndarray
     energy_dispersion: np.ndarray
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
         times = np.array(self.times, dtype=float)
+        amps = np.array(self.amplitudes, dtype=complex)
         mean = np.array(self.energy_mean, dtype=float)
         disp = np.array(self.energy_dispersion, dtype=float)
-        states = tuple(self.states)
         if times.ndim != 1 or times.size == 0:
             raise GridError(f"times must be a nonempty 1-D array, got {times.shape}")
+        if amps.ndim != 2 or amps.shape[1] < 2:
+            raise DimensionMismatchError(
+                f"amplitudes must be an (n_nodes, dim >= 2) array, got {amps.shape}"
+            )
         n = times.size
-        if not (len(states) == mean.size == disp.size == n):
+        if not (amps.shape[0] == mean.size == disp.size == n):
             raise GridError(
-                f"inconsistent trace lengths: {n} times, {len(states)} states, "
+                f"inconsistent trace lengths: {n} times, {amps.shape[0]} states, "
                 f"{mean.size} means, {disp.size} dispersions"
             )
         if n > 1 and not np.all(np.diff(times) > 0.0):
@@ -164,15 +182,13 @@ class EvolutionTrace:
             raise ValueError("energy dispersion samples must be nonnegative")
         if not self.hbar > 0.0:
             raise ValueError(f"hbar must be positive, got {self.hbar!r}")
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"states have mixed dimensions: {dims}")
-        for arr in (times, mean, disp):
+        _require_unit_rows(amps, NormalizationError)
+        for arr in (times, amps, mean, disp):
             arr.setflags(write=False)
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "energy_mean", mean)
         object.__setattr__(self, "energy_dispersion", disp)
-        object.__setattr__(self, "states", states)
 
     @property
     def n_nodes(self) -> int:
@@ -180,7 +196,7 @@ class EvolutionTrace:
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return int(self.amplitudes.shape[1])
 
     @property
     def duration(self) -> float:
@@ -188,11 +204,11 @@ class EvolutionTrace:
 
     @property
     def initial_state(self) -> QuantumState:
-        return self.states[0]
+        return QuantumState(self.amplitudes[0])
 
     @property
     def final_state(self) -> QuantumState:
-        return self.states[-1]
+        return QuantumState(self.amplitudes[-1])
 
     def is_uniform(self, rel_tol: float = 1e-9) -> bool:
         """True when all node spacings agree to ``rel_tol`` relatively."""
@@ -220,20 +236,29 @@ class EvolutionTrace:
                 h_json = hamiltonian_to_json(hamiltonian)
             except ValueError:
                 h_json = None  # a bare callable has no serialized form
+        re_rows, im_rows = self.amplitudes.real.tolist(), self.amplitudes.imag.tolist()
         return {
             "hbar": float(self.hbar),
             "hamiltonian": h_json,
-            "times": [float(t) for t in self.times],
-            "states": [s.to_json() for s in self.states],
-            "energy_mean": [float(x) for x in self.energy_mean],
-            "energy_dispersion": [float(x) for x in self.energy_dispersion],
+            "times": self.times.tolist(),
+            "states": [{"re": r, "im": i} for r, i in zip(re_rows, im_rows)],
+            "energy_mean": self.energy_mean.tolist(),
+            "energy_dispersion": self.energy_dispersion.tolist(),
         }
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "EvolutionTrace":
+        """Inverse of :meth:`to_json`; rejects ragged or off-norm states."""
+        try:
+            re = np.array([s["re"] for s in data["states"]], dtype=float)
+            im = np.array([s["im"] for s in data["states"]], dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged or non-numeric vectors
+            raise DimensionMismatchError(f"states are not an (n, dim) array: {exc}")
+        if re.shape != im.shape:
+            raise DimensionMismatchError(f"re/im shapes differ: {re.shape}, {im.shape}")
         return cls(
             times=np.asarray(data["times"], dtype=float),
-            states=tuple(QuantumState.from_json(s) for s in data["states"]),
+            amplitudes=re + 1j * im,
             energy_mean=np.asarray(data["energy_mean"], dtype=float),
             energy_dispersion=np.asarray(data["energy_dispersion"], dtype=float),
             hbar=float(data["hbar"]),
@@ -249,18 +274,14 @@ class EvolutionTrace:
 
     def _write_csv(self, fh: io.TextIOBase) -> None:
         writer = csv.writer(fh)
-        header = ["t"]
-        for k in range(self.dim):
-            header += [f"re_{k}", f"im_{k}"]
-        header += ["energy_mean", "energy_dispersion"]
-        writer.writerow(header)
-        for i in range(self.n_nodes):
-            row: list[float] = [self.times[i]]
-            amps = self.states[i].amplitudes
-            for k in range(self.dim):
-                row += [amps[k].real, amps[k].imag]
-            row += [self.energy_mean[i], self.energy_dispersion[i]]
-            writer.writerow([repr(float(x)) for x in row])
+        amp_cols = [f"{part}_{k}" for k in range(self.dim) for part in ("re", "im")]
+        writer.writerow(["t", *amp_cols, "energy_mean", "energy_dispersion"])
+        amps = self.amplitudes
+        interleaved = np.stack((amps.real, amps.imag), axis=2).reshape(self.n_nodes, -1)
+        table = np.column_stack(
+            (self.times, interleaved, self.energy_mean, self.energy_dispersion)
+        )
+        writer.writerows([repr(x) for x in row] for row in table.tolist())
 
 
 def trace_hamiltonian_from_json(data: Mapping[str, Any]) -> Hamiltonian | None:
@@ -329,12 +350,11 @@ def evolve(
         times = np.array([0.0])
         psis = psi0.amplitudes[np.newaxis, :]
         mean, disp = _node_statistics(h, psis, times)
-        return EvolutionTrace(times, (psi0,), mean, disp, hbar=h.hbar)
+        return EvolutionTrace(times, psis, mean, disp, hbar=h.hbar)
 
     times = np.linspace(0.0, t_final, steps + 1)
     dt = t_final / steps
-    dim = h.dim
-    psis = np.empty((steps + 1, dim), dtype=complex)
+    psis = np.empty((steps + 1, h.dim), dtype=complex)
     psis[0] = psi0.amplitudes
 
     if h.generator_is_constant:
@@ -351,19 +371,10 @@ def evolve(
             )
             psis[k + 1] = expm_unitary_step(gen, dt, h.hbar) @ psis[k]
 
-    norms = np.linalg.norm(psis, axis=1)
-    drift = np.abs(norms - 1.0)
-    worst = int(np.argmax(drift))
-    if drift[worst] > MAX_NORM_DRIFT:
-        raise IntegrationError(
-            f"norm drift {drift[worst]:.3e} at node {worst} exceeds {MAX_NORM_DRIFT:.1e}"
-        )
+    _require_unit_rows(psis, IntegrationError)
 
     mean, disp = _node_statistics(h, psis, times)
-    states = tuple(
-        QuantumState.exact(psis[k], tol=MAX_NORM_DRIFT) for k in range(steps + 1)
-    )
-    return EvolutionTrace(times, states, mean, disp, hbar=h.hbar)
+    return EvolutionTrace(times, psis, mean, disp, hbar=h.hbar)
 
 
 def short_time_coefficient(omega: float, omega0: float) -> float:

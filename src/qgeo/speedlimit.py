@@ -117,27 +117,30 @@ def avg_dispersion(trace: EvolutionTrace) -> float:
     return integral / trace.duration
 
 
+def _bound_margin(report: geometry.SpeedLimitReport, hbar: float) -> float:
+    """Slack  <dE>*T - hbar*arccos|<A|B>|  of the time-energy bound (an action)."""
+    rhs = hbar * math.acos(min(math.cos(0.5 * report.s0), 1.0))
+    return report.avg_dispersion * report.t_effective - rhs
+
+
 def verify_bound(trace: EvolutionTrace) -> geometry.SpeedLimitReport:
     """Check the time-energy bound along a trace and return the full report.
 
     Verifies  <dE>*T >= hbar*arccos|<A|B>|  up to the quadrature tolerance
     (the orthogonal-endpoint case is the same inequality with the right side
     equal to h/4), and cross-checks that near-equality coincides with the
-    geodesic predicate at ten times the quadrature error estimate.
+    geodesic predicate s <= s0 + tol at ten times the quadrature error.
     """
     report = geometry.efficiency(trace)
-    overlap = math.cos(0.5 * report.s0)
-    lhs = report.avg_dispersion * report.t_effective
-    rhs = trace.hbar * math.acos(min(overlap, 1.0))
     slack_tol = 0.5 * trace.hbar * (
         10.0 * report.quadrature_error + 1e-12 * max(report.s, 1.0)
     )
     # the floor must carry hbar: lhs and rhs are actions, so a bare 1e-12
     # would be absurdly loose in SI units
     equality_tol = max(slack_tol, 1e-12 * trace.hbar)
-    if abs(lhs - rhs) <= equality_tol:
+    if abs(_bound_margin(report, trace.hbar)) <= equality_tol:
         geo_tol = 10.0 * max(report.quadrature_error, 1e-12)
-        if not geometry.is_geodesic(trace, tol=geo_tol):
+        if not report.s <= report.s0 + geo_tol:
             raise FormulaError(
                 "bound saturated but the trace is not geodesic at the "
                 "matching tolerance; report values are inconsistent"
@@ -259,10 +262,8 @@ def _rate_check(
     the central-difference error is at most that times dt^2/6; adding a small
     float-noise term gives a tolerance that cannot produce false violations.
     """
-    a = trace.initial_state.amplitudes
-    overlaps_sq = np.abs(
-        np.array([np.vdot(s.amplitudes, a) for s in trace.states])
-    ) ** 2
+    a = trace.amplitudes[0]
+    overlaps_sq = np.abs(np.array([np.vdot(row, a) for row in trace.amplitudes])) ** 2
     dt = trace.grid_spacing()
     rate = np.abs(overlaps_sq[2:] - overlaps_sq[:-2]) / (2.0 * dt)
     ov = np.sqrt(np.clip(overlaps_sq[1:-1], 0.0, 1.0))
@@ -281,13 +282,10 @@ def _sweep_one(
 ) -> dict[str, float]:
     trace, spectral_norm = _random_sample_trace(seed_seq, dims, steps, hbar)
     report = geometry.efficiency(trace)
-    overlap = math.cos(0.5 * report.s0)
-    lhs = report.avg_dispersion * report.t_effective
-    rhs = trace.hbar * math.acos(min(overlap, 1.0))
     rate_bad, rate_excess = _rate_check(trace, spectral_norm)
     return {
         "eta": report.eta,
-        "bound_margin": lhs - rhs,
+        "bound_margin": _bound_margin(report, trace.hbar),
         "rate_violations": rate_bad,
         "rate_excess": rate_excess,
     }

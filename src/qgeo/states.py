@@ -142,12 +142,3 @@ def phase_equivalent(a: QuantumState, b: QuantumState, tol: float = 1e-9) -> boo
     """True when the two states coincide up to a global phase."""
     return overlap_modulus(a, b) >= 1.0 - tol
 
-
-def state_to_json(state: QuantumState) -> dict[str, list[float]]:
-    """Module-level alias for :meth:`QuantumState.to_json`."""
-    return state.to_json()
-
-
-def state_from_json(data: Mapping[str, Any]) -> QuantumState:
-    """Module-level alias for :meth:`QuantumState.from_json`."""
-    return QuantumState.from_json(data)

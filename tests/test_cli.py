@@ -99,6 +99,20 @@ class TestRunScenario:
         assert run.report.eta < 1.0
         assert run.report.bound_satisfied
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="driven node statistics pair the laboratory-frame sample(t) "
+        "with rotating-frame states, so some off-resonance draws report eta > 1",
+    )
+    def test_driven_off_resonance_draw_satisfies_bound(self):
+        params = {
+            "epsilon": 0.5606002293404857,
+            "omega0": 0.3947223566390008,
+            "omega": 0.5124401492259762,
+        }
+        cfg = ScenarioConfig(scenario="driven", steps=2000, parameters=params)
+        assert run_scenario(cfg).report.bound_satisfied
+
     def test_driven_si_larmor_frequency(self):
         cfg = ScenarioConfig(
             scenario="driven",
@@ -268,6 +282,32 @@ class TestCliScenarios:
         code, out, _ = run_cli(capsys, "verify", str(out_dir / "trace.json"))
         assert code == 0
         assert out.strip() == (out_dir / "report.json").read_text().strip()
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            pytest.param(
+                lambda st: st.update(
+                    re=[x * (1.0 + 1e-6) for x in st["re"]],
+                    im=[x * (1.0 + 1e-6) for x in st["im"]],
+                ),
+                id="off-unit-norm",
+            ),
+            pytest.param(lambda st: st["im"].append(0.0), id="re-im-length-mismatch"),
+            pytest.param(lambda st: st.update(re=1.0), id="scalar-re"),
+        ],
+    )
+    def test_verify_rejects_tampered_trace(self, capsys, tmp_path, tamper):
+        out_dir = tmp_path / "tampered"
+        run_cli(capsys, "scenario1", "--steps", "200", "--out", str(out_dir))
+        path = out_dir / "trace.json"
+        doc = json.loads(path.read_text())
+        tamper(doc["states"][57])
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -80,7 +80,7 @@ class TestPathLength:
     def test_two_node_trace_rejected(self):
         tr = EvolutionTrace(
             times=np.array([0.0, 1.0]),
-            states=(UP, DOWN),
+            amplitudes=np.array([UP.amplitudes, DOWN.amplitudes]),
             energy_mean=np.zeros(2),
             energy_dispersion=np.ones(2),
         )
@@ -90,7 +90,7 @@ class TestPathLength:
     def test_non_uniform_grid_rejected(self):
         tr = EvolutionTrace(
             times=np.array([0.0, 0.4, 1.0]),
-            states=(UP, DOWN, UP),
+            amplitudes=np.array([UP.amplitudes, DOWN.amplitudes, UP.amplitudes]),
             energy_mean=np.zeros(3),
             energy_dispersion=np.ones(3),
         )
@@ -121,7 +121,7 @@ class TestPathLength:
         def sub(lo, hi):
             return EvolutionTrace(
                 times=full.times[lo : hi + 1],
-                states=full.states[lo : hi + 1],
+                amplitudes=full.amplitudes[lo : hi + 1],
                 energy_mean=full.energy_mean[lo : hi + 1],
                 energy_dispersion=full.energy_dispersion[lo : hi + 1],
                 hbar=full.hbar,
@@ -163,7 +163,7 @@ class TestEfficiency:
         times = dt * np.arange(len(idx))
         tr = EvolutionTrace(
             times=times,
-            states=tuple(forward.states[i] for i in idx),
+            amplitudes=forward.amplitudes[idx],
             energy_mean=forward.energy_mean[idx],
             energy_dispersion=forward.energy_dispersion[idx],
             hbar=forward.hbar,
@@ -255,12 +255,10 @@ class TestGeodesicLine:
         b = QuantumState.exact([0.0, -1.0j])  # endpoint of the transfer
         spec = GeodesicSpec(a=UP, b=b)
         tr = evolve(h, UP, h.orthogonality_time, steps=200)
-        for t, state in zip(tr.times, tr.states):
+        for t, amps in zip(tr.times, tr.amplitudes):
             xi = xi_of_t(eps, float(t))
             interp = geodesic_line(spec, xi)
-            np.testing.assert_allclose(
-                interp.amplitudes, state.amplitudes, atol=1e-10
-            )
+            np.testing.assert_allclose(interp.amplitudes, amps, atol=1e-10)
 
     def test_xi_out_of_range(self):
         with pytest.raises(ValueError):

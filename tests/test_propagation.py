@@ -11,6 +11,7 @@ from qgeo.errors import (
     GridError,
     HermiticityError,
     IntegrationError,
+    NormalizationError,
 )
 from qgeo.hamiltonian import (
     PAULI_X,
@@ -184,7 +185,7 @@ class TestEvolutionTraceValidation:
     def make(self, **overrides):
         kwargs = dict(
             times=np.array([0.0, 0.5, 1.0]),
-            states=(UP, UP, UP),
+            amplitudes=np.array([UP.amplitudes] * 3),
             energy_mean=np.zeros(3),
             energy_dispersion=np.ones(3),
             hbar=1.0,
@@ -200,7 +201,7 @@ class TestEvolutionTraceValidation:
 
     def test_length_mismatch(self):
         with pytest.raises(GridError):
-            self.make(states=(UP, UP))
+            self.make(amplitudes=np.array([UP.amplitudes] * 2))
 
     def test_times_must_increase(self):
         with pytest.raises(GridError):
@@ -210,10 +211,11 @@ class TestEvolutionTraceValidation:
         with pytest.raises(ValueError):
             self.make(energy_dispersion=np.array([1.0, -0.1, 1.0]))
 
-    def test_mixed_dimensions_rejected(self):
-        odd = QuantumState.exact([1.0, 0.0, 0.0])
+    def test_wrong_amplitude_shape_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            self.make(states=(UP, odd, UP))
+            self.make(amplitudes=UP.amplitudes)  # one vector, not one per node
+        with pytest.raises(DimensionMismatchError):
+            self.make(amplitudes=np.ones((3, 1)))  # dim 1 is not a state space
 
     def test_uniformity_helpers(self):
         tr = self.make()
@@ -224,10 +226,18 @@ class TestEvolutionTraceValidation:
         with pytest.raises(GridError):
             ragged.grid_spacing()
 
+    def test_off_norm_row_rejected(self):
+        amps = np.array([UP.amplitudes] * 3)
+        amps[1] *= 1.0 + 1e-8  # beyond MAX_NORM_DRIFT, within the old 1e-6 gate
+        with pytest.raises(NormalizationError):
+            self.make(amplitudes=amps)
+
     def test_arrays_read_only(self):
         tr = self.make()
         with pytest.raises(ValueError):
             tr.times[0] = -1.0
+        with pytest.raises(ValueError):
+            tr.amplitudes[0, 0] = 0.0
 
 
 class TestTraceSerialization:
@@ -241,8 +251,7 @@ class TestTraceSerialization:
         back = EvolutionTrace.from_json(doc)
         np.testing.assert_array_equal(back.times, tr.times)
         np.testing.assert_array_equal(back.energy_dispersion, tr.energy_dispersion)
-        for a, b in zip(back.states, tr.states):
-            np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+        np.testing.assert_array_equal(back.amplitudes, tr.amplitudes)
         assert back.hbar == tr.hbar
 
     def test_envelope_carries_hamiltonian(self):
@@ -284,9 +293,9 @@ class TestEvolve:
         t_final = h.orthogonality_time
         tr = evolve(h, UP, t_final, steps=1000)
         worst = 0.0
-        for t, s in zip(tr.times, tr.states):
+        for t, amps in zip(tr.times, tr.amplitudes):
             expected = propagator_static(1.0, float(t)) @ UP.amplitudes
-            worst = max(worst, float(np.max(np.abs(s.amplitudes - expected))))
+            worst = max(worst, float(np.max(np.abs(amps - expected))))
         assert worst <= 1e-8
         assert phase_equivalent(tr.final_state, QuantumState.exact([0.0, 1.0]))
 
@@ -294,9 +303,9 @@ class TestEvolve:
         h = TwoLevelDriven(epsilon=EPS, omega=OMEGA, omega0=OMEGA0)
         tr = evolve(h, UP, h.orthogonality_time, steps=1000)
         worst = 0.0
-        for t, s in zip(tr.times, tr.states):
+        for t, amps in zip(tr.times, tr.amplitudes):
             expected = propagator_driven(EPS, OMEGA, OMEGA0, float(t)) @ UP.amplitudes
-            worst = max(worst, float(np.max(np.abs(s.amplitudes - expected))))
+            worst = max(worst, float(np.max(np.abs(amps - expected))))
         assert worst <= 1e-6
 
     def test_zero_duration_gives_single_node(self):
@@ -324,16 +333,16 @@ class TestEvolve:
         for i in (0, 57, 200):
             t = float(tr.times[i])
             assert tr.energy_mean[i] == pytest.approx(
-                energy_mean(h, tr.states[i], t), abs=1e-10
+                energy_mean(h, QuantumState(tr.amplitudes[i]), t), abs=1e-10
             )
             assert tr.energy_dispersion[i] == pytest.approx(
-                energy_dispersion(h, tr.states[i], t), abs=1e-10
+                energy_dispersion(h, QuantumState(tr.amplitudes[i]), t), abs=1e-10
             )
 
     def test_norms_stay_put(self):
         h = lab_frame_hamiltonian()
         tr = evolve(h, UP, 10.0, steps=500)
-        norms = [np.linalg.norm(s.amplitudes) for s in tr.states]
+        norms = np.linalg.norm(tr.amplitudes, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_three_level_constant_matrix(self):
@@ -377,8 +386,8 @@ class TestOverlapDecay:
     def test_static_overlap_follows_cosine(self):
         h = TwoLevelStatic(epsilon=1.0)
         tr = evolve(h, UP, h.orthogonality_time, steps=400)
-        for t, s in zip(tr.times, tr.states):
-            assert overlap_modulus(s, UP) == pytest.approx(
+        for t, amps in zip(tr.times, tr.amplitudes):
+            assert overlap_modulus(QuantumState(amps), UP) == pytest.approx(
                 math.cos(float(t)), abs=1e-8
             )
 
