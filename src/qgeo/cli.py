@@ -14,9 +14,9 @@ Subcommands::
 Scenario commands propagate the corresponding two-level preset over its
 closed-form transfer time and report path length, efficiency, and the
 time-energy bound.  ``--config FILE`` supplies a flat JSON dict of the same
-names (flags win).  Exit status: 0 on success, 2 when a sweep detects a bound
-violation, 1 on usage or validation errors.  ``QGEO_SEED`` seeds sweeps when
-``--seed`` is absent.
+names (flags win).  Exit status: 0 on success, 2 when a scenario report or a
+sweep detects a bound violation (eta > 1), 1 on usage or validation errors.
+``QGEO_SEED`` seeds sweeps when ``--seed`` is absent.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def emit_table(reports: Sequence[SpeedLimitReport]) -> str:
     """Render reports in the two-column optimal-evolution layout.
 
     One row per report: the time-energy inequality with its numbers, and the
-    efficiency with a flag for rows that saturate eta = 1.
+    efficiency with a flag for rows that saturate eta = 1 or violate the bound.
     """
     if not reports:
         raise ValueError("emit_table needs at least one report")
@@ -204,9 +204,16 @@ def emit_table(reports: Sequence[SpeedLimitReport]) -> str:
         # lhs = hbar*s/2, so hbar*arccos|<A|B>| = hbar*s0/2 = lhs*s0/s in
         # whatever units the report carries.
         rhs = lhs * report.s0 / report.s
-        ineq = f"<dE>*T = {lhs:.9e} >= {rhs:.9e} = {rhs_label}"
-        geodesic = report.eta >= 1.0 - 1e-9
-        flag = "geodesic (eta = 1)" if geodesic else "suboptimal (eta < 1)"
+        # lhs/rhs = 1/eta, so lhs < rhs beyond round-off is exactly a report
+        # whose eta exceeds 1 by more than the bound's 1e-9 tolerance
+        relation = ">=" if report.bound_satisfied else "<"
+        ineq = f"<dE>*T = {lhs:.9e} {relation} {rhs:.9e} = {rhs_label}"
+        if not report.bound_satisfied:
+            flag = "violation (eta > 1)"
+        elif abs(report.eta - 1.0) <= 1e-9:
+            flag = "geodesic (eta = 1)"
+        else:
+            flag = "suboptimal (eta < 1)"
         lines.append(f"{label:<16}{ineq:<68}eta = {report.eta:.9f}  {flag}")
     return "\n".join(lines)
 
@@ -347,7 +354,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         sys.stdout.write(buf.getvalue())
     else:
         print(emit_table([run.report]))
-    return 0
+    return 0 if run.report.bound_satisfied else 2
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:

@@ -68,6 +68,8 @@ class Hamiltonian:
     * ``generator(t)``-- the matrix that actually generates the motion; equal
       to ``sample(t)`` for every kind except :class:`TwoLevelDriven`, where
       the drive is handled in the co-rotating frame.
+    * ``apply_many(times, psis)`` -- the observable applied to a whole trace
+      at once: row i is ``sample(times[i]) @ psis[i]``.
     * ``dim``, ``hbar`` and the two constancy flags used for fast paths.
     """
 
@@ -78,6 +80,16 @@ class Hamiltonian:
 
     def generator(self, t: float = 0.0) -> np.ndarray:
         return self.sample(t)
+
+    def apply_many(self, times: np.ndarray, psis: np.ndarray) -> np.ndarray:
+        """Apply the observable at ``times[i]`` to row i of ``psis``: ``(n, dim)``.
+
+        Constant samples take one product; otherwise every node goes through
+        ``sample``, so each one is validated as a single call would be.
+        """
+        if self.sample_is_constant:
+            return psis @ self.sample(0.0).T
+        return np.array([self.sample(float(t)) @ v for t, v in zip(times, psis)])
 
     @property
     def dim(self) -> int:
@@ -243,6 +255,14 @@ class TwoLevelDriven(Hamiltonian):
         return (
             self.epsilon * (math.cos(wt) * PAULI_X + math.sin(wt) * PAULI_Y)
             + 0.5 * self.hbar * self.omega0 * PAULI_Z
+        )
+
+    def apply_many(self, times: np.ndarray, psis: np.ndarray) -> np.ndarray:
+        # sample(t) = [[a, conj(d)], [d, -a]] with d = eps*e^{i w t}, a = hbar*w0/2
+        d = self.epsilon * np.exp(1j * self.omega * np.asarray(times, dtype=float))
+        a = 0.5 * self.hbar * self.omega0
+        return np.column_stack(
+            (a * psis[:, 0] + d.conj() * psis[:, 1], d * psis[:, 0] - a * psis[:, 1])
         )
 
     @cached_property

@@ -1,12 +1,16 @@
 """Unitary propagation and closed-form solutions for the two-level presets.
 
-The integrator is the midpoint exponential rule: each step applies
-``exp(-i * H(t_mid) * dt / hbar)`` with the generator sampled at the step
-midpoint.  Two-level generators use the exact Pauli exponential; larger ones
-a scaling-and-squaring Taylor series.  Either way every step is unitary to
-round-off, so norm drift is a genuine error signal rather than an expected
-artifact, and it is checked at every step.  A trace holds its node states
-as one ``(n_nodes, dim)`` amplitude array.
+A constant generator is exponentiated once, ``U = exp(-i * H * dt / hbar)``,
+and the nodes ``U^k psi0`` are filled by doubling powers: with rows
+``0..m-1`` done and ``P = U^m``, rows ``m..2m-1`` are ``P`` times rows
+``0..m-1``, then ``P`` is squared.  Otherwise the integrator is the midpoint
+exponential rule: each step applies ``exp(-i * H(t_mid) * dt / hbar)`` with
+the generator sampled at the step midpoint.  Two-level generators use the
+exact Pauli exponential; larger ones a scaling-and-squaring Taylor series.
+Either way every product is unitary to round-off, so norm drift is a genuine
+error signal rather than an expected artifact, and it is checked at every
+node.  A trace holds its node states as one ``(n_nodes, dim)`` amplitude
+array.
 """
 
 from __future__ import annotations
@@ -296,19 +300,9 @@ def _node_statistics(
     h: Hamiltonian, psis: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Energy mean and dispersion of the observable at every node."""
-    if h.sample_is_constant:
-        m = h.sample(0.0)
-        hv = psis @ m.T  # row i is (M psi_i)
-        mean = np.real(np.einsum("ij,ij->i", psis.conj(), hv))
-        second = np.real(np.einsum("ij,ij->i", hv.conj(), hv))
-    else:
-        mean = np.empty(times.size)
-        second = np.empty(times.size)
-        for i, t in enumerate(times):
-            m = h.sample(float(t))
-            hv_i = m @ psis[i]
-            mean[i] = np.real(np.vdot(psis[i], hv_i))
-            second[i] = np.real(np.vdot(hv_i, hv_i))
+    hv = h.apply_many(times, psis)  # row i is H(t_i) psi_i
+    mean = np.real(np.einsum("ij,ij->i", psis.conj(), hv))
+    second = np.real(np.einsum("ij,ij->i", hv.conj(), hv))
     var = second - mean * mean
     scale = max(float(np.max(np.abs(h.sample(float(times[0]))))), 1.0)
     if np.any(var < -1e-12 * scale * scale):
@@ -358,11 +352,15 @@ def evolve(
     psis[0] = psi0.amplitudes
 
     if h.generator_is_constant:
-        step_u = expm_unitary_step(
+        power = expm_unitary_step(
             require_hermitian(h.generator(0.0), context="generator"), dt, h.hbar
         )
-        for k in range(steps):
-            psis[k + 1] = step_u @ psis[k]
+        filled = 1
+        while filled <= steps:  # invariant: power = U^filled
+            block = min(filled, steps + 1 - filled)
+            psis[filled : filled + block] = psis[:block] @ power.T
+            filled += block
+            power = power @ power
     else:
         for k in range(steps):
             t_mid = times[k] + 0.5 * dt

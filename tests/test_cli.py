@@ -325,6 +325,59 @@ class TestCliScenarios:
         assert json.loads(out)["config"]["steps"] == 300  # flags win
 
 
+def synthetic_report(eta=1.024):
+    """A report with s0/s = eta (hbar = 1); eta > 1 violates the bound."""
+    s0 = 3.0
+    s = s0 / eta
+    return SpeedLimitReport(
+        s0=s0,
+        s=s,
+        eta=eta,
+        t_effective=2.0,
+        t_ideal=2.0 * eta,
+        avg_dispersion=0.25 * s,
+        bound_satisfied=eta <= 1.0 + 1e-9,
+        quadrature_error=1e-12,
+    )
+
+
+class TestBoundViolation:
+    def test_table_shows_violated_inequality(self):
+        line = emit_table([synthetic_report()]).splitlines()[-1]
+        assert "violation (eta > 1)" in line
+        assert "geodesic" not in line and "suboptimal" not in line
+        assert ">=" not in line
+        inequality = line.split("<dE>*T = ")[1].split(" = hbar")[0]
+        lhs, rhs = (float(x) for x in inequality.split(" < "))
+        assert lhs < rhs
+
+    def test_geodesic_flag_needs_eta_within_1e_9(self):
+        near = synthetic_report(eta=1.0 - 1e-6)
+        assert "suboptimal (eta < 1)" in emit_table([near])
+        exact = synthetic_report(eta=1.0 + 5e-10)
+        assert "geodesic (eta = 1)" in emit_table([exact])
+
+    @pytest.mark.parametrize("command", ["scenario1", "scenario2"])
+    @pytest.mark.parametrize("output", ["json", "table"])
+    def test_scenario_exits_2_on_violation(self, capsys, monkeypatch, command, output):
+        import dataclasses
+
+        import qgeo.cli as cli_module
+
+        real = cli_module.run_scenario
+
+        def rigged(cfg):
+            return dataclasses.replace(real(cfg), report=synthetic_report())
+
+        monkeypatch.setattr(cli_module, "run_scenario", rigged)
+        code, out, _ = run_cli(capsys, command, "--steps", "200", "--output", output)
+        assert code == 2
+        if output == "json":
+            assert json.loads(out)["report"]["bound_satisfied"] is False
+        else:
+            assert "violation (eta > 1)" in out
+
+
 class TestCliQueries:
     def test_bound_orthogonal(self, capsys):
         code, out, _ = run_cli(

@@ -162,6 +162,34 @@ class TestTwoLevelDriven:
         assert res.orthogonality_time == pytest.approx(math.pi / 2.0)
 
 
+def _apply_many_cases():
+    rng = np.random.default_rng(4242)
+    h0, h1 = random_hermitian(rng, 3), random_hermitian(rng, 3)
+    return {
+        "constant-dim2": ConstantMatrix(random_hermitian(rng, 2)),
+        "constant-dim5": ConstantMatrix(random_hermitian(rng, 5)),
+        "static": TwoLevelStatic(epsilon=0.8),
+        "driven-hbar1": TwoLevelDriven(epsilon=0.7, omega=1.3, omega0=0.9),
+        "driven-hbar1.7": TwoLevelDriven(epsilon=0.7, omega=1.3, omega0=0.9, hbar=1.7),
+        "time-dependent": TimeDependent(
+            lambda t: h0 + math.sin(t) * h1, dimension=3, hbar=1.3
+        ),
+    }
+
+
+class TestApplyMany:
+    @pytest.mark.parametrize("name", sorted(_apply_many_cases()))
+    def test_matches_per_node_samples(self, name):
+        h = _apply_many_cases()[name]
+        rng = np.random.default_rng(99)
+        times = np.sort(rng.uniform(0.0, 20.0, size=37))
+        psis = np.array([random_state(rng, h.dim).amplitudes for _ in times])
+        got = h.apply_many(times, psis)
+        want = np.stack([h.sample(float(t)) @ v for t, v in zip(times, psis)])
+        assert got.shape == (times.size, h.dim)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestEnergyMean:
     def test_driven_ground_state_sees_only_the_splitting(self):
         h = TwoLevelDriven(epsilon=1.0, omega=0.25, omega0=0.2)

@@ -26,6 +26,7 @@ from qgeo.hamiltonian import (
 )
 from qgeo.propagation import (
     EvolutionTrace,
+    _node_statistics,
     dispersion_driven_closed,
     dispersion_driven_near_resonance,
     dispersion_short_time,
@@ -380,6 +381,67 @@ class TestEvolve:
             assert 3.0 < r < 5.0  # halving dt divides the error by ~4
         slope = math.log2(errors[0] / errors[-1]) / 3.0
         assert slope == pytest.approx(2.0, abs=0.2)
+
+
+class TestConstantGeneratorFill:
+    @pytest.mark.parametrize("steps", [2, 3, 5, 64, 1023, 1024, 1025])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_every_node_matches_sequential_powers(self, dim, steps):
+        rng = np.random.default_rng(1000 * dim + steps)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m = 0.5 * (g + g.conj().T)
+        psi0 = QuantumState.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        t_final = 2.0
+        tr = evolve(ConstantMatrix(m), psi0, t_final, steps=steps)
+        step_u = expm_unitary_step(m, t_final / steps, 1.0)
+        expected = np.empty((steps + 1, dim), dtype=complex)
+        expected[0] = psi0.amplitudes
+        for k in range(steps):
+            expected[k + 1] = step_u @ expected[k]
+        assert tr.amplitudes[0].tobytes() == psi0.amplitudes.tobytes()
+        assert np.max(np.abs(tr.amplitudes - expected)) <= 1e-12
+
+    def test_static_trace_keeps_structural_zeros(self):
+        # (cos eps t, -i sin eps t): the products never mix real and imaginary
+        h = TwoLevelStatic(epsilon=1.3)
+        tr = evolve(h, UP, h.orthogonality_time, steps=100_000)
+        assert np.all(tr.amplitudes[:, 0].imag == 0.0)
+        assert np.all(tr.amplitudes[:, 1].real == 0.0)
+
+    def test_driven_evolve_samples_and_exponentiates_once(self, monkeypatch):
+        import qgeo.propagation as propagation
+
+        calls = {"sample": 0, "expm": 0}
+        real_sample, real_expm = TwoLevelDriven.sample, propagation.expm_unitary_step
+
+        def counting_sample(self, t=0.0):
+            calls["sample"] += 1
+            return real_sample(self, t)
+
+        def counting_expm(*args):
+            calls["expm"] += 1
+            return real_expm(*args)
+
+        monkeypatch.setattr(TwoLevelDriven, "sample", counting_sample)
+        monkeypatch.setattr(propagation, "expm_unitary_step", counting_expm)
+        h = TwoLevelDriven(epsilon=EPS, omega=OMEGA, omega0=OMEGA0)
+        tr = evolve(h, UP, h.orthogonality_time, steps=10_000)
+        assert tr.n_nodes == 10_001
+        assert calls["sample"] <= 2
+        assert calls["expm"] == 1
+
+    def test_non_hermitian_sample_at_one_node_rejected(self):
+        times = np.linspace(0.0, 1.0, 11)
+        bad_t = float(times[6])
+        skew = np.array([[0.0, 0.5], [0.0, 0.0]])
+
+        def func(t):
+            return PAULI_X + t * PAULI_Z + (skew if t == bad_t else 0.0)
+
+        h = TimeDependent(func, dimension=2)
+        psis = np.array([UP.amplitudes] * times.size)
+        with pytest.raises(HermiticityError, match="H\\(t=0.6"):
+            _node_statistics(h, psis, times)
 
 
 class TestOverlapDecay:
