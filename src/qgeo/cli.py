@@ -14,9 +14,10 @@ Subcommands::
 Scenario commands propagate the corresponding two-level preset over its
 closed-form transfer time and report path length, efficiency, and the
 time-energy bound.  ``--config FILE`` supplies a flat JSON dict of the same
-names (flags win).  Exit status: 0 on success, 2 when a scenario report or a
-sweep detects a bound violation (eta > 1), 1 on usage or validation errors.
-``QGEO_SEED`` seeds sweeps when ``--seed`` is absent.
+names (flags win).  Exit status: 0 on success, 2 when a scenario, ``verify``
+or ``table`` report or a sweep shows a bound violation (eta > 1), 1 on usage
+or validation errors, including any non-finite value bound for the JSON
+output.  ``QGEO_SEED`` seeds sweeps when ``--seed`` is absent.
 """
 
 from __future__ import annotations
@@ -219,7 +220,8 @@ def emit_table(reports: Sequence[SpeedLimitReport]) -> str:
 
 
 def _dump_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    # allow_nan=False turns a non-finite value into an error, never "Infinity"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -388,7 +390,8 @@ def _cmd_implicit(args: argparse.Namespace) -> int:
                 "coefficient_a": a,
                 "t_ideal_short_time": t_short,
                 "t_effective_orthogonal": target,
-                "residual": t_short + a * t_short**3 / 3.0 - target,
+                # a*T first: T**3 alone can overflow where a*T^3 <= target
+                "residual": t_short + a * t_short * t_short * t_short / 3.0 - target,
             }
         )
     )
@@ -401,7 +404,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     trace = EvolutionTrace.from_json(data)
     report = verify_bound(trace)
     print(_dump_json(report.to_json()))
-    return 0
+    return 0 if report.bound_satisfied else 2
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -428,7 +431,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             data = data["report"]
         reports.append(SpeedLimitReport.from_json(data))
     print(emit_table(reports))
-    return 0
+    return 0 if all(r.bound_satisfied for r in reports) else 2
 
 
 def main(argv: Sequence[str] | None = None) -> int:

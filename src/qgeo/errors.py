@@ -5,6 +5,8 @@ so that callers who don't care about the fine-grained taxonomy can catch the
 usual builtin.
 """
 
+import math
+
 
 class QGeoError(ValueError):
     """Base class for all domain errors raised by this package."""
@@ -44,3 +46,13 @@ class DegenerateEndpointsError(QGeoError):
 
 class FormulaError(QGeoError):
     """A closed-form evaluation or internal cross-check left its domain."""
+
+
+def require_positive_finite(**params: float) -> None:
+    """Raise ``ValueError`` naming the first parameter that is not in (0, inf).
+
+    ``nan`` fails too, since it compares false with both bounds.
+    """
+    for name, value in params.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")

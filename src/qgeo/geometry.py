@@ -16,7 +16,12 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import DegenerateEndpointsError, FormulaError, GridError
+from .errors import (
+    DegenerateEndpointsError,
+    FormulaError,
+    GridError,
+    require_positive_finite,
+)
 from .quadrature import QuadratureResult, simpson_uniform
 from .states import QuantumState, overlap_modulus, wootters_distance
 
@@ -191,10 +196,7 @@ def xi_of_t(epsilon: float, t: float, hbar: float = 1.0) -> float:
     numerically stable form sin/(sin + cos); runs monotonically from 0 to 1
     as t goes from 0 to pi*hbar/(2*eps).
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if not hbar > 0.0:
-        raise ValueError(f"hbar must be positive, got {hbar!r}")
+    require_positive_finite(epsilon=epsilon, hbar=hbar)
     t_orth = math.pi * hbar / (2.0 * epsilon)
     if not 0.0 <= t <= t_orth * (1.0 + 1e-12):
         raise ValueError(

@@ -24,6 +24,7 @@ from .errors import (
     HermiticityError,
     NormalizationError,
     StationaryStateError,
+    require_positive_finite,
 )
 from .states import QuantumState
 
@@ -102,11 +103,6 @@ class Hamiltonian:
     sample_is_constant: bool = False
 
 
-def _check_hbar(hbar: float) -> None:
-    if not hbar > 0.0:
-        raise ValueError(f"hbar must be positive, got {hbar!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class ConstantMatrix(Hamiltonian):
     """A time-independent Hermitian matrix in any dimension >= 2."""
@@ -118,7 +114,7 @@ class ConstantMatrix(Hamiltonian):
     sample_is_constant = True
 
     def __post_init__(self) -> None:
-        _check_hbar(self.hbar)
+        require_positive_finite(hbar=self.hbar)
         m = require_hermitian(self.matrix, context="constant Hamiltonian")
         if m.shape[0] < 2:
             raise DimensionMismatchError(
@@ -151,7 +147,7 @@ class TimeDependent(Hamiltonian):
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_hbar(self.hbar)
+        require_positive_finite(hbar=self.hbar)
         if self.dimension < 2:
             raise DimensionMismatchError(
                 f"Hamiltonian dimension must be >= 2, got {self.dimension}"
@@ -188,9 +184,7 @@ class TwoLevelStatic(Hamiltonian):
     sample_is_constant = True
 
     def __post_init__(self) -> None:
-        _check_hbar(self.hbar)
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        require_positive_finite(hbar=self.hbar, epsilon=self.epsilon)
 
     @cached_property
     def _matrix(self) -> np.ndarray:
@@ -234,11 +228,18 @@ class TwoLevelDriven(Hamiltonian):
     sample_is_constant = False
 
     def __post_init__(self) -> None:
-        _check_hbar(self.hbar)
-        for name in ("epsilon", "omega", "omega0"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+        require_positive_finite(
+            hbar=self.hbar, epsilon=self.epsilon, omega=self.omega, omega0=self.omega0
+        )
+        # the energy statistics and the Pauli exponential square these energies
+        half_splitting = 0.5 * self.hbar * self.omega0
+        require_positive_finite(
+            **{
+                "epsilon^2 + (hbar*omega0/2)^2": self.epsilon * self.epsilon
+                + half_splitting * half_splitting,
+                "kappa^2": self.kappa * self.kappa,
+            }
+        )
 
     @property
     def detuning(self) -> float:
@@ -396,7 +397,7 @@ def overlap_rate_bound(delta_e: float, overlap: float, hbar: float = 1.0) -> flo
     Equals (2*delta_e/hbar) * overlap * sqrt(1 - overlap^2); vanishes both at
     orthogonality and at coincidence, peaking at overlap = 1/sqrt(2).
     """
-    _check_hbar(hbar)
+    require_positive_finite(hbar=hbar)
     if delta_e < 0.0:
         raise ValueError(f"dispersion must be nonnegative, got {delta_e!r}")
     if not 0.0 <= overlap <= 1.0:

@@ -6,7 +6,7 @@ and the nodes ``U^k psi0`` are filled by doubling powers: with rows
 ``0..m-1``, then ``P`` is squared.  Otherwise the integrator is the midpoint
 exponential rule: each step applies ``exp(-i * H(t_mid) * dt / hbar)`` with
 the generator sampled at the step midpoint.  Two-level generators use the
-exact Pauli exponential; larger ones a scaling-and-squaring Taylor series.
+exact Pauli exponential; larger ones the spectral form from ``eigh``.
 Either way every product is unitary to round-off, so norm drift is a genuine
 error signal rather than an expected artifact, and it is checked at every
 node.  A trace holds its node states as one ``(n_nodes, dim)`` amplitude
@@ -29,6 +29,7 @@ from .errors import (
     GridError,
     IntegrationError,
     NormalizationError,
+    require_positive_finite,
 )
 from .hamiltonian import (
     Hamiltonian,
@@ -44,10 +45,6 @@ from .states import QuantumState
 #: Cumulative norm drift beyond which propagation aborts.
 MAX_NORM_DRIFT = 1e-9
 
-#: Relative truncation target of the Taylor series behind the general-dim
-#: matrix exponential.
-_EXPM_SERIES_TOL = 1e-14
-
 _ID2 = np.eye(2, dtype=complex)
 
 
@@ -56,7 +53,7 @@ def propagator_static(epsilon: float, t: float, hbar: float = 1.0) -> np.ndarray
 
     U(t) = cos(epsilon*t/hbar) * I - i*sin(epsilon*t/hbar) * sigma_x.
     """
-    _check_positive(epsilon=epsilon, hbar=hbar)
+    require_positive_finite(epsilon=epsilon, hbar=hbar)
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     theta = epsilon * t / hbar
@@ -78,7 +75,7 @@ def propagator_driven(
     eps*sigma_x + (D/2)*sigma_z; see :class:`~qgeo.hamiltonian.TwoLevelDriven`
     for how it relates to the laboratory-frame observable.
     """
-    _check_positive(epsilon=epsilon, omega=omega, omega0=omega0, hbar=hbar)
+    require_positive_finite(epsilon=epsilon, omega=omega, omega0=omega0, hbar=hbar)
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     detuning = hbar * (omega - omega0)
@@ -88,18 +85,18 @@ def propagator_driven(
     return math.cos(x) * _ID2 - 1j * math.sin(x) * axis
 
 
-def _check_positive(**params: float) -> None:
-    for name, value in params.items():
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
-
-
 def expm_unitary_step(h_matrix: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    """exp(-i * H * dt / hbar) for a Hermitian matrix of any dimension."""
+    """exp(-i * H * dt / hbar) for a Hermitian matrix of any dimension.
+
+    Beyond 2x2 this is ``V * diag(exp(-i * lam * dt / hbar)) * V^dagger`` from
+    ``eigh``, unitary by construction.  The 2x2 Pauli form stays because it
+    keeps exactly-zero amplitudes of the two-level presets exactly zero.
+    """
     m = np.asarray(h_matrix, dtype=complex)
     if m.shape[0] == 2:
         return _expm_two_level(m, dt, hbar)
-    return _expm_series(-1j * m * (dt / hbar))
+    lam, v = np.linalg.eigh(m)
+    return (v * np.exp(-1j * lam * (dt / hbar))) @ v.conj().T
 
 
 def _expm_two_level(m: np.ndarray, dt: float, hbar: float) -> np.ndarray:
@@ -115,25 +112,6 @@ def _expm_two_level(m: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     theta = r * dt / hbar
     axis = (cx * PAULI_X + cy * PAULI_Y + cz * PAULI_Z) / r
     return phase * (math.cos(theta) * _ID2 - 1j * math.sin(theta) * axis)
-
-
-def _expm_series(a: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor exponential, truncated at 1e-14 relative."""
-    norm = float(np.linalg.norm(a, 1))
-    squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
-    x = a / (2.0**squarings)
-    total = np.eye(a.shape[0], dtype=complex)
-    term = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, 60):
-        term = term @ x / k
-        total = total + term
-        if np.linalg.norm(term, 1) <= _EXPM_SERIES_TOL * np.linalg.norm(total, 1):
-            break
-    else:  # pragma: no cover - norm is capped at 0.5, series always converges
-        raise IntegrationError("matrix-exponential series failed to converge")
-    for _ in range(squarings):
-        total = total @ total
-    return total
 
 
 def _require_unit_rows(amps: np.ndarray, error: type[Exception]) -> None:
@@ -184,8 +162,7 @@ class EvolutionTrace:
             raise GridError("times must be strictly increasing")
         if np.any(disp < 0.0):
             raise ValueError("energy dispersion samples must be nonnegative")
-        if not self.hbar > 0.0:
-            raise ValueError(f"hbar must be positive, got {self.hbar!r}")
+        require_positive_finite(hbar=self.hbar)
         _require_unit_rows(amps, NormalizationError)
         for arr in (times, amps, mean, disp):
             arr.setflags(write=False)
@@ -334,8 +311,8 @@ def evolve(
         raise DimensionMismatchError(
             f"state dimension {psi0.dim} does not match Hamiltonian dimension {h.dim}"
         )
-    if t_final < 0.0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final!r}")
+    if not 0.0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be nonnegative and finite, got {t_final!r}")
     if int(steps) != steps or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     steps = int(steps)
@@ -379,10 +356,13 @@ def short_time_coefficient(omega: float, omega0: float) -> float:
     """Quadratic growth rate of the driven dispersion at early times.
 
     a = (omega0^2 / 2) * (1 + 2*omega/omega0), in rad^2/s^2; the dispersion
-    grows as eps*(1 + a*t^2) before O(t^4) corrections set in.
+    grows as eps*(1 + a*t^2) before O(t^4) corrections set in.  An ``a`` that
+    overflows (or underflows to zero) is refused as ``coefficient_a``.
     """
-    _check_positive(omega=omega, omega0=omega0)
-    return 0.5 * omega0 * omega0 * (1.0 + 2.0 * omega / omega0)
+    require_positive_finite(omega=omega, omega0=omega0)
+    a = 0.5 * omega0 * omega0 * (1.0 + 2.0 * omega / omega0)
+    require_positive_finite(coefficient_a=a)
+    return a
 
 
 def dispersion_driven_closed(
@@ -406,7 +386,7 @@ def dispersion_driven_closed(
 
     with k = kappa = sqrt(eps^2 + D^2/4).  Accepts scalar or array ``t``.
     """
-    _check_positive(epsilon=epsilon, omega=omega, omega0=omega0, hbar=hbar)
+    require_positive_finite(epsilon=epsilon, omega=omega, omega0=omega0, hbar=hbar)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("t must be nonnegative")
@@ -443,7 +423,7 @@ def dispersion_driven_near_resonance(
 
     Coincides exactly with :func:`dispersion_driven_closed` at zero detuning.
     """
-    _check_positive(epsilon=epsilon, omega=omega, omega0=omega0, hbar=hbar)
+    require_positive_finite(epsilon=epsilon, omega=omega, omega0=omega0, hbar=hbar)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("t must be nonnegative")
@@ -463,7 +443,7 @@ def dispersion_short_time(
     epsilon: float, omega: float, omega0: float, t: float | np.ndarray
 ):
     """Quadratic short-time model eps*(1 + a*t^2) of the driven dispersion."""
-    _check_positive(epsilon=epsilon)
+    require_positive_finite(epsilon=epsilon)
     a = short_time_coefficient(omega, omega0)
     t_arr = np.asarray(t, dtype=float)
     out = epsilon * (1.0 + a * t_arr * t_arr)

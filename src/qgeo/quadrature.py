@@ -7,6 +7,7 @@ from the half-resolution grid, and a flag for the even-node-count fallback
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ def simpson_uniform(y: np.ndarray, dx: float) -> QuadratureResult:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 3:
         raise GridError(f"need at least 3 samples in a 1-D array, got shape {y.shape}")
-    if not dx > 0.0:
-        raise GridError(f"sample spacing must be positive, got {dx!r}")
+    if not 0.0 < dx < math.inf:
+        raise GridError(f"sample spacing must be positive and finite, got {dx!r}")
 
     n = y.size
     trapezoid_full = float(_trapezoid(y, dx=dx))

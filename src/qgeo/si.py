@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import require_positive_finite
+
 #: Elementary charge, C (exact since the 2019 SI redefinition).
 ELEMENTARY_CHARGE = 1.602176634e-19
 
@@ -20,15 +22,13 @@ HBAR_SI = 1.054571817e-34
 
 def larmor_angular_frequency(b_parallel_tesla: float) -> float:
     """Spin precession rate e*B/m (rad/s) about a static field B (tesla)."""
-    if not b_parallel_tesla > 0.0:
-        raise ValueError(f"field must be positive, got {b_parallel_tesla!r}")
+    require_positive_finite(b_parallel_tesla=b_parallel_tesla)
     return ELEMENTARY_CHARGE * b_parallel_tesla / ELECTRON_MASS
 
 
 def rabi_angular_frequency(b_perp_tesla: float) -> float:
     """Transverse-drive flipping rate e*B/(2m) (rad/s) for field B (tesla)."""
-    if not b_perp_tesla > 0.0:
-        raise ValueError(f"field must be positive, got {b_perp_tesla!r}")
+    require_positive_finite(b_perp_tesla=b_perp_tesla)
     return ELEMENTARY_CHARGE * b_perp_tesla / (2.0 * ELECTRON_MASS)
 
 

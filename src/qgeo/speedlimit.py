@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from . import geometry
-from .errors import FormulaError, StationaryStateError
+from .errors import FormulaError, StationaryStateError, require_positive_finite
 from .hamiltonian import ConstantMatrix, energy_dispersion
 from .propagation import EvolutionTrace, evolve, short_time_coefficient
 from .quadrature import simpson_uniform
@@ -28,6 +28,7 @@ class BoundQuery:
 
     Exactly one of ``dispersion`` (constant spread) or ``avg_dispersion``
     (time-averaged spread) must be given; the bound formula is the same.
+    A zero spread is accepted here and refused by :func:`min_time`.
     """
 
     overlap: float
@@ -42,8 +43,10 @@ class BoundQuery:
             )
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError(f"overlap must lie in [0, 1], got {self.overlap!r}")
-        if not self.hbar > 0.0:
-            raise ValueError(f"hbar must be positive, got {self.hbar!r}")
+        require_positive_finite(hbar=self.hbar)
+        if self.effective_dispersion != 0.0:
+            name = "dispersion" if self.dispersion is not None else "avg_dispersion"
+            require_positive_finite(**{name: self.effective_dispersion})
 
     @property
     def effective_dispersion(self) -> float:
@@ -59,10 +62,8 @@ def min_time(query: BoundQuery) -> float:
     inputs are inconsistent.
     """
     d = query.effective_dispersion
-    if not d > 0.0:
-        raise StationaryStateError(
-            f"minimum time undefined at zero dispersion (got {d!r})"
-        )
+    if d == 0.0:
+        raise StationaryStateError("minimum time undefined at zero dispersion")
     ov = query.overlap
     comp = math.sqrt(max(1.0 - ov * ov, 0.0))
     theta_cos = math.acos(min(ov, 1.0))
@@ -83,12 +84,10 @@ def min_time(query: BoundQuery) -> float:
 
 def orthogonal_min_time(dispersion: float, hbar: float = 1.0) -> float:
     """Minimum time pi*hbar/(2*dE) = h/(4*dE) to reach an orthogonal state."""
-    if not hbar > 0.0:
-        raise ValueError(f"hbar must be positive, got {hbar!r}")
-    if not dispersion > 0.0:
-        raise StationaryStateError(
-            f"minimum time undefined at zero dispersion (got {dispersion!r})"
-        )
+    require_positive_finite(hbar=hbar)
+    if dispersion == 0.0:
+        raise StationaryStateError("minimum time undefined at zero dispersion")
+    require_positive_finite(dispersion=dispersion)
     return 0.5 * math.pi * hbar / dispersion
 
 
@@ -153,39 +152,24 @@ def solve_implicit_time(
 ) -> float:
     """Ideal transfer time under the short-time dispersion model.
 
-    Solves  pi*hbar/(2*eps) = T + a*T^3/3  for T, with
+    Solves  T + a*T^3/3 = t0  for T, with  t0 = pi*hbar/(2*eps)  and
     a = (omega0^2/2)*(1 + 2*omega/omega0).  The cubic is strictly increasing,
-    so the root is unique and lies strictly inside (0, pi*hbar/(2*eps));
-    bracketed Newton iterations (bisection fallback) drive the residual below
-    1e-14 relative to the target.
+    so its one real root lies strictly inside (0, t0); in closed form
+
+        T = (2/sqrt(a)) * sinh(asinh(x)/3),   x = 1.5*t0*sqrt(a),
+
+    which leaves a relative residual below 1e-14; the result is capped at t0,
+    which rounding could otherwise pass by an ulp when a*t0^2 is negligible.
+    Raises ``ValueError`` naming any input, or ``a`` or ``x``, that is not
+    positive and finite.
     """
-    for name, value in (("epsilon", epsilon), ("hbar", hbar)):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
-    a = short_time_coefficient(omega, omega0)  # validates omega, omega0
-    target = 0.5 * math.pi * hbar / epsilon
-
-    def f(x: float) -> float:
-        return x + a * x * x * x / 3.0 - target
-
-    lo, hi = 0.0, target
-    x = target
-    for _ in range(200):
-        fx = f(x)
-        if abs(fx) <= 1e-14 * target:
-            return x
-        if fx > 0.0:
-            hi = x
-        else:
-            lo = x
-        step = fx / (1.0 + a * x * x)
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    raise FormulaError(
-        f"implicit-time solve did not converge (last bracket [{lo!r}, {hi!r}])"
-    )
+    require_positive_finite(epsilon=epsilon, hbar=hbar)
+    a = short_time_coefficient(omega, omega0)  # validates omega, omega0 and a
+    t0 = 0.5 * math.pi * hbar / epsilon
+    root_a = math.sqrt(a)
+    x = 1.5 * t0 * root_a
+    require_positive_finite(**{"1.5*t0*sqrt(a)": x})
+    return min(2.0 / root_a * math.sinh(math.asinh(x) / 3.0), t0)
 
 
 @dataclass(frozen=True)

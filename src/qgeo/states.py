@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,24 +83,6 @@ class QuantumState:
     @property
     def dim(self) -> int:
         return int(self.amplitudes.size)
-
-    def to_json(self) -> dict[str, list[float]]:
-        """Serialize as ``{"re": [...], "im": [...]}``."""
-        return {
-            "re": [float(x) for x in self.amplitudes.real],
-            "im": [float(x) for x in self.amplitudes.imag],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "QuantumState":
-        """Inverse of :meth:`to_json` (verifies the stored norm)."""
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
-        if re.shape != im.shape:
-            raise DimensionMismatchError(
-                f"re/im length mismatch: {re.shape} vs {im.shape}"
-            )
-        return cls.exact(re + 1j * im, tol=1e-9)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"QuantumState({np.array2string(self.amplitudes, precision=6)})"

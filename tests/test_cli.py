@@ -20,6 +20,14 @@ from qgeo.speedlimit import SweepResult
 from qgeo.states import QuantumState
 
 
+# A driven draw whose report violates the bound (see the strict xfail below).
+OFF_RESONANCE_DRAW = {
+    "epsilon": 0.5606002293404857,
+    "omega0": 0.3947223566390008,
+    "omega": 0.5124401492259762,
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -105,12 +113,9 @@ class TestRunScenario:
         "with rotating-frame states, so some off-resonance draws report eta > 1",
     )
     def test_driven_off_resonance_draw_satisfies_bound(self):
-        params = {
-            "epsilon": 0.5606002293404857,
-            "omega0": 0.3947223566390008,
-            "omega": 0.5124401492259762,
-        }
-        cfg = ScenarioConfig(scenario="driven", steps=2000, parameters=params)
+        cfg = ScenarioConfig(
+            scenario="driven", steps=2000, parameters=dict(OFF_RESONANCE_DRAW)
+        )
         assert run_scenario(cfg).report.bound_satisfied
 
     def test_driven_si_larmor_frequency(self):
@@ -376,6 +381,72 @@ class TestBoundViolation:
             assert json.loads(out)["report"]["bound_satisfied"] is False
         else:
             assert "violation (eta > 1)" in out
+
+    def test_verify_exits_2_on_violating_trace(self, capsys, tmp_path):
+        flags = [f"--{k}={v!r}" for k, v in OFF_RESONANCE_DRAW.items()]
+        code, _, _ = run_cli(
+            capsys, "scenario2", "--steps", "2000", *flags, "--out", str(tmp_path)
+        )
+        assert code == 2
+        code, out, _ = run_cli(capsys, "verify", str(tmp_path / "trace.json"))
+        assert code == 2
+        assert json.loads(out)["bound_satisfied"] is False
+
+    def test_table_exits_2_on_violating_report(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(synthetic_report(eta=0.9).to_json()))
+        bad.write_text(json.dumps(synthetic_report().to_json()))
+        assert run_cli(capsys, "table", str(good))[0] == 0
+        code, out, _ = run_cli(capsys, "table", str(good), str(bad))
+        assert code == 2
+        assert "violation (eta > 1)" in out
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["scenario1", "--epsilon", "inf"], "epsilon"),
+            (["scenario1", "--hbar", "inf"], "hbar"),
+            (["scenario2", "--omega", "inf"], "omega"),
+            (["bound", "--overlap", "0.5", "--dispersion", "inf"], "dispersion"),
+            (
+                ["bound", "--overlap", "0.5", "--dispersion", "1", "--hbar", "inf"],
+                "hbar",
+            ),
+            (
+                ["implicit", "--epsilon", "inf", "--omega", "0.25", "--omega0", "0.2"],
+                "epsilon",
+            ),
+            # finite flags whose derived quantities overflow
+            (
+                ["implicit", "--epsilon", "1", "--omega", "1e200", "--omega0", "1e200"],
+                "coefficient_a",
+            ),
+            (["scenario2", "--omega0", "1e308"], "(hbar*omega0/2)^2"),
+            (
+                ["scenario1", "--unit-system", "si", "--b-perp-tesla", "inf"],
+                "b_perp_tesla",
+            ),
+        ],
+    )
+    def test_exits_1_naming_the_parameter(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert name in err.split(" must be positive and finite")[0]
+        assert "Infinity" not in out
+
+    def test_non_finite_output_is_an_error_not_json_infinity(self, capsys, monkeypatch):
+        import qgeo.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "min_time", lambda query: math.inf)
+        code, out, err = run_cli(
+            capsys, "bound", "--overlap", "0.5", "--dispersion", "1"
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
 
 
 class TestCliQueries:

@@ -162,7 +162,7 @@ class TestExpmStep:
 
     def test_general_dim_matches_scipy(self):
         rng = np.random.default_rng(13)
-        for dim in (3, 4, 6):
+        for dim in (3, 4, 6, 32):
             g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             m = 0.5 * (g + g.conj().T)
             expected = scipy_expm(-1j * m * 0.37)

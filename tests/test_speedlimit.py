@@ -271,6 +271,27 @@ class TestSolveImplicitTime:
             omega0 = float(rng.uniform(0.01, 3.0))
             assert solve_implicit_time(eps, omega, omega0) < math.pi / (2.0 * eps)
 
+    def test_closed_form_residual_over_wide_range(self):
+        # log-uniform draws spanning twelve decades of epsilon, fifteen of the
+        # frequencies and six of hbar, plus a point where T^3 alone overflows
+        rng = np.random.default_rng(4242)
+        n = 20000
+        draws = zip(
+            (10.0 ** rng.uniform(-6.0, 6.0, n)).tolist(),
+            (10.0 ** rng.uniform(-9.0, 6.0, n)).tolist(),
+            (10.0 ** rng.uniform(-9.0, 6.0, n)).tolist(),
+            (10.0 ** rng.uniform(-3.0, 3.0, n)).tolist(),
+        )
+        worst = 0.0
+        for eps, omega, omega0, hbar in [*draws, (1e-200, 1e-125, 1e-125, 1.0)]:
+            t = solve_implicit_time(eps, omega, omega0, hbar)
+            a = short_time_coefficient(omega, omega0)
+            target = 0.5 * math.pi * hbar / eps
+            assert 0.0 < t <= target  # equal once a*t0^2 is below rounding
+            residual = abs(t + a * t * t * t / 3.0 - target) / target
+            worst = max(worst, residual)
+        assert worst <= 1e-14
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             solve_implicit_time(-1.0, 0.25, 0.2)

@@ -201,22 +201,3 @@ class TestPhaseEquivalent:
         b = QuantumState.normalized([1.0, 0.01])
         assert not phase_equivalent(a, b, tol=1e-9)
         assert phase_equivalent(a, b, tol=1e-3)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        s = random_state(rng, 4)
-        restored = QuantumState.from_json(s.to_json())
-        np.testing.assert_allclose(restored.amplitudes, s.amplitudes, atol=0)
-
-    def test_layout(self):
-        s = QuantumState.normalized([1.0, 1.0j])
-        doc = s.to_json()
-        assert set(doc) == {"re", "im"}
-        np.testing.assert_allclose(doc["re"], [INV_SQRT2, 0.0])
-        np.testing.assert_allclose(doc["im"], [0.0, INV_SQRT2])
-
-    def test_mismatched_arrays_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            QuantumState.from_json({"re": [1.0, 0.0], "im": [0.0]})
