@@ -17,7 +17,9 @@ time-energy bound.  ``--config FILE`` supplies a flat JSON dict of the same
 names (flags win).  Exit status: 0 on success, 2 when a scenario, ``verify``
 or ``table`` report or a sweep shows a bound violation (eta > 1), 1 on usage
 or validation errors, including any non-finite value bound for the JSON
-output.  ``QGEO_SEED`` seeds sweeps when ``--seed`` is absent.
+output.  ``QGEO_SEED`` seeds sweeps when ``--seed`` is absent; a sweep
+runs in one process, one vectorized pass per chunk and dimension, and its
+result does not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -283,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--dim-min", type=int, default=2)
     ps.add_argument("--dim-max", type=int, default=8)
     ps.add_argument("--steps", type=int, default=64)
-    ps.add_argument("--workers", type=int, default=1)
     ps.set_defaults(func=_cmd_sweep)
 
     pt = sub.add_parser("table", help="tabulate stored reports")
@@ -416,7 +417,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=seed,
         dims=(args.dim_min, args.dim_max),
         steps=args.steps,
-        workers=args.workers,
     )
     print(_dump_json(result.to_json()))
     return 2 if result.total_violations > 0 else 0

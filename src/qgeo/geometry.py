@@ -43,11 +43,23 @@ def _path_quadrature(trace, rel_tol: float = 1e-9) -> QuadratureResult:
     if n < 3:
         raise GridError(f"path length needs at least 3 nodes, got {n}")
     dt = trace.grid_spacing(rel_tol)  # raises GridError on non-uniform grids
-    result = simpson_uniform(2.0 * trace.energy_dispersion / trace.hbar, dt)
+    return length_quadrature(trace.energy_dispersion, dt, trace.hbar)
+
+
+def length_quadrature(
+    dispersion: np.ndarray, dt: float | np.ndarray, hbar: float
+) -> QuadratureResult:
+    """Simpson quadrature of 2*dispersion/hbar along the last (node) axis.
+
+    ``dispersion`` holds one trace per row, ``dt`` one node spacing or one
+    per row.  An even node count integrates the final interval by trapezoid
+    and warns.
+    """
+    result = simpson_uniform(2.0 * dispersion / hbar, dt)
     if result.trapezoid_tail:
         warnings.warn(
             "even node count: last interval integrated by trapezoid rule",
-            stacklevel=3,
+            stacklevel=4,
         )
     return result
 

@@ -42,22 +42,54 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 def require_hermitian(
     matrix: np.ndarray, tol: float = HERMITICITY_TOL, context: str = "matrix"
 ) -> np.ndarray:
-    """Validate that ``matrix`` is square and Hermitian; return it as complex.
+    """Validate a square Hermitian matrix, or a stack ``(..., d, d)`` of them.
 
-    The deviation ``max|M - M^dagger|`` is compared against ``tol`` times the
-    largest entry magnitude (with a floor of 1 so the zero matrix passes).
+    Returns the input as complex.  Each matrix's deviation ``max|M - M^dagger|``
+    is compared against ``tol`` times its largest entry magnitude (with a
+    floor of 1 so the zero matrix passes).
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"{context} must be square, got shape {m.shape}")
-    scale = max(float(np.max(np.abs(m))), 1.0) if m.size else 1.0
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol * scale:
+    scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
+    dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    bad = dev > tol * scale
+    if bad.any():
+        i = bad.argmax()
         raise HermiticityError(
-            f"{context} is not Hermitian: max|M - M^+| = {dev:.3e} "
-            f"(tol {tol:.1e} * scale {scale:.3e})"
+            f"{context} is not Hermitian: max|M - M^+| = {dev.flat[i]:.3e} "
+            f"(tol {tol:.1e} * scale {scale.flat[i]:.3e})"
         )
     return m
+
+
+def energy_statistics(
+    psis: np.ndarray, hpsis: np.ndarray, scale: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Energy mean and dispersion of states ``psis`` of shape ``(..., d)``.
+
+    ``hpsis`` holds ``H psi`` for each state, and ``scale`` is ``max|H|``
+    floored at 1, one value or one per state.  ``scale`` sets the round-off
+    windows of the two checks: an imaginary mean beyond ``1e-12 * scale``
+    raises :class:`~qgeo.errors.HermiticityError`, and a variance below
+    ``-1e-12 * scale^2`` raises :class:`~qgeo.errors.FormulaError`; smaller
+    negative variances clamp to zero.  ``<H^2>`` is ``||H psi||^2``, taken
+    after dividing ``H psi`` by the power of two just above ``scale``: that
+    division is exact, so the result is the unscaled one bit for bit, but the
+    squares cannot overflow.
+    """
+    pow2 = np.ldexp(1.0, np.frexp(scale)[1])
+    rel = scale / pow2
+    hv = hpsis * np.expand_dims(1.0 / pow2, -1)  # exact, and cheaper than a complex divide
+    mean = np.einsum("...i,...i->...", psis.conj(), hv)
+    if np.any(np.abs(mean.imag) > 1e-12 * rel):
+        raise HermiticityError(
+            f"energy expectation has imaginary part {np.max(np.abs(mean.imag * pow2)):.3e}"
+        )
+    var = np.real(np.einsum("...i,...i->...", hv.conj(), hv)) - mean.real * mean.real
+    if np.any(var < -1e-12 * rel * rel):
+        raise FormulaError("negative energy variance beyond round-off")
+    return mean.real * pow2, np.sqrt(np.clip(var, 0.0, None)) * pow2
 
 
 class Hamiltonian:
@@ -116,9 +148,9 @@ class ConstantMatrix(Hamiltonian):
     def __post_init__(self) -> None:
         require_positive_finite(hbar=self.hbar)
         m = require_hermitian(self.matrix, context="constant Hamiltonian")
-        if m.shape[0] < 2:
+        if m.ndim != 2 or m.shape[0] < 2:
             raise DimensionMismatchError(
-                f"Hamiltonian dimension must be >= 2, got {m.shape[0]}"
+                f"Hamiltonian must be one matrix of dimension >= 2, got shape {m.shape}"
             )
         m = m.copy()
         m.setflags(write=False)
@@ -157,9 +189,9 @@ class TimeDependent(Hamiltonian):
         m = require_hermitian(
             self.func(t), tol=self.sample_tolerance, context=f"H(t={t!r})"
         )
-        if m.shape[0] != self.dimension:
+        if m.shape != (self.dimension, self.dimension):
             raise DimensionMismatchError(
-                f"H(t={t!r}) has dimension {m.shape[0]}, declared {self.dimension}"
+                f"H(t={t!r}) has shape {m.shape}, declared dimension {self.dimension}"
             )
         return m
 
@@ -285,44 +317,26 @@ class TwoLevelDriven(Hamiltonian):
         return math.pi * self.hbar / (2.0 * self.kappa)
 
 
-def _state_vector(h: Hamiltonian, psi: QuantumState) -> np.ndarray:
+def _state_statistics(
+    h: Hamiltonian, psi: QuantumState, t: float
+) -> tuple[np.ndarray, np.ndarray]:
     if psi.dim != h.dim:
         raise DimensionMismatchError(
             f"state dimension {psi.dim} does not match Hamiltonian dimension {h.dim}"
         )
-    return psi.amplitudes
+    m = h.sample(t)
+    v = psi.amplitudes
+    return energy_statistics(v, m @ v, max(float(np.max(np.abs(m))), 1.0))
 
 
 def energy_mean(h: Hamiltonian, psi: QuantumState, t: float = 0.0) -> float:
     """Expectation value <psi|H(t)|psi> (guaranteed real for Hermitian H)."""
-    m = h.sample(t)
-    v = _state_vector(h, psi)
-    value = complex(np.vdot(v, m @ v))
-    scale = max(float(np.max(np.abs(m))), 1.0)
-    if abs(value.imag) > 1e-12 * scale:
-        raise HermiticityError(
-            f"energy expectation has imaginary part {value.imag:.3e}"
-        )
-    return value.real
+    return float(_state_statistics(h, psi, t)[0])
 
 
 def energy_dispersion(h: Hamiltonian, psi: QuantumState, t: float = 0.0) -> float:
-    """Energy spread sqrt(<H^2> - <H>^2) >= 0 at time t.
-
-    ``<H^2>`` is evaluated as ``||H psi||^2``, which is real and nonnegative
-    by construction; negative round-off in the variance inside the 1e-12
-    window clamps to zero.
-    """
-    m = h.sample(t)
-    v = _state_vector(h, psi)
-    hv = m @ v
-    mean = float(np.real(np.vdot(v, hv)))
-    second = float(np.real(np.vdot(hv, hv)))
-    var = second - mean * mean
-    scale = max(float(np.max(np.abs(m))), 1.0)
-    if var < -1e-12 * scale * scale:
-        raise FormulaError(f"variance {var!r} is negative beyond round-off")
-    return math.sqrt(max(var, 0.0))
+    """Energy spread sqrt(<H^2> - <H>^2) >= 0 at time t (see :func:`energy_statistics`)."""
+    return float(_state_statistics(h, psi, t)[1])
 
 
 def two_level_dispersion_spectral(
@@ -367,9 +381,9 @@ def vaidman_decompose(q: np.ndarray, psi: QuantumState) -> Decomposition:
             is defined.
     """
     m = require_hermitian(q, context="observable")
-    if m.shape[0] != psi.dim:
+    if m.shape != (psi.dim, psi.dim):
         raise DimensionMismatchError(
-            f"observable dimension {m.shape[0]} does not match state dimension {psi.dim}"
+            f"observable of shape {m.shape} does not match state dimension {psi.dim}"
         )
     v = psi.amplitudes
     qv = m @ v

@@ -36,6 +36,7 @@ from .hamiltonian import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    energy_statistics,
     hamiltonian_from_json,
     hamiltonian_to_json,
     require_hermitian,
@@ -105,7 +106,7 @@ def _expm_two_level(m: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     cz = 0.5 * (m[0, 0].real - m[1, 1].real)
     cx = m[0, 1].real
     cy = -m[0, 1].imag
-    r = math.sqrt(cx * cx + cy * cy + cz * cz)
+    r = math.hypot(cx, cy, cz)
     phase = complex(np.exp(-1j * c0 * dt / hbar))
     if r == 0.0:
         return phase * _ID2
@@ -278,13 +279,8 @@ def _node_statistics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Energy mean and dispersion of the observable at every node."""
     hv = h.apply_many(times, psis)  # row i is H(t_i) psi_i
-    mean = np.real(np.einsum("ij,ij->i", psis.conj(), hv))
-    second = np.real(np.einsum("ij,ij->i", hv.conj(), hv))
-    var = second - mean * mean
     scale = max(float(np.max(np.abs(h.sample(float(times[0]))))), 1.0)
-    if np.any(var < -1e-12 * scale * scale):
-        raise FormulaError("negative energy variance beyond round-off")
-    return mean, np.sqrt(np.clip(var, 0.0, None))
+    return energy_statistics(psis, hv, scale)
 
 
 def evolve(

@@ -23,13 +23,17 @@ HBAR_SI = 1.054571817e-34
 def larmor_angular_frequency(b_parallel_tesla: float) -> float:
     """Spin precession rate e*B/m (rad/s) about a static field B (tesla)."""
     require_positive_finite(b_parallel_tesla=b_parallel_tesla)
-    return ELEMENTARY_CHARGE * b_parallel_tesla / ELECTRON_MASS
+    rate = ELEMENTARY_CHARGE * b_parallel_tesla / ELECTRON_MASS
+    require_positive_finite(**{"e*b_parallel_tesla/m": rate})
+    return rate
 
 
 def rabi_angular_frequency(b_perp_tesla: float) -> float:
     """Transverse-drive flipping rate e*B/(2m) (rad/s) for field B (tesla)."""
     require_positive_finite(b_perp_tesla=b_perp_tesla)
-    return ELEMENTARY_CHARGE * b_perp_tesla / (2.0 * ELECTRON_MASS)
+    rate = ELEMENTARY_CHARGE * b_perp_tesla / (2.0 * ELECTRON_MASS)
+    require_positive_finite(**{"e*b_perp_tesla/(2m)": rate})
+    return rate
 
 
 def larmor_frequency_hz(b_parallel_tesla: float) -> float:

@@ -3,23 +3,35 @@
 For unit vectors A and B and an evolution with energy dispersion dE, the
 transfer time obeys  <dE> * T >= hbar * arccos|<A|B>|,  with equality exactly
 on geodesics; for orthogonal targets the right side is hbar*pi/2 = h/4.
+
+:func:`run_sweep` tests the bound on random constant Hamiltonians, in fixed
+chunks of samples and one vectorized pass per dimension group, keeping every
+check of :func:`~qgeo.propagation.evolve` and :func:`~qgeo.geometry.efficiency`
+at its tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from . import geometry
-from .errors import FormulaError, StationaryStateError, require_positive_finite
-from .hamiltonian import ConstantMatrix, energy_dispersion
-from .propagation import EvolutionTrace, evolve, short_time_coefficient
+from .errors import (
+    DegenerateEndpointsError,
+    FormulaError,
+    IntegrationError,
+    NormalizationError,
+    StationaryStateError,
+    require_positive_finite,
+)
+from .hamiltonian import energy_statistics, require_hermitian
+from .propagation import EvolutionTrace, _require_unit_rows, short_time_coefficient
 from .quadrature import simpson_uniform
-from .states import QuantumState, overlap_modulus
+from .states import CLAMP_WINDOW
 
 
 @dataclass(frozen=True)
@@ -67,19 +79,30 @@ def min_time(query: BoundQuery) -> float:
     ov = query.overlap
     comp = math.sqrt(max(1.0 - ov * ov, 0.0))
     theta_cos = math.acos(min(ov, 1.0))
-    theta_sin = math.asin(min(comp, 1.0))
-    # acos amplifies input rounding by 1/comp near overlap 1; asin by 1/ov
-    # near overlap 0.  Budget exactly that much float noise (capped so a real
-    # transcription bug, which shifts the angle by O(1), still trips).
-    machine = float(np.finfo(float).eps)
-    amplification = min(1.0 / max(ov, machine) + 1.0 / max(comp, machine), 1e5)
-    tol = 1e-12 * max(theta_cos, 1.0) + 64.0 * machine * amplification
-    if abs(theta_cos - theta_sin) > tol:
-        raise FormulaError(
-            f"arccos and arcsin routes disagree: {theta_cos!r} vs {theta_sin!r} "
-            f"at overlap {ov!r}"
-        )
+    _require_arc_routes_agree(theta_cos, math.asin(min(comp, 1.0)), ov, comp)
     return query.hbar * theta_cos / d
+
+
+def _require_arc_routes_agree(theta_cos, theta_sin, ov, comp) -> None:
+    """Raise FormulaError where arccos(ov) and arcsin(comp) differ beyond noise.
+
+    Elementwise on arrays.  acos amplifies input rounding by 1/comp near
+    overlap 1; asin by 1/ov near overlap 0.  Budget exactly that much float
+    noise (capped so a real transcription bug, which shifts the angle by
+    O(1), still trips).
+    """
+    machine = float(np.finfo(float).eps)
+    amplification = np.minimum(
+        1.0 / np.maximum(ov, machine) + 1.0 / np.maximum(comp, machine), 1e5
+    )
+    tol = 1e-12 * np.maximum(theta_cos, 1.0) + 64.0 * machine * amplification
+    bad = np.flatnonzero(np.abs(theta_cos - theta_sin) > tol)
+    if bad.size:
+        i = bad[0]
+        raise FormulaError(
+            f"arccos and arcsin routes disagree: {float(np.ravel(theta_cos)[i])!r} "
+            f"vs {float(np.ravel(theta_sin)[i])!r} at overlap {float(np.ravel(ov)[i])!r}"
+        )
 
 
 def orthogonal_min_time(dispersion: float, hbar: float = 1.0) -> float:
@@ -116,10 +139,13 @@ def avg_dispersion(trace: EvolutionTrace) -> float:
     return integral / trace.duration
 
 
-def _bound_margin(report: geometry.SpeedLimitReport, hbar: float) -> float:
-    """Slack  <dE>*T - hbar*arccos|<A|B>|  of the time-energy bound (an action)."""
-    rhs = hbar * math.acos(min(math.cos(0.5 * report.s0), 1.0))
-    return report.avg_dispersion * report.t_effective - rhs
+def _bound_margin(avg_dispersion, duration, s0, hbar: float):
+    """Slack  <dE>*T - hbar*arccos|<A|B>|  of the time-energy bound (an action).
+
+    Elementwise on arrays; ``s0`` is the geodesic distance 2*arccos|<A|B>|.
+    """
+    rhs = hbar * np.arccos(np.minimum(np.cos(0.5 * s0), 1.0))
+    return avg_dispersion * duration - rhs
 
 
 def verify_bound(trace: EvolutionTrace) -> geometry.SpeedLimitReport:
@@ -137,7 +163,8 @@ def verify_bound(trace: EvolutionTrace) -> geometry.SpeedLimitReport:
     # the floor must carry hbar: lhs and rhs are actions, so a bare 1e-12
     # would be absurdly loose in SI units
     equality_tol = max(slack_tol, 1e-12 * trace.hbar)
-    if abs(_bound_margin(report, trace.hbar)) <= equality_tol:
+    margin = _bound_margin(report.avg_dispersion, report.t_effective, report.s0, trace.hbar)
+    if abs(margin) <= equality_tol:
         geo_tol = 10.0 * max(report.quadrature_error, 1e-12)
         if not report.s <= report.s0 + geo_tol:
             raise FormulaError(
@@ -211,68 +238,130 @@ class SweepResult:
         }
 
 
-def _random_sample_trace(
-    seed_seq: np.random.SeedSequence,
-    dims: tuple[int, int],
-    steps: int,
-    hbar: float,
-) -> tuple[EvolutionTrace, float]:
-    """One random constant-Hamiltonian trace; returns (trace, spectral norm)."""
+#: Samples drawn and evaluated together.  The fixed chunk bounds the
+#: ``(chunk, steps + 1, dim)`` amplitude block whatever the sample count;
+#: the results do not depend on it.
+SWEEP_CHUNK = 128
+
+
+def _draw(
+    seed_seq: np.random.SeedSequence, dims: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One sample's draws: complex Gaussian matrix, unnormalized psi0, duration factor.
+
+    The draw order (integers, normal x4, uniform) fixes each sample's values.
+    """
     rng = np.random.default_rng(seed_seq)
     dim = int(rng.integers(dims[0], dims[1] + 1))
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h_matrix = 0.5 * (g + g.conj().T)
-    h = ConstantMatrix(h_matrix, hbar=hbar)
-    psi0 = QuantumState.normalized(
-        rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    )
-    spectral_norm = float(np.max(np.abs(np.linalg.eigvalsh(h_matrix))))
-    d0 = max(energy_dispersion(h, psi0), 1e-6 * spectral_norm, 1e-12)
-    t_final = float(rng.uniform(0.3, 2.5)) * 0.5 * math.pi * hbar / d0
-    for _ in range(5):
-        trace = evolve(h, psi0, t_final, steps)
-        if overlap_modulus(trace.initial_state, trace.final_state) < 1.0 - 1e-9:
-            return trace, spectral_norm
-        t_final *= 1.3737  # deterministic nudge away from a revival
-    return trace, spectral_norm
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return g, psi, float(rng.uniform(0.3, 2.5))
 
 
-def _rate_check(
-    trace: EvolutionTrace, spectral_norm: float
-) -> tuple[int, float]:
-    """Central-difference overlap rate vs its bound, with a rigorous tolerance.
+def _propagate(
+    lam: np.ndarray, v: np.ndarray, psi0: np.ndarray, t_final: np.ndarray, steps: int, hbar: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``V diag(exp(-i lam t_k/hbar)) V^dagger psi0`` of each sample: ``(B, n, d)``.
 
-    The third derivative of |<psi(t)|A>|^2 is bounded by (2*||H||/hbar)^3, so
-    the central-difference error is at most that times dt^2/6; adding a small
-    float-noise term gives a tolerance that cannot produce false violations.
+    ``lam``, ``v`` are the ``eigh`` of each Hamiltonian.  A sample whose
+    endpoints land on a revival (overlap >= 1 - 1e-9) has its duration
+    stretched by 1.3737 and is propagated again, at most four times; the
+    others are left alone.  Returns the final durations and the amplitudes.
+    Raises IntegrationError when a node's norm drifts beyond MAX_NORM_DRIFT.
     """
-    a = trace.amplitudes[0]
-    overlaps_sq = np.abs(np.array([np.vdot(row, a) for row in trace.amplitudes])) ** 2
-    dt = trace.grid_spacing()
-    rate = np.abs(overlaps_sq[2:] - overlaps_sq[:-2]) / (2.0 * dt)
-    ov = np.sqrt(np.clip(overlaps_sq[1:-1], 0.0, 1.0))
-    disp = trace.energy_dispersion[1:-1]
-    bound = (2.0 * disp / trace.hbar) * ov * np.sqrt(np.clip(1.0 - ov * ov, 0.0, None))
-    tol = ((2.0 * spectral_norm / trace.hbar) ** 3) * dt * dt / 6.0 + 1e-12 / dt
-    excess = rate - bound - tol
-    return int(np.sum(excess > 0.0)), float(np.max(rate - bound))
+    t_final = np.array(t_final, dtype=float)
+    c = (psi0[:, np.newaxis, :] @ v.conj())[:, 0, :]  # V^dagger psi0
+
+    def nodes(rows):
+        times = np.linspace(0.0, t_final[rows], steps + 1, axis=-1)
+        phases = np.exp((-1j / hbar) * times[:, :, np.newaxis] * lam[rows][:, np.newaxis, :])
+        amps = (phases * c[rows][:, np.newaxis, :]) @ np.swapaxes(v[rows], -1, -2)
+        _require_unit_rows(amps.reshape(-1, amps.shape[-1]), IntegrationError)
+        return amps
+
+    amps = nodes(slice(None))
+    for _ in range(4):
+        ends = np.abs(np.sum(amps[:, 0].conj() * amps[:, -1], axis=-1))
+        stuck = np.flatnonzero(ends >= 1.0 - 1e-9)
+        if not stuck.size:
+            break
+        t_final[stuck] *= 1.3737  # deterministic nudge away from a revival
+        amps[stuck] = nodes(stuck)
+    return t_final, amps
 
 
-def _sweep_one(
-    seed_seq: np.random.SeedSequence,
+def _group_metrics(
+    g: np.ndarray, psi: np.ndarray, u: np.ndarray, steps: int, hbar: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eta, bound margin, rate violations and max rate excess of each sample.
+
+    ``g``, ``psi`` and ``u`` stack the draws of samples of one dimension.
+    """
+    h = require_hermitian(
+        0.5 * (g + np.swapaxes(g.conj(), -1, -2)), context="sweep Hamiltonian"
+    )
+    psi0 = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+    lam, v = np.linalg.eigh(h)
+    spectral_norm = np.max(np.abs(lam), axis=-1)
+    scale = np.abs(h).max(axis=(-2, -1), initial=1.0)
+    _, d0 = energy_statistics(psi0, (h @ psi0[..., np.newaxis])[..., 0], scale)
+    d0 = np.maximum(np.maximum(d0, 1e-6 * spectral_norm), 1e-12)
+    t_final, amps = _propagate(lam, v, psi0, u * 0.5 * math.pi * hbar / d0, steps, hbar)
+    _, disp = energy_statistics(amps, amps @ np.swapaxes(h, -1, -2), scale[:, np.newaxis])
+    dt = t_final / steps
+
+    # geometry.efficiency, one sample per row
+    overlaps = np.abs((amps @ amps[:, 0, :, np.newaxis].conj())[..., 0])
+    if np.any(overlaps[:, -1] > 1.0 + CLAMP_WINDOW):
+        raise NormalizationError("endpoint overlap exceeds 1 beyond round-off")
+    overlap = np.minimum(overlaps[:, -1], 1.0)
+    if np.any(overlap >= 1.0 - geometry.DEGENERACY_TOL):
+        raise DegenerateEndpointsError(
+            f"endpoint overlap {float(np.max(overlap))!r} is within 1e-12 of 1; "
+            "the path ratio is undefined"
+        )
+    s = geometry.length_quadrature(disp, dt, hbar).value
+    if not np.all(s > 0.0):
+        raise FormulaError("nonpositive path length with non-degenerate endpoints")
+    comp = np.sqrt(np.maximum(1.0 - overlap * overlap, 0.0))
+    theta = np.arccos(overlap)
+    _require_arc_routes_agree(theta, np.arcsin(comp), overlap, comp)
+    s0 = 2.0 * theta
+    margin = _bound_margin(0.5 * hbar * s / t_final, t_final, s0, hbar)
+
+    # central-difference overlap rate against its bound; the third derivative
+    # of |<psi(t)|A>|^2 is at most (2*||H||/hbar)^3, so the difference errs by
+    # at most that times dt^2/6, plus a float-noise term
+    ov2 = overlaps * overlaps
+    rate = np.abs(ov2[:, 2:] - ov2[:, :-2]) / (2.0 * dt[:, np.newaxis])
+    ov = np.sqrt(np.clip(ov2[:, 1:-1], 0.0, 1.0))
+    bound = (2.0 * disp[:, 1:-1] / hbar) * ov * np.sqrt(np.clip(1.0 - ov * ov, 0.0, None))
+    tol = ((2.0 * spectral_norm / hbar) ** 3) * dt * dt / 6.0 + 1e-12 / dt
+    excess = rate - bound
+    rate_bad = np.sum(excess - tol[:, np.newaxis] > 0.0, axis=-1)
+    return s0 / s, margin, rate_bad, np.max(excess, axis=-1)
+
+
+def _sample_metrics(
+    children: Sequence[np.random.SeedSequence],
     dims: tuple[int, int],
     steps: int,
     hbar: float,
-) -> dict[str, float]:
-    trace, spectral_norm = _random_sample_trace(seed_seq, dims, steps, hbar)
-    report = geometry.efficiency(trace)
-    rate_bad, rate_excess = _rate_check(trace, spectral_norm)
-    return {
-        "eta": report.eta,
-        "bound_margin": _bound_margin(report, trace.hbar),
-        "rate_violations": rate_bad,
-        "rate_excess": rate_excess,
-    }
+) -> np.ndarray:
+    """Per-sample (eta, bound margin, rate violations, max rate excess).
+
+    Returns a ``(len(children), 4)`` array in seed order.  The samples are
+    drawn SWEEP_CHUNK at a time and evaluated per dimension group.
+    """
+    out = np.empty((len(children), 4))
+    for start in range(0, len(children), SWEEP_CHUNK):
+        draws = [_draw(sq, dims) for sq in children[start : start + SWEEP_CHUNK]]
+        sizes = np.array([psi.size for _, psi, _ in draws])
+        for dim in np.unique(sizes):
+            rows = np.flatnonzero(sizes == dim)
+            g, psi, u = (np.array(col) for col in zip(*(draws[i] for i in rows)))
+            out[start + rows] = np.column_stack(_group_metrics(g, psi, u, steps, hbar))
+    return out
 
 
 def run_sweep(
@@ -281,37 +370,32 @@ def run_sweep(
     dims: tuple[int, int] = (2, 8),
     steps: int = 64,
     hbar: float = 1.0,
-    workers: int = 1,
 ) -> SweepResult:
     """Randomized verification sweep over constant Hermitian generators.
 
     Each sample draws its own child seed from ``seed``, so results are
-    reproducible and independent of ``workers``.
+    reproducible and independent of chunking.  A sample propagates ``psi0``
+    under ``H`` for ``u * pi*hbar/(2*dE0)``, with ``u`` uniform in [0.3, 2.5].
 
     Args:
         samples: number of random (H, psi0, T) draws, >= 1.
         seed: master seed (spawned per sample).
         dims: inclusive dimension range to draw from.
-        steps: integrator steps per trace (even keeps node counts odd).
+        steps: integrator steps per sample, an integer >= 2 (even keeps
+            node counts odd).
         hbar: value of hbar used throughout the sweep.
-        workers: thread count; > 1 only changes wall time, never results.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     if not (2 <= dims[0] <= dims[1]):
         raise ValueError(f"invalid dimension range {dims!r}")
+    if not isinstance(steps, numbers.Integral) or steps < 2:
+        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+    require_positive_finite(hbar=hbar)
     children = np.random.SeedSequence(seed).spawn(samples)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda sq: _sweep_one(sq, dims, steps, hbar), children)
-            )
-    else:
-        rows = [_sweep_one(sq, dims, steps, hbar) for sq in children]
-
-    etas = np.array([r["eta"] for r in rows])
-    margins = np.array([r["bound_margin"] for r in rows])
+    etas, margins, rate_bad, rate_excess = _sample_metrics(
+        children, dims, int(steps), hbar
+    ).T
     return SweepResult(
         samples=samples,
         seed=seed,
@@ -319,7 +403,7 @@ def run_sweep(
         eta_max=float(np.max(etas)),
         eta_violations=int(np.sum(etas > 1.0 + 1e-6)),
         bound_violations=int(np.sum(margins < -1e-6)),
-        rate_violations=int(sum(r["rate_violations"] for r in rows)),
+        rate_violations=int(np.sum(rate_bad)),
         min_bound_margin=float(np.min(margins)),
-        max_rate_excess=float(max(r["rate_excess"] for r in rows)),
+        max_rate_excess=float(np.max(rate_excess)),
     )

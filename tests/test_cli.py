@@ -428,6 +428,23 @@ class TestNonFiniteInput:
                 ["scenario1", "--unit-system", "si", "--b-perp-tesla", "inf"],
                 "b_perp_tesla",
             ),
+            # finite fields whose spin rates overflow
+            (
+                ["scenario1", "--unit-system", "si", "--b-perp-tesla", "1e300"],
+                "b_perp_tesla",
+            ),
+            (
+                [
+                    "scenario2",
+                    "--unit-system",
+                    "si",
+                    "--b-perp-tesla",
+                    "1e-6",
+                    "--b-parallel-tesla",
+                    "1e300",
+                ],
+                "b_parallel_tesla",
+            ),
         ],
     )
     def test_exits_1_naming_the_parameter(self, capsys, argv, name):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,16 @@ class TestExpmStep:
     def test_diagonal_case(self):
         u = expm_unitary_step(np.diag([1.0, -1.0]), math.pi, 1.0)
         np.testing.assert_allclose(u, np.diag([-1.0, -1.0]), atol=1e-14)
+
+    def test_two_level_entries_near_1e200_do_not_overflow(self):
+        # the Pauli coefficients used to be squared, which overflows to inf
+        h = ConstantMatrix([[0.0, 1e200], [1e200, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = evolve(h, UP, 1e-200, 100)
+        np.testing.assert_allclose(np.linalg.norm(tr.amplitudes, axis=1), 1.0, atol=1e-12)
+        assert abs(tr.amplitudes[-1, 0]) == pytest.approx(math.cos(0.01 * 100), rel=1e-12)
+        assert tr.energy_dispersion[0] == 1e200
 
 
 class TestEvolutionTraceValidation:

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from qgeo import speedlimit
 from qgeo.errors import StationaryStateError
 from qgeo.geometry import efficiency
-from qgeo.hamiltonian import ConstantMatrix, TwoLevelDriven, TwoLevelStatic
+from qgeo.hamiltonian import (
+    PAULI_X,
+    ConstantMatrix,
+    TwoLevelDriven,
+    TwoLevelStatic,
+    energy_dispersion,
+)
 from qgeo.propagation import evolve, short_time_coefficient
 from qgeo.si import (
     ELECTRON_MASS,
@@ -299,6 +306,42 @@ class TestSolveImplicitTime:
             solve_implicit_time(1.0, 0.0, 0.2)
 
 
+def reference_sample(seed_seq, dims, steps, hbar=1.0):
+    """One sweep sample through the per-trace path: evolve, efficiency, vdot.
+
+    Returns (eta, bound margin, rate violations, max rate excess); the batched
+    sweep must reproduce these.
+    """
+    rng = np.random.default_rng(seed_seq)
+    dim = int(rng.integers(dims[0], dims[1] + 1))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h_matrix = 0.5 * (g + g.conj().T)
+    h = ConstantMatrix(h_matrix, hbar=hbar)
+    psi0 = QuantumState.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    spectral_norm = float(np.max(np.abs(np.linalg.eigvalsh(h_matrix))))
+    d0 = max(energy_dispersion(h, psi0), 1e-6 * spectral_norm, 1e-12)
+    t_final = float(rng.uniform(0.3, 2.5)) * 0.5 * math.pi * hbar / d0
+    for _ in range(5):
+        trace = evolve(h, psi0, t_final, steps)
+        if overlap_modulus(trace.initial_state, trace.final_state) < 1.0 - 1e-9:
+            break
+        t_final *= 1.3737
+    report = efficiency(trace)
+    margin = speedlimit._bound_margin(
+        report.avg_dispersion, report.t_effective, report.s0, hbar
+    )
+    a = trace.amplitudes[0]
+    overlaps_sq = np.abs(np.array([np.vdot(row, a) for row in trace.amplitudes])) ** 2
+    dt = trace.grid_spacing()
+    rate = np.abs(overlaps_sq[2:] - overlaps_sq[:-2]) / (2.0 * dt)
+    ov = np.sqrt(np.clip(overlaps_sq[1:-1], 0.0, 1.0))
+    disp = trace.energy_dispersion[1:-1]
+    bound = (2.0 * disp / hbar) * ov * np.sqrt(np.clip(1.0 - ov * ov, 0.0, None))
+    tol = ((2.0 * spectral_norm / hbar) ** 3) * dt * dt / 6.0 + 1e-12 / dt
+    rate_bad = int(np.sum(rate - bound - tol > 0.0))
+    return report.eta, margin, rate_bad, float(np.max(rate - bound))
+
+
 class TestSweep:
     def test_small_sweep_is_clean(self):
         res = run_sweep(samples=40, seed=4242, steps=48)
@@ -314,10 +357,67 @@ class TestSweep:
         b = run_sweep(samples=20, seed=99, steps=32)
         assert a == b
 
-    def test_worker_count_does_not_change_results(self):
-        serial = run_sweep(samples=24, seed=7, steps=32, workers=1)
-        threaded = run_sweep(samples=24, seed=7, steps=32, workers=4)
-        assert serial == threaded
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        children = np.random.SeedSequence(7).spawn(300)
+        per_sample, results = [], []
+        for chunk in (1, 7, 128):
+            monkeypatch.setattr(speedlimit, "SWEEP_CHUNK", chunk)
+            per_sample.append(speedlimit._sample_metrics(children, (2, 8), 32, 1.0))
+            results.append(run_sweep(samples=300, seed=7, steps=32))
+        for got in per_sample[1:]:
+            np.testing.assert_array_equal(got, per_sample[0])
+        assert results[0] == results[1] == results[2]
+
+    def test_batched_samples_match_the_per_trace_path(self):
+        children = np.random.SeedSequence(20240817).spawn(50)
+        got = speedlimit._sample_metrics(children, (2, 8), 64, 1.0)
+        want = np.array([reference_sample(c, (2, 8), 64) for c in children])
+        assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-11
+        assert np.max(np.abs(got[:, 1] - want[:, 1])) <= 1e-9
+        np.testing.assert_array_equal(got[:, 2], want[:, 2])
+        assert np.max(np.abs(got[:, 3] - want[:, 3])) <= 1e-9
+
+    def test_odd_steps_match_the_per_trace_path_and_warn(self):
+        children = np.random.SeedSequence(31).spawn(20)
+        with pytest.warns(UserWarning, match="even node count"):
+            got = speedlimit._sample_metrics(children, (2, 5), 33, 1.0)
+        with pytest.warns(UserWarning, match="even node count"):
+            want = np.array([reference_sample(c, (2, 5), 33) for c in children])
+        assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-11
+        assert np.max(np.abs(got[:, 1] - want[:, 1])) <= 1e-9
+        np.testing.assert_array_equal(got[:, 2], want[:, 2])
+        with pytest.warns(UserWarning, match="even node count"):
+            assert run_sweep(samples=5, seed=3, steps=33).total_violations == 0
+
+    def test_revival_retry_moves_only_the_stuck_sample(self):
+        # sample 0 is |0> under sigma_x for t = pi: |<0|psi(pi)>| = |cos(pi)| = 1
+        h = np.array(
+            [PAULI_X, [[0.3, 1.0 - 0.5j], [1.0 + 0.5j, -0.7]], [[1.0, 0.2j], [-0.2j, 0.4]]]
+        )
+        psi0 = np.array([[1.0, 0.0], [0.6, 0.8j], [0.8, -0.6]], dtype=complex)
+        t0 = np.array([math.pi, 1.1, 2.3])
+        lam, v = np.linalg.eigh(h)
+        t_final, amps = speedlimit._propagate(lam, v, psi0, t0, 64, 1.0)
+        assert t_final[0] == math.pi * 1.3737
+        assert abs(np.vdot(amps[0, 0], amps[0, -1])) < 1.0 - 1e-9
+        _, alone = speedlimit._propagate(lam[1:], v[1:], psi0[1:], t0[1:], 64, 1.0)
+        np.testing.assert_array_equal(t_final[1:], t0[1:])
+        np.testing.assert_array_equal(amps[1:], alone)
+        for k in (1, 2):  # the spectral nodes are the evolve nodes
+            want = evolve(ConstantMatrix(h[k]), QuantumState(psi0[k]), t0[k], 64)
+            np.testing.assert_allclose(amps[k], want.amplitudes, rtol=0.0, atol=1e-12)
+        # the same draw through the group pass: u = 2 gives t = pi*hbar/dE0 = pi
+        metrics = speedlimit._group_metrics(h, psi0, np.array([2.0, 1.0, 1.0]), 64, 1.0)
+        alone = speedlimit._group_metrics(h[1:], psi0[1:], np.array([1.0, 1.0]), 64, 1.0)
+        assert 0.0 < metrics[0][0] <= 1.0
+        for got, want in zip(metrics, alone):
+            np.testing.assert_array_equal(got[1:], want)
+
+    @pytest.mark.parametrize("steps", [1, 0, -4, 2.5, "64", None])
+    def test_steps_validated_before_any_draw(self, monkeypatch, steps):
+        monkeypatch.setattr(speedlimit, "_draw", lambda *args: pytest.fail("drew"))
+        with pytest.raises(ValueError, match="^steps must be an integer >= 2"):
+            run_sweep(samples=3, steps=steps)
 
     def test_different_seeds_differ(self):
         a = run_sweep(samples=10, seed=1, steps=32)
