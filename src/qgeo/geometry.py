@@ -19,11 +19,11 @@ import numpy as np
 from .errors import (
     DegenerateEndpointsError,
     FormulaError,
-    GridError,
+    NormalizationError,
     require_positive_finite,
 )
 from .quadrature import QuadratureResult, simpson_uniform
-from .states import QuantumState, overlap_modulus, wootters_distance
+from .states import CLAMP_WINDOW, QuantumState, overlap_modulus, wootters_distance
 
 #: Endpoints closer than this (in overlap) have no defined path ratio.
 DEGENERACY_TOL = 1e-12
@@ -32,18 +32,6 @@ DEGENERACY_TOL = 1e-12
 def geodesic_distance(a: QuantumState, b: QuantumState) -> float:
     """Length 2*arccos|<a|b>| of the shortest curve between the two rays."""
     return wootters_distance(a, b)
-
-
-def _path_quadrature(trace, rel_tol: float = 1e-9) -> QuadratureResult:
-    """Simpson quadrature of 2*dispersion/hbar over the trace nodes."""
-    n = trace.n_nodes
-    if n == 1:
-        # zero-duration trace: no motion, zero length
-        return QuadratureResult(0.0, 0.0, trapezoid_tail=False)
-    if n < 3:
-        raise GridError(f"path length needs at least 3 nodes, got {n}")
-    dt = trace.grid_spacing(rel_tol)  # raises GridError on non-uniform grids
-    return length_quadrature(trace.energy_dispersion, dt, trace.hbar)
 
 
 def length_quadrature(
@@ -71,12 +59,16 @@ def path_length(trace) -> float:
     length 0); an even node count is accepted but integrates the final
     interval by trapezoid (with a warning).
     """
-    return _path_quadrature(trace).value
+    if trace.n_nodes == 1:
+        return 0.0  # zero-duration trace: no motion, zero length
+    return length_quadrature(trace.energy_dispersion, trace.grid_spacing(), trace.hbar).value
 
 
 @dataclass(frozen=True)
 class SpeedLimitReport:
     """Summary of one evolution against the geometric speed limit.
+
+    :func:`speed_limit_report` of a stack of traces holds one array per field.
 
     Attributes:
         s0: geodesic distance between the trace endpoints.
@@ -124,43 +116,88 @@ class SpeedLimitReport:
         )
 
 
-def efficiency(trace) -> SpeedLimitReport:
-    """Geodesic efficiency of a trace, with the full speed-limit report.
+def speed_limit_report(
+    overlap: float | np.ndarray, dispersion: np.ndarray, duration: float | np.ndarray, hbar: float
+) -> SpeedLimitReport:
+    """Speed-limit report of a trace from its statistics, elementwise over a stack.
+
+    ``overlap`` is ``|<A|B>|`` of each trace's endpoints, ``dispersion`` its
+    values at n >= 2 uniform nodes along the last axis, ``duration`` its span.
+    ``t_ideal = hbar*arccos(overlap)/<dE>`` at the average ``<dE> = hbar*s/(2T)``.
 
     Raises:
+        NormalizationError: an overlap exceeds 1 beyond CLAMP_WINDOW.
         DegenerateEndpointsError: endpoints phase-equivalent within 1e-12.
-        GridError: fewer than 3 nodes or a non-uniform grid.
+        GridError: two nodes only.
+        FormulaError: a nonpositive or infinite path length, or disagreeing
+            arccos and arcsin routes to s0.
     """
-    overlap = overlap_modulus(trace.initial_state, trace.final_state)
-    if overlap >= 1.0 - DEGENERACY_TOL:
+    overlap = np.asarray(overlap, dtype=float)
+    if np.any(overlap > 1.0 + CLAMP_WINDOW):
+        raise NormalizationError(
+            f"overlap modulus {float(np.max(overlap))!r} exceeds 1 beyond round-off; "
+            "inputs are not normalized"
+        )
+    overlap = np.minimum(overlap, 1.0)
+    if np.any(overlap >= 1.0 - DEGENERACY_TOL):
         raise DegenerateEndpointsError(
-            f"endpoint overlap {overlap!r} is within 1e-12 of 1; "
+            f"endpoint overlap {float(np.max(overlap))!r} is within 1e-12 of 1; "
             "the path ratio is undefined"
         )
-    quad = _path_quadrature(trace)
+    quad = length_quadrature(dispersion, duration / (dispersion.shape[-1] - 1), hbar)
     s = quad.value
-    s0 = 2.0 * math.acos(overlap)
-    if s <= 0.0:
-        raise FormulaError(
-            f"nonpositive path length {s!r} with non-degenerate endpoints"
-        )
-    duration = trace.duration
-    avg_disp = 0.5 * trace.hbar * s / duration
-    eta = s0 / s
-
-    from .speedlimit import BoundQuery, min_time  # deferred: avoids module cycle
-
-    t_ideal = min_time(BoundQuery(overlap=overlap, avg_dispersion=avg_disp, hbar=trace.hbar))
+    if not np.all((0.0 < s) & (s < math.inf)):
+        raise FormulaError(f"path length {s} is not positive and finite with distinct endpoints")
+    comp = np.sqrt(np.maximum(1.0 - overlap * overlap, 0.0))
+    theta = np.arccos(overlap)
+    _require_arc_routes_agree(theta, np.arcsin(comp), overlap, comp)
+    theta = theta if theta.ndim else float(theta)  # one trace reports floats
+    avg_disp = 0.5 * hbar * s / duration
+    eta = 2.0 * theta / s
     return SpeedLimitReport(
-        s0=s0,
+        s0=2.0 * theta,
         s=s,
         eta=eta,
         t_effective=duration,
-        t_ideal=t_ideal,
+        t_ideal=hbar * theta / avg_disp,
         avg_dispersion=avg_disp,
         bound_satisfied=eta <= 1.0 + 1e-9,
         quadrature_error=quad.error_estimate,
     )
+
+
+def _require_arc_routes_agree(theta_cos, theta_sin, ov, comp) -> None:
+    """Raise FormulaError where arccos(ov) and arcsin(comp) differ beyond noise.
+
+    Elementwise on arrays.  acos amplifies input rounding by 1/comp near
+    overlap 1; asin by 1/ov near overlap 0.  Budget exactly that much float
+    noise (capped so a real transcription bug, which shifts the angle by
+    O(1), still trips).
+    """
+    machine = float(np.finfo(float).eps)
+    amplification = np.minimum(
+        1.0 / np.maximum(ov, machine) + 1.0 / np.maximum(comp, machine), 1e5
+    )
+    tol = 1e-12 * np.maximum(theta_cos, 1.0) + 64.0 * machine * amplification
+    bad = np.flatnonzero(np.abs(theta_cos - theta_sin) > tol)
+    if bad.size:
+        i = bad[0]
+        raise FormulaError(
+            f"arccos and arcsin routes disagree: {float(np.ravel(theta_cos)[i])!r} "
+            f"vs {float(np.ravel(theta_sin)[i])!r} at overlap {float(np.ravel(ov)[i])!r}"
+        )
+
+
+def efficiency(trace) -> SpeedLimitReport:
+    """Geodesic efficiency of a trace, with the full speed-limit report.
+
+    Raises:
+        GridError: fewer than 3 nodes or a non-uniform grid.
+        DegenerateEndpointsError: endpoints phase-equivalent within 1e-12.
+    """
+    trace.grid_spacing()  # raises GridError on a single node or a non-uniform grid
+    overlap = abs(np.vdot(trace.amplitudes[0], trace.amplitudes[-1]))
+    return speed_limit_report(overlap, trace.energy_dispersion, trace.duration, trace.hbar)
 
 
 def is_geodesic(trace, tol: float = 1e-6) -> bool:

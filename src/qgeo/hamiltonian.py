@@ -44,14 +44,16 @@ def require_hermitian(
 ) -> np.ndarray:
     """Validate a square Hermitian matrix, or a stack ``(..., d, d)`` of them.
 
-    Returns the input as complex.  Each matrix's deviation ``max|M - M^dagger|``
-    is compared against ``tol`` times its largest entry magnitude (with a
-    floor of 1 so the zero matrix passes).
+    Returns the input as complex.  A non-finite entry is refused first.  Each
+    matrix's deviation ``max|M - M^dagger|`` is compared against ``tol`` times
+    its largest entry magnitude (with a floor of 1 so the zero matrix passes).
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"{context} must be square, got shape {m.shape}")
     scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
+    if not math.isfinite(scale.max()):  # a nan or inf entry, refused before m - m^dagger
+        raise HermiticityError(f"{context} has a non-finite entry")
     dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     bad = dev > tol * scale
     if bad.any():
@@ -405,18 +407,21 @@ def vaidman_decompose(q: np.ndarray, psi: QuantumState) -> Decomposition:
     )
 
 
-def overlap_rate_bound(delta_e: float, overlap: float, hbar: float = 1.0) -> float:
+def overlap_rate_bound(delta_e, overlap, hbar: float = 1.0):
     """Largest possible |d/dt |<psi(t)|A>|^2| at energy spread ``delta_e``.
 
     Equals (2*delta_e/hbar) * overlap * sqrt(1 - overlap^2); vanishes both at
     orthogonality and at coincidence, peaking at overlap = 1/sqrt(2).
+    Elementwise on arrays; a float for scalar inputs.
     """
     require_positive_finite(hbar=hbar)
-    if delta_e < 0.0:
-        raise ValueError(f"dispersion must be nonnegative, got {delta_e!r}")
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap modulus must lie in [0, 1], got {overlap!r}")
-    return (2.0 * delta_e / hbar) * overlap * math.sqrt(max(1.0 - overlap * overlap, 0.0))
+    delta_e, overlap = np.asarray(delta_e, dtype=float), np.asarray(overlap, dtype=float)
+    if np.any(delta_e < 0.0):
+        raise ValueError(f"dispersion must be nonnegative, got {float(np.min(delta_e))!r}")
+    if not np.all((0.0 <= overlap) & (overlap <= 1.0)):
+        raise ValueError(f"overlap modulus must lie in [0, 1], got {overlap}")
+    out = (2.0 * delta_e / hbar) * overlap * np.sqrt(np.maximum(1.0 - overlap * overlap, 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def hamiltonian_to_json(h: Hamiltonian) -> dict[str, Any]:

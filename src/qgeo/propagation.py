@@ -1,16 +1,13 @@
 """Unitary propagation and closed-form solutions for the two-level presets.
 
-A constant generator is exponentiated once, ``U = exp(-i * H * dt / hbar)``,
-and the nodes ``U^k psi0`` are filled by doubling powers: with rows
-``0..m-1`` done and ``P = U^m``, rows ``m..2m-1`` are ``P`` times rows
-``0..m-1``, then ``P`` is squared.  Otherwise the integrator is the midpoint
-exponential rule: each step applies ``exp(-i * H(t_mid) * dt / hbar)`` with
-the generator sampled at the step midpoint.  Two-level generators use the
-exact Pauli exponential; larger ones the spectral form from ``eigh``.
-Either way every product is unitary to round-off, so norm drift is a genuine
-error signal rather than an expected artifact, and it is checked at every
-node.  A trace holds its node states as one ``(n_nodes, dim)`` amplitude
-array.
+:func:`expm_unitary_step` gives ``exp(-i * H * dt / hbar)`` of one matrix or
+a stack: the exact Pauli form at 2x2, the spectral form from ``eigh`` above.
+A constant generator is exponentiated once and the nodes ``U^k psi0`` are
+filled by doubling powers (:func:`fill_by_doubling`, which also serves the
+stacked sweep); otherwise each step applies the exponential of the generator
+sampled at the step midpoint.  Every product is unitary to round-off, so
+norm drift is a genuine error signal, checked at every node.  A trace holds
+its node states as one ``(n_nodes, dim)`` amplitude array.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from .errors import (
 from .hamiltonian import (
     Hamiltonian,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     energy_statistics,
     hamiltonian_from_json,
@@ -86,38 +82,57 @@ def propagator_driven(
     return math.cos(x) * _ID2 - 1j * math.sin(x) * axis
 
 
-def expm_unitary_step(h_matrix: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    """exp(-i * H * dt / hbar) for a Hermitian matrix of any dimension.
+def expm_unitary_step(h_matrix: np.ndarray, dt: float | np.ndarray, hbar: float) -> np.ndarray:
+    """exp(-i * H * dt / hbar) of a Hermitian matrix or a ``(..., d, d)`` stack.
 
-    Beyond 2x2 this is ``V * diag(exp(-i * lam * dt / hbar)) * V^dagger`` from
-    ``eigh``, unitary by construction.  The 2x2 Pauli form stays because it
-    keeps exactly-zero amplitudes of the two-level presets exactly zero.
+    ``dt`` is one step or one per matrix.  2x2 matrices use the exact Pauli
+    form, which keeps exactly-zero amplitudes of the two-level presets zero;
+    larger ones ``V * diag(exp(-i * lam * dt / hbar)) * V^dagger`` from ``eigh``.
     """
     m = np.asarray(h_matrix, dtype=complex)
-    if m.shape[0] == 2:
-        return _expm_two_level(m, dt, hbar)
-    lam, v = np.linalg.eigh(m)
-    return (v * np.exp(-1j * lam * (dt / hbar))) @ v.conj().T
-
-
-def _expm_two_level(m: np.ndarray, dt: float, hbar: float) -> np.ndarray:
-    """Exact Pauli-decomposition exponential for a Hermitian 2x2 matrix."""
-    c0 = 0.5 * (m[0, 0].real + m[1, 1].real)
-    cz = 0.5 * (m[0, 0].real - m[1, 1].real)
-    cx = m[0, 1].real
-    cy = -m[0, 1].imag
-    r = math.hypot(cx, cy, cz)
-    phase = complex(np.exp(-1j * c0 * dt / hbar))
-    if r == 0.0:
-        return phase * _ID2
+    if m.shape[-1] != 2:
+        lam, v = np.linalg.eigh(m)
+        phases = np.exp(-1j * lam * np.divide(dt, hbar)[..., np.newaxis])
+        return (v * phases[..., np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
+    c0 = 0.5 * (m[..., 0, 0].real + m[..., 1, 1].real)
+    cz = 0.5 * (m[..., 0, 0].real - m[..., 1, 1].real)
+    cx = m[..., 0, 1].real
+    cy = -m[..., 0, 1].imag
+    r = np.hypot(np.hypot(cx, cy), cz)
+    r_or_1 = np.where(r == 0.0, 1.0, r)  # the axis n = c/r is 0 when r = 0
+    nx, ny, nz = cx / r_or_1, cy / r_or_1, cz / r_or_1
     theta = r * dt / hbar
-    axis = (cx * PAULI_X + cy * PAULI_Y + cz * PAULI_Z) / r
-    return phase * (math.cos(theta) * _ID2 - 1j * math.sin(theta) * axis)
+    sin, cos = np.sin(theta), np.cos(theta)
+    # cos(theta) I - i sin(theta) n.sigma, with n.sigma = [[nz, nx - i ny], [nx + i ny, -nz]]
+    u = np.empty(m.shape, dtype=complex)
+    u[..., 0, 0] = cos - 1j * (sin * nz)
+    u[..., 0, 1] = -(sin * ny) - 1j * (sin * nx)
+    u[..., 1, 0] = sin * ny - 1j * (sin * nx)
+    u[..., 1, 1] = cos + 1j * (sin * nz)
+    return np.exp(-1j * c0 * dt / hbar)[..., np.newaxis, np.newaxis] * u
+
+
+def fill_by_doubling(step: np.ndarray, psi0: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Nodes ``step^k psi0``, ``k < n_nodes``, of states ``(..., d)``: ``(..., n_nodes, d)``.
+
+    ``step`` is one matrix or a matching ``(..., d, d)`` stack.  Raises
+    IntegrationError when a node's norm drifts beyond MAX_NORM_DRIFT.
+    """
+    psis = np.empty((*psi0.shape[:-1], n_nodes, psi0.shape[-1]), dtype=complex)
+    psis[..., 0, :] = psi0
+    power_t, filled = np.swapaxes(step, -1, -2), 1
+    while filled < n_nodes:  # invariant: power_t = (step^filled)^T
+        block = min(filled, n_nodes - filled)
+        psis[..., filled : filled + block, :] = psis[..., :block, :] @ power_t
+        filled += block
+        power_t = power_t @ power_t
+    _require_unit_rows(psis, IntegrationError)
+    return psis
 
 
 def _require_unit_rows(amps: np.ndarray, error: type[Exception]) -> None:
-    """Raise ``error`` unless every row has unit norm within MAX_NORM_DRIFT."""
-    drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
+    """Raise ``error`` unless every state ``(..., d)`` has unit norm within MAX_NORM_DRIFT."""
+    drift = np.abs(np.linalg.norm(amps, axis=-1) - 1.0).ravel()
     worst = int(np.argmax(drift))  # a NaN row wins argmax and fails the test
     if not drift[worst] <= MAX_NORM_DRIFT:
         raise error(
@@ -159,6 +174,10 @@ class EvolutionTrace:
                 f"inconsistent trace lengths: {n} times, {amps.shape[0]} states, "
                 f"{mean.size} means, {disp.size} dispersions"
             )
+        for name, arr in (("times", times), ("energy_mean", mean), ("energy_dispersion", disp)):
+            finite = np.isfinite(arr)
+            if not np.all(finite):
+                raise ValueError(f"{name} must be finite, got {float(arr[~finite].flat[0])!r}")
         if n > 1 and not np.all(np.diff(times) > 0.0):
             raise GridError("times must be strictly increasing")
         if np.any(disp < 0.0):
@@ -296,7 +315,7 @@ def evolve(
         steps: number of uniform steps, >= 2.
 
     Returns:
-        An :class:`EvolutionTrace` with ``steps + 1`` nodes.
+        An :class:`EvolutionTrace` with ``steps + 1`` nodes (one if ``t_final`` is 0).
 
     Raises:
         IntegrationError: if the cumulative norm drift ever exceeds 1e-9
@@ -313,36 +332,24 @@ def evolve(
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     steps = int(steps)
 
-    if t_final == 0.0:
-        times = np.array([0.0])
-        psis = psi0.amplitudes[np.newaxis, :]
-        mean, disp = _node_statistics(h, psis, times)
-        return EvolutionTrace(times, psis, mean, disp, hbar=h.hbar)
-
-    times = np.linspace(0.0, t_final, steps + 1)
+    n_nodes = steps + 1 if t_final > 0.0 else 1
+    times = np.linspace(0.0, t_final, n_nodes)
     dt = t_final / steps
-    psis = np.empty((steps + 1, h.dim), dtype=complex)
-    psis[0] = psi0.amplitudes
-
     if h.generator_is_constant:
-        power = expm_unitary_step(
+        step = expm_unitary_step(
             require_hermitian(h.generator(0.0), context="generator"), dt, h.hbar
         )
-        filled = 1
-        while filled <= steps:  # invariant: power = U^filled
-            block = min(filled, steps + 1 - filled)
-            psis[filled : filled + block] = psis[:block] @ power.T
-            filled += block
-            power = power @ power
+        psis = fill_by_doubling(step, psi0.amplitudes, n_nodes)
     else:
-        for k in range(steps):
+        psis = np.empty((n_nodes, h.dim), dtype=complex)
+        psis[0] = psi0.amplitudes
+        for k in range(n_nodes - 1):
             t_mid = times[k] + 0.5 * dt
             gen = require_hermitian(
                 h.generator(float(t_mid)), context=f"generator(t={t_mid!r})"
             )
             psis[k + 1] = expm_unitary_step(gen, dt, h.hbar) @ psis[k]
-
-    _require_unit_rows(psis, IntegrationError)
+        _require_unit_rows(psis, IntegrationError)
 
     mean, disp = _node_statistics(h, psis, times)
     return EvolutionTrace(times, psis, mean, disp, hbar=h.hbar)

@@ -5,9 +5,10 @@ transfer time obeys  <dE> * T >= hbar * arccos|<A|B>|,  with equality exactly
 on geodesics; for orthogonal targets the right side is hbar*pi/2 = h/4.
 
 :func:`run_sweep` tests the bound on random constant Hamiltonians, in fixed
-chunks of samples and one vectorized pass per dimension group, keeping every
-check of :func:`~qgeo.propagation.evolve` and :func:`~qgeo.geometry.efficiency`
-at its tolerance.
+chunks of samples and one pass per dimension group that calls the per-trace
+code on stacks: the step exponential and doubling fill of
+:func:`~qgeo.propagation.evolve`, the efficiency kernel of
+:func:`~qgeo.geometry.efficiency`, and :func:`~qgeo.hamiltonian.overlap_rate_bound`.
 """
 
 from __future__ import annotations
@@ -20,18 +21,11 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import geometry
-from .errors import (
-    DegenerateEndpointsError,
-    FormulaError,
-    IntegrationError,
-    NormalizationError,
-    StationaryStateError,
-    require_positive_finite,
-)
-from .hamiltonian import energy_statistics, require_hermitian
-from .propagation import EvolutionTrace, _require_unit_rows, short_time_coefficient
+from .errors import FormulaError, StationaryStateError, require_positive_finite
+from .geometry import _require_arc_routes_agree
+from .hamiltonian import energy_statistics, overlap_rate_bound, require_hermitian
+from .propagation import EvolutionTrace, expm_unitary_step, fill_by_doubling, short_time_coefficient
 from .quadrature import simpson_uniform
-from .states import CLAMP_WINDOW
 
 
 @dataclass(frozen=True)
@@ -83,28 +77,6 @@ def min_time(query: BoundQuery) -> float:
     return query.hbar * theta_cos / d
 
 
-def _require_arc_routes_agree(theta_cos, theta_sin, ov, comp) -> None:
-    """Raise FormulaError where arccos(ov) and arcsin(comp) differ beyond noise.
-
-    Elementwise on arrays.  acos amplifies input rounding by 1/comp near
-    overlap 1; asin by 1/ov near overlap 0.  Budget exactly that much float
-    noise (capped so a real transcription bug, which shifts the angle by
-    O(1), still trips).
-    """
-    machine = float(np.finfo(float).eps)
-    amplification = np.minimum(
-        1.0 / np.maximum(ov, machine) + 1.0 / np.maximum(comp, machine), 1e5
-    )
-    tol = 1e-12 * np.maximum(theta_cos, 1.0) + 64.0 * machine * amplification
-    bad = np.flatnonzero(np.abs(theta_cos - theta_sin) > tol)
-    if bad.size:
-        i = bad[0]
-        raise FormulaError(
-            f"arccos and arcsin routes disagree: {float(np.ravel(theta_cos)[i])!r} "
-            f"vs {float(np.ravel(theta_sin)[i])!r} at overlap {float(np.ravel(ov)[i])!r}"
-        )
-
-
 def orthogonal_min_time(dispersion: float, hbar: float = 1.0) -> float:
     """Minimum time pi*hbar/(2*dE) = h/(4*dE) to reach an orthogonal state."""
     require_positive_finite(hbar=hbar)
@@ -144,8 +116,7 @@ def _bound_margin(avg_dispersion, duration, s0, hbar: float):
 
     Elementwise on arrays; ``s0`` is the geodesic distance 2*arccos|<A|B>|.
     """
-    rhs = hbar * np.arccos(np.minimum(np.cos(0.5 * s0), 1.0))
-    return avg_dispersion * duration - rhs
+    return avg_dispersion * duration - 0.5 * hbar * s0
 
 
 def verify_bound(trace: EvolutionTrace) -> geometry.SpeedLimitReport:
@@ -259,25 +230,22 @@ def _draw(
 
 
 def _propagate(
-    lam: np.ndarray, v: np.ndarray, psi0: np.ndarray, t_final: np.ndarray, steps: int, hbar: float
+    h: np.ndarray, psi0: np.ndarray, t_final: np.ndarray, steps: int, hbar: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes ``V diag(exp(-i lam t_k/hbar)) V^dagger psi0`` of each sample: ``(B, n, d)``.
+    """Nodes of each sample ``psi0`` under its ``h`` on ``steps`` uniform steps: ``(B, n, d)``.
 
-    ``lam``, ``v`` are the ``eigh`` of each Hamiltonian.  A sample whose
+    Each sample takes one :func:`~qgeo.propagation.expm_unitary_step` and the
+    doubling fill of :func:`~qgeo.propagation.evolve`.  A sample whose
     endpoints land on a revival (overlap >= 1 - 1e-9) has its duration
     stretched by 1.3737 and is propagated again, at most four times; the
     others are left alone.  Returns the final durations and the amplitudes.
     Raises IntegrationError when a node's norm drifts beyond MAX_NORM_DRIFT.
     """
     t_final = np.array(t_final, dtype=float)
-    c = (psi0[:, np.newaxis, :] @ v.conj())[:, 0, :]  # V^dagger psi0
 
     def nodes(rows):
-        times = np.linspace(0.0, t_final[rows], steps + 1, axis=-1)
-        phases = np.exp((-1j / hbar) * times[:, :, np.newaxis] * lam[rows][:, np.newaxis, :])
-        amps = (phases * c[rows][:, np.newaxis, :]) @ np.swapaxes(v[rows], -1, -2)
-        _require_unit_rows(amps.reshape(-1, amps.shape[-1]), IntegrationError)
-        return amps
+        step = expm_unitary_step(h[rows], t_final[rows] / steps, hbar)
+        return fill_by_doubling(step, psi0[rows], steps + 1)
 
     amps = nodes(slice(None))
     for _ in range(4):
@@ -301,45 +269,27 @@ def _group_metrics(
         0.5 * (g + np.swapaxes(g.conj(), -1, -2)), context="sweep Hamiltonian"
     )
     psi0 = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-    lam, v = np.linalg.eigh(h)
-    spectral_norm = np.max(np.abs(lam), axis=-1)
+    spectral_norm = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
     scale = np.abs(h).max(axis=(-2, -1), initial=1.0)
     _, d0 = energy_statistics(psi0, (h @ psi0[..., np.newaxis])[..., 0], scale)
     d0 = np.maximum(np.maximum(d0, 1e-6 * spectral_norm), 1e-12)
-    t_final, amps = _propagate(lam, v, psi0, u * 0.5 * math.pi * hbar / d0, steps, hbar)
+    t_final, amps = _propagate(h, psi0, u * 0.5 * math.pi * hbar / d0, steps, hbar)
     _, disp = energy_statistics(amps, amps @ np.swapaxes(h, -1, -2), scale[:, np.newaxis])
     dt = t_final / steps
-
-    # geometry.efficiency, one sample per row
     overlaps = np.abs((amps @ amps[:, 0, :, np.newaxis].conj())[..., 0])
-    if np.any(overlaps[:, -1] > 1.0 + CLAMP_WINDOW):
-        raise NormalizationError("endpoint overlap exceeds 1 beyond round-off")
-    overlap = np.minimum(overlaps[:, -1], 1.0)
-    if np.any(overlap >= 1.0 - geometry.DEGENERACY_TOL):
-        raise DegenerateEndpointsError(
-            f"endpoint overlap {float(np.max(overlap))!r} is within 1e-12 of 1; "
-            "the path ratio is undefined"
-        )
-    s = geometry.length_quadrature(disp, dt, hbar).value
-    if not np.all(s > 0.0):
-        raise FormulaError("nonpositive path length with non-degenerate endpoints")
-    comp = np.sqrt(np.maximum(1.0 - overlap * overlap, 0.0))
-    theta = np.arccos(overlap)
-    _require_arc_routes_agree(theta, np.arcsin(comp), overlap, comp)
-    s0 = 2.0 * theta
-    margin = _bound_margin(0.5 * hbar * s / t_final, t_final, s0, hbar)
+    report = geometry.speed_limit_report(overlaps[:, -1], disp, t_final, hbar)
+    margin = _bound_margin(report.avg_dispersion, t_final, report.s0, hbar)
 
     # central-difference overlap rate against its bound; the third derivative
     # of |<psi(t)|A>|^2 is at most (2*||H||/hbar)^3, so the difference errs by
     # at most that times dt^2/6, plus a float-noise term
     ov2 = overlaps * overlaps
     rate = np.abs(ov2[:, 2:] - ov2[:, :-2]) / (2.0 * dt[:, np.newaxis])
-    ov = np.sqrt(np.clip(ov2[:, 1:-1], 0.0, 1.0))
-    bound = (2.0 * disp[:, 1:-1] / hbar) * ov * np.sqrt(np.clip(1.0 - ov * ov, 0.0, None))
+    bound = overlap_rate_bound(disp[:, 1:-1], np.sqrt(np.clip(ov2[:, 1:-1], 0.0, 1.0)), hbar)
     tol = ((2.0 * spectral_norm / hbar) ** 3) * dt * dt / 6.0 + 1e-12 / dt
     excess = rate - bound
     rate_bad = np.sum(excess - tol[:, np.newaxis] > 0.0, axis=-1)
-    return s0 / s, margin, rate_bad, np.max(excess, axis=-1)
+    return report.eta, margin, rate_bad, np.max(excess, axis=-1)
 
 
 def _sample_metrics(

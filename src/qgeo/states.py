@@ -47,7 +47,7 @@ class QuantumState:
                 f"state dimension must be at least 2, got {amps.size}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _HARD_NORM_GATE:
+        if not abs(norm - 1.0) <= _HARD_NORM_GATE:  # a nan norm fails too
             raise NormalizationError(
                 f"amplitudes have norm {norm!r}; use QuantumState.normalized()"
             )
@@ -59,8 +59,8 @@ class QuantumState:
         """Build a state from any nonzero vector, rescaling to unit norm."""
         amps = np.asarray(values, dtype=complex)
         norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
-            raise NormalizationError("cannot normalize the zero vector")
+        if not 0.0 < norm < math.inf:
+            raise NormalizationError(f"cannot normalize a vector of norm {norm!r}")
         return cls(amps / norm)
 
     @classmethod
@@ -74,7 +74,7 @@ class QuantumState:
         """
         amps = np.asarray(values, dtype=complex)
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > tol:
+        if not abs(norm - 1.0) <= tol:  # a nan norm fails too
             raise NormalizationError(
                 f"norm deviates from 1 by {abs(norm - 1.0):.3e} (tol {tol:.1e})"
             )

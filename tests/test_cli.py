@@ -289,30 +289,60 @@ class TestCliScenarios:
         assert out.strip() == (out_dir / "report.json").read_text().strip()
 
     @pytest.mark.parametrize(
-        "tamper",
+        "tamper, named",
         [
             pytest.param(
-                lambda st: st.update(
-                    re=[x * (1.0 + 1e-6) for x in st["re"]],
-                    im=[x * (1.0 + 1e-6) for x in st["im"]],
+                lambda doc: doc["states"][57].update(
+                    re=[x * (1.0 + 1e-6) for x in doc["states"][57]["re"]],
+                    im=[x * (1.0 + 1e-6) for x in doc["states"][57]["im"]],
                 ),
+                "norm drift",
                 id="off-unit-norm",
             ),
-            pytest.param(lambda st: st["im"].append(0.0), id="re-im-length-mismatch"),
-            pytest.param(lambda st: st.update(re=1.0), id="scalar-re"),
+            pytest.param(
+                lambda doc: doc["states"][57]["im"].append(0.0),
+                "states are not an (n, dim) array",
+                id="re-im-length-mismatch",
+            ),
+            pytest.param(
+                lambda doc: doc["states"][57].update(re=1.0),
+                "states are not an (n, dim) array",
+                id="scalar-re",
+            ),
+            pytest.param(
+                lambda doc: doc["energy_mean"].__setitem__(57, math.nan),
+                "energy_mean must be finite",
+                id="nan-energy-mean",
+            ),
+            pytest.param(
+                lambda doc: doc["energy_dispersion"].__setitem__(57, math.nan),
+                "energy_dispersion must be finite",
+                id="nan-energy-dispersion",
+            ),
+            pytest.param(
+                lambda doc: doc["energy_dispersion"].__setitem__(57, math.inf),
+                "energy_dispersion must be finite",
+                id="inf-energy-dispersion",
+            ),
+            pytest.param(
+                lambda doc: doc["times"].__setitem__(57, math.nan),
+                "times must be finite",
+                id="nan-time",
+            ),
         ],
     )
-    def test_verify_rejects_tampered_trace(self, capsys, tmp_path, tamper):
+    def test_verify_rejects_tampered_trace(self, capsys, tmp_path, tamper, named):
         out_dir = tmp_path / "tampered"
         run_cli(capsys, "scenario1", "--steps", "200", "--out", str(out_dir))
         path = out_dir / "trace.json"
         doc = json.loads(path.read_text())
-        tamper(doc["states"][57])
+        tamper(doc)
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+        assert named in err
 
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

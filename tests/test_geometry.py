@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qgeo.errors import DegenerateEndpointsError, GridError
+from qgeo.errors import DegenerateEndpointsError, FormulaError, GridError, NormalizationError
 from qgeo.geometry import (
     GeodesicSpec,
     SpeedLimitReport,
@@ -12,6 +12,7 @@ from qgeo.geometry import (
     geodesic_line,
     is_geodesic,
     path_length,
+    speed_limit_report,
     xi_of_t,
 )
 from qgeo.hamiltonian import (
@@ -197,6 +198,45 @@ class TestEfficiency:
             assert rep.bound_satisfied
             checked += 1
         assert checked >= 40  # the filter must not eat the ensemble
+
+
+class TestSpeedLimitReportKernel:
+    """The efficiency kernel shared by ``efficiency`` and the batched sweep."""
+
+    def stack(self):
+        traces = [static_trace(64), driven_trace(64), static_trace(64, fraction=0.6)]
+        overlaps = np.array([abs(np.vdot(t.amplitudes[0], t.amplitudes[-1])) for t in traces])
+        disp = np.array([t.energy_dispersion for t in traces])
+        return traces, overlaps, disp, np.array([t.duration for t in traces])
+
+    def test_stack_rows_match_one_trace_reports(self):
+        traces, overlaps, disp, durations = self.stack()
+        stacked = speed_limit_report(overlaps, disp, durations, 1.0)
+        for k, trace in enumerate(traces):
+            one = efficiency(trace)
+            assert isinstance(one.eta, float) and isinstance(one.bound_satisfied, bool)
+            for name, value in one.to_json().items():
+                assert getattr(stacked, name)[k] == pytest.approx(value, rel=1e-14, abs=1e-300)
+
+    def test_overlap_beyond_clamp_window_rejected(self):
+        _, overlaps, disp, durations = self.stack()
+        overlaps[1] = 1.0 + 1e-9
+        with pytest.raises(NormalizationError, match="exceeds 1 beyond round-off"):
+            speed_limit_report(overlaps, disp, durations, 1.0)
+
+    def test_arc_routes_cross_check_trips_on_a_shifted_angle(self, monkeypatch):
+        _, overlaps, disp, durations = self.stack()
+        arccos = np.arccos
+        monkeypatch.setattr(np, "arccos", lambda x: arccos(x) + 1e-6)
+        with pytest.raises(FormulaError, match="arccos and arcsin routes disagree"):
+            speed_limit_report(overlaps, disp, durations, 1.0)
+
+    def test_infinite_path_length_rejected(self):
+        tr = static_trace(64)
+        huge = EvolutionTrace(tr.times, tr.amplitudes, tr.energy_mean, np.full(65, 1e300), 1e-10)
+        with np.errstate(over="ignore", invalid="ignore"):  # 2*dE/hbar overflows to inf
+            with pytest.raises(FormulaError, match="is not positive and finite"):
+                efficiency(huge)
 
 
 class TestSpeedLimitReportSerialization:

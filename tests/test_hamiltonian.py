@@ -26,6 +26,7 @@ from qgeo.hamiltonian import (
     two_level_dispersion_spectral,
     vaidman_decompose,
 )
+from qgeo.propagation import evolve
 from qgeo.states import QuantumState, inner
 
 UP = QuantumState.exact([1.0, 0.0])
@@ -57,6 +58,18 @@ class TestHermiticityGate:
         with pytest.raises(DimensionMismatchError):
             require_hermitian(np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "entry", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(0.0, math.inf)]
+    )
+    def test_rejects_non_finite_entry_before_subtracting(self, entry):
+        # m - m^dagger of an inf entry would raise a numpy RuntimeWarning
+        m = np.array([[0.0, entry], [np.conj(entry), 1.0]], dtype=complex)
+        with pytest.raises(HermiticityError, match="^observable has a non-finite entry"):
+            require_hermitian(m, context="observable")
+        stack = np.array([PAULI_X, m, PAULI_Z])
+        with pytest.raises(HermiticityError, match="^stack has a non-finite entry"):
+            require_hermitian(stack, context="stack")
+
     def test_tolerance_is_relative(self):
         # the same absolute defect passes at scale 1e6 but fails at scale 1
         defect = np.array([[0.0, 1e-8], [0.0, 0.0]])
@@ -83,6 +96,16 @@ class TestConstantMatrix:
         with pytest.raises(ValueError):
             ConstantMatrix(PAULI_X, hbar=0.0)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_non_finite_entry(self, entry):
+        with pytest.raises(HermiticityError, match="^constant Hamiltonian has a non-finite"):
+            ConstantMatrix([[entry, 0.0], [0.0, 1.0]])
+
+    def test_json_with_nan_rejected(self):
+        doc = {"re": [[math.nan, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        with pytest.raises(HermiticityError, match="non-finite entry"):
+            hamiltonian_from_json(doc)
+
 
 class TestTimeDependent:
     def test_sample_validates_every_call(self):
@@ -93,6 +116,13 @@ class TestTimeDependent:
         h.sample(0.0)  # zero matrix is Hermitian
         with pytest.raises(HermiticityError):
             h.sample(1.0)
+
+    def test_non_finite_sample_at_one_node_rejected(self):
+        def func(t):
+            return np.array([[math.inf, 1.0], [1.0, 0.0]]) if t == 0.5 else PAULI_X
+
+        with pytest.raises(HermiticityError, match=r"^H\(t=0\.5\) has a non-finite entry"):
+            evolve(TimeDependent(func, dimension=2), UP, 1.0, 4)  # t = 0.5 is a node
 
     def test_dimension_enforced(self):
         h = TimeDependent(lambda t: np.eye(3), dimension=2)

@@ -1,0 +1,42 @@
+"""Every import in the package sits at module level.
+
+An import inside a function body hides a dependency from the module header
+and is the usual way a module cycle (such as geometry -> speedlimit ->
+geometry) creeps back in.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import qgeo
+
+MODULES = sorted(Path(qgeo.__file__).parent.glob("*.py"))
+
+
+def function_local_imports(source: str) -> list[tuple[str, int]]:
+    """(function name, line) of each import statement inside a function body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [
+                (node.name, inner.lineno)
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            ]
+    return found
+
+
+def test_every_module_is_scanned():
+    assert {"geometry.py", "speedlimit.py", "propagation.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert function_local_imports(path.read_text()) == []
+
+
+def test_detector_finds_a_deferred_import():
+    source = "def f():\n    from .speedlimit import min_time\n    return min_time\n"
+    assert function_local_imports(source) == [("f", 2)]

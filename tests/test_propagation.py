@@ -171,6 +171,32 @@ class TestExpmStep:
                 expm_unitary_step(m, 0.37, 1.0), expected, atol=1e-12
             )
 
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_stack_matches_per_matrix_calls_and_scipy(self, dim):
+        rng = np.random.default_rng(15 + dim)
+        g = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+        stack = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+        stack[2] = 0.0  # the r = 0 branch of the Pauli form at dim 2
+        dts = rng.uniform(0.01, 2.0, size=5)
+        got = expm_unitary_step(stack, dts, 1.3)
+        assert got.shape == (5, dim, dim)
+        for m, dt, u in zip(stack, dts, got):
+            np.testing.assert_array_equal(u, expm_unitary_step(m, dt, 1.3))
+            np.testing.assert_allclose(u, scipy_expm(-1j * m * dt / 1.3), atol=1e-12)
+        np.testing.assert_array_equal(got[2], np.eye(dim))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_entries_near_1e200_do_not_overflow(self, dim):
+        rng = np.random.default_rng(16 + dim)
+        g = rng.normal(size=(4, dim, dim)) + 1j * rng.normal(size=(4, dim, dim))
+        stack = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+        dts = rng.uniform(0.1, 1.0, size=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expm_unitary_step(1e200 * stack, 1e-200 * dts, 1.0)
+        for m, dt, u in zip(stack, dts, got):
+            np.testing.assert_allclose(u, scipy_expm(-1j * m * dt), atol=1e-12)
+
     def test_unitary_even_for_large_steps(self):
         rng = np.random.default_rng(14)
         g = rng.normal(size=(5, 5))
@@ -237,6 +263,15 @@ class TestEvolutionTraceValidation:
         assert not ragged.is_uniform()
         with pytest.raises(GridError):
             ragged.grid_spacing()
+
+    @pytest.mark.parametrize("field", ["times", "energy_mean", "energy_dispersion"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_statistics_rejected_by_name(self, field, bad):
+        good = {"times": [0.0, 0.5, 1.0], "energy_mean": [0.0] * 3, "energy_dispersion": [1.0] * 3}
+        values = np.array(good[field])
+        values[1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            self.make(**{field: values})
 
     def test_off_norm_row_rejected(self):
         amps = np.array([UP.amplitudes] * 3)

@@ -342,6 +342,14 @@ def reference_sample(seed_seq, dims, steps, hbar=1.0):
     return report.eta, margin, rate_bad, float(np.max(rate - bound))
 
 
+def test_bound_margin_is_action_minus_hbar_arccos():
+    # <dE>*T - hbar*arccos|<A|B>| with s0 = 2*arccos|<A|B>|, elementwise
+    s0 = 2.0 * np.arccos(np.array([0.6, 0.0, 0.999]))
+    got = speedlimit._bound_margin(np.array([0.5, 2.0, 0.1]), np.array([2.0, 1.0, 3.0]), s0, 1.3)
+    want = [1.0 - 1.3 * math.acos(0.6), 2.0 - 1.3 * math.pi / 2.0, 0.3 - 1.3 * math.acos(0.999)]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
+
 class TestSweep:
     def test_small_sweep_is_clean(self):
         res = run_sweep(samples=40, seed=4242, steps=48)
@@ -396,14 +404,13 @@ class TestSweep:
         )
         psi0 = np.array([[1.0, 0.0], [0.6, 0.8j], [0.8, -0.6]], dtype=complex)
         t0 = np.array([math.pi, 1.1, 2.3])
-        lam, v = np.linalg.eigh(h)
-        t_final, amps = speedlimit._propagate(lam, v, psi0, t0, 64, 1.0)
+        t_final, amps = speedlimit._propagate(h, psi0, t0, 64, 1.0)
         assert t_final[0] == math.pi * 1.3737
         assert abs(np.vdot(amps[0, 0], amps[0, -1])) < 1.0 - 1e-9
-        _, alone = speedlimit._propagate(lam[1:], v[1:], psi0[1:], t0[1:], 64, 1.0)
+        _, alone = speedlimit._propagate(h[1:], psi0[1:], t0[1:], 64, 1.0)
         np.testing.assert_array_equal(t_final[1:], t0[1:])
         np.testing.assert_array_equal(amps[1:], alone)
-        for k in (1, 2):  # the spectral nodes are the evolve nodes
+        for k in (1, 2):  # the batched nodes are the evolve nodes
             want = evolve(ConstantMatrix(h[k]), QuantumState(psi0[k]), t0[k], 64)
             np.testing.assert_allclose(amps[k], want.amplitudes, rtol=0.0, atol=1e-12)
         # the same draw through the group pass: u = 2 gives t = pi*hbar/dE0 = pi

@@ -32,6 +32,19 @@ class TestConstruction:
         with pytest.raises(NormalizationError):
             QuantumState.normalized([0.0, 0.0, 0.0])
 
+    def test_constructor_rejects_nan_amplitude(self):
+        with pytest.raises(NormalizationError):
+            QuantumState(np.array([math.nan, 0.0]))
+
+    def test_exact_rejects_nan_amplitude(self):
+        with pytest.raises(NormalizationError, match="^norm deviates from 1 by nan"):
+            QuantumState.exact([math.nan, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_normalized_rejects_non_finite_norm_before_dividing(self, bad):
+        with pytest.raises(NormalizationError, match="cannot normalize a vector of norm"):
+            QuantumState.normalized([bad, 0.0])
+
     def test_exact_accepts_unit_vector(self):
         s = QuantumState.exact([1.0, 0.0])
         assert s.dim == 2
