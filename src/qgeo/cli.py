@@ -31,6 +31,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -221,9 +222,43 @@ def emit_table(reports: Sequence[SpeedLimitReport]) -> str:
     return "\n".join(lines)
 
 
-def _dump_json(obj: Any) -> str:
-    # allow_nan=False turns a non-finite value into an error, never "Infinity"
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+def _dump_json(obj: Any, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
+
+    With ``indent`` set the stdlib runs its pure-Python encoder item by item;
+    here a list of floats is one C-level join of ``float.__repr__`` (the
+    stdlib's float format).  A non-finite value raises the stdlib's own
+    ValueError, never "Infinity".  Keys must be strings, as in every document
+    qgeo writes; any other key raises TypeError.  ``pad`` is the newline and
+    indent of the current nesting level.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        try:  # float.__repr__ raises TypeError on any item that is not a float
+            body = ("," + inner).join(map(float.__repr__, obj))
+            all_finite_floats = "n" not in body  # no "inf" or "nan"
+        except TypeError:
+            all_finite_floats = False
+        if not all_finite_floats:
+            body = ("," + inner).join([_dump_json(x, inner) for x in obj])
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        body = ("," + inner).join(
+            [
+                f"{encode_basestring_ascii(k)}: {_dump_json(v, inner)}"
+                for k, v in sorted(obj.items())
+            ]
+        )
+        return "{" + inner + body + pad + "}"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        # the stdlib's own error, from the same pure-Python encoder path
+        json.dumps(obj, indent=2, allow_nan=False)
+    return json.dumps(obj, allow_nan=False)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -467,7 +467,9 @@ def hamiltonian_from_json(data: Mapping[str, Any], hbar: float = 1.0) -> Hamilto
             raise DimensionMismatchError(
                 f"re/im shape mismatch: {re.shape} vs {im.shape}"
             )
-        return ConstantMatrix(re + 1j * im, hbar=hbar)
+        matrix = np.empty(re.shape, dtype=complex)
+        matrix.real, matrix.imag = re, im  # re + 1j*im would compute 0*inf for an infinite im
+        return ConstantMatrix(matrix, hbar=hbar)
     if kind == "two_level_static":
         return TwoLevelStatic(
             epsilon=float(data["epsilon"]), hbar=float(data.get("hbar", 1.0))

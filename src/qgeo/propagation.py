@@ -132,7 +132,9 @@ def fill_by_doubling(step: np.ndarray, psi0: np.ndarray, n_nodes: int) -> np.nda
 
 def _require_unit_rows(amps: np.ndarray, error: type[Exception]) -> None:
     """Raise ``error`` unless every state ``(..., d)`` has unit norm within MAX_NORM_DRIFT."""
-    drift = np.abs(np.linalg.norm(amps, axis=-1) - 1.0).ravel()
+    # an infinite or huge amplitude gives an inf or nan drift, refused below
+    with np.errstate(invalid="ignore", over="ignore"):
+        drift = np.abs(np.linalg.norm(amps, axis=-1) - 1.0).ravel()
     worst = int(np.argmax(drift))  # a NaN row wins argmax and fails the test
     if not drift[worst] <= MAX_NORM_DRIFT:
         raise error(
@@ -257,9 +259,11 @@ class EvolutionTrace:
             raise DimensionMismatchError(f"states are not an (n, dim) array: {exc}")
         if re.shape != im.shape:
             raise DimensionMismatchError(f"re/im shapes differ: {re.shape}, {im.shape}")
+        amps = np.empty(re.shape, dtype=complex)
+        amps.real, amps.imag = re, im  # re + 1j*im would compute 0*inf for an infinite im
         return cls(
             times=np.asarray(data["times"], dtype=float),
-            amplitudes=re + 1j * im,
+            amplitudes=amps,
             energy_mean=np.asarray(data["energy_mean"], dtype=float),
             energy_dispersion=np.asarray(data["energy_dispersion"], dtype=float),
             hbar=float(data["hbar"]),
@@ -282,7 +286,9 @@ class EvolutionTrace:
         table = np.column_stack(
             (self.times, interleaved, self.energy_mean, self.energy_dispersion)
         )
-        writer.writerows([repr(x) for x in row] for row in table.tolist())
+        # the rows csv.writer would write: a float repr never needs quoting
+        rows = [",".join(map(float.__repr__, row)) + "\r\n" for row in table.tolist()]
+        fh.write("".join(rows))
 
 
 def trace_hamiltonian_from_json(data: Mapping[str, Any]) -> Hamiltonian | None:

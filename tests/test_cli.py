@@ -5,9 +5,12 @@ import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgeo.cli import (
     ScenarioConfig,
+    _dump_json,
     build_parser,
     emit_table,
     main,
@@ -329,6 +332,16 @@ class TestCliScenarios:
                 "times must be finite",
                 id="nan-time",
             ),
+            pytest.param(
+                lambda doc: doc["states"][2]["im"].__setitem__(1, math.inf),
+                "norm drift inf at node 2",
+                id="inf-imaginary-part",
+            ),
+            pytest.param(
+                lambda doc: doc["states"][2]["re"].__setitem__(0, 1e200),
+                "norm drift inf at node 2",
+                id="overflowing-amplitude",
+            ),
         ],
     )
     def test_verify_rejects_tampered_trace(self, capsys, tmp_path, tamper, named):
@@ -494,6 +507,90 @@ class TestNonFiniteInput:
         assert code == 1
         assert err.startswith("error: ")
         assert out == ""
+
+
+def stdlib_dump(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+NON_FINITE_FLOATS = st.sampled_from([math.inf, -math.inf, math.nan])
+# keys and strings with non-ASCII characters, quotes, backslashes and controls
+TEXT = st.text(alphabet=st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
+    ['"', "\\", "\n\t\x00", "\u00e9\u2192\U0001d11e"]
+)
+SCALARS = st.none() | st.booleans() | st.integers() | FINITE_FLOATS | TEXT
+
+
+def containers(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(TEXT, children, max_size=5)
+        | st.lists(FINITE_FLOATS, min_size=1, max_size=6)  # the all-float fast path
+        | st.lists(st.integers() | FINITE_FLOATS, min_size=1, max_size=6)  # mixed
+    )
+
+
+JSON_TREES = st.recursive(SCALARS, containers, max_leaves=40)
+
+
+def with_a_non_finite_float(children):
+    """Trees holding at least one non-finite float, at any depth, among finite values."""
+    around = st.lists(JSON_TREES, max_size=3)
+    return st.tuples(around, children, around).map(
+        lambda t: [*t[0], t[1], *t[2]]
+    ) | st.tuples(st.dictionaries(TEXT, JSON_TREES, max_size=3), TEXT, children).map(
+        lambda t: {**t[0], t[1]: t[2]}
+    )
+
+
+class TestDumpJson:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_TREES)
+    def test_matches_the_stdlib_byte_for_byte(self, obj):
+        assert _dump_json(obj) == stdlib_dump(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.recursive(NON_FINITE_FLOATS, with_a_non_finite_float, max_leaves=8))
+    def test_non_finite_float_raises_the_stdlib_error(self, obj):
+        with pytest.raises(ValueError) as want:
+            stdlib_dump(obj)
+        with pytest.raises(ValueError) as got:
+            _dump_json(obj)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "obj", [np.float64(0.1), [np.float64(-2.5), 1.5], [1.5, True], [2**70, 1e-300]]
+    )
+    def test_edge_values_match_the_stdlib(self, obj):
+        assert _dump_json(obj) == stdlib_dump(obj)
+
+    @pytest.mark.parametrize("obj", [{"a": 1, 2: 0}, [{1, 2}], object()])
+    def test_unencodable_input_raises_the_stdlib_error(self, obj):
+        with pytest.raises(TypeError) as want:
+            stdlib_dump(obj)
+        with pytest.raises(TypeError) as got:
+            _dump_json(obj)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("key", [1, 2.5, True, None, (1, 2)])
+    def test_non_string_key_raises_type_error(self, key):
+        with pytest.raises(TypeError):
+            _dump_json({key: 0})
+
+    @pytest.mark.parametrize("command", ["scenario1", "scenario2"])
+    def test_written_files_are_the_stdlib_rendering(self, capsys, tmp_path, command):
+        code, out, _ = run_cli(capsys, command, "--steps", "400", "--out", str(tmp_path))
+        assert code == 0
+        run = run_scenario(
+            ScenarioConfig(scenario="static" if command == "scenario1" else "driven", steps=400)
+        )
+        trace_json = (tmp_path / "trace.json").read_text()
+        assert trace_json == stdlib_dump(run.trace.to_json(run.hamiltonian)) + "\n"
+        assert (tmp_path / "report.json").read_text() == stdlib_dump(run.report.to_json()) + "\n"
+        envelope = {"config": run.config.to_json(), "report": run.report.to_json(), "extras": {}}
+        assert out == stdlib_dump(envelope) + "\n"
 
 
 class TestCliQueries:

@@ -106,6 +106,12 @@ class TestConstantMatrix:
         with pytest.raises(HermiticityError, match="non-finite entry"):
             hamiltonian_from_json(doc)
 
+    def test_json_with_infinite_imaginary_part_rejected(self):
+        # refused by name, without a numpy warning from forming re + 1j*im
+        doc = {"re": [[0.0, 0.0], [0.0, 0.0]], "im": [[0.0, math.inf], [-math.inf, 0.0]]}
+        with pytest.raises(HermiticityError, match="non-finite entry"):
+            hamiltonian_from_json(doc)
+
 
 class TestTimeDependent:
     def test_sample_validates_every_call(self):

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -332,6 +333,29 @@ class TestTraceSerialization:
         assert cells[1] == amps[0].real and cells[2] == amps[0].imag
         assert cells[5] == tr.energy_mean[-1]
         assert cells[6] == tr.energy_dispersion[-1]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_csv_is_the_csv_writer_rendering_of_float_reprs(self, dim):
+        if dim == 2:
+            h, tr = self.trace()
+        else:
+            g = np.random.default_rng(3).normal(size=(3, 3)) * (1.0 + 1.0j)
+            h = ConstantMatrix(g + g.conj().T)
+            tr = evolve(h, QuantumState.exact([0.6, 0.0, 0.8j]), 2.0, steps=40)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(
+            ["t", *[f"{p}_{k}" for k in range(dim) for p in ("re", "im")],
+             "energy_mean", "energy_dispersion"]
+        )
+        for t, amps, mean, disp in zip(
+            tr.times, tr.amplitudes, tr.energy_mean, tr.energy_dispersion
+        ):
+            cells = [t, *[x for a in amps for x in (a.real, a.imag)], mean, disp]
+            writer.writerow([repr(float(x)) for x in cells])
+        got = io.StringIO()
+        tr.to_csv(got)
+        assert got.getvalue() == want.getvalue()
 
 
 class TestEvolve:

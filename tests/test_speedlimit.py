@@ -420,6 +420,19 @@ class TestSweep:
         for got, want in zip(metrics, alone):
             np.testing.assert_array_equal(got[1:], want)
 
+    @pytest.mark.parametrize("u, steps", [(0.5, 64), (0.9, 256), (0.3, 1000)])
+    def test_rate_excess_on_the_geodesic_is_the_central_difference_error(self, u, steps):
+        # |0> under sigma_x: overlap^2 = cos^2(t), whose rate |sin(2t)| equals
+        # the bound 2*dE*|cos t||sin t| with dE = 1.  The central difference
+        # reads |sin(2t)|*sin(2dt)/(2dt), so the excess is largest at t = dt.
+        metrics = speedlimit._group_metrics(
+            np.array([PAULI_X]), np.array([[1.0, 0.0]], dtype=complex), np.array([u]), steps, 1.0
+        )
+        dt = u * 0.5 * math.pi / steps
+        assert metrics[2][0] == 0
+        want = math.sin(2.0 * dt) * (math.sin(2.0 * dt) / (2.0 * dt) - 1.0)
+        assert abs(metrics[3][0] - want) <= 1e-12
+
     @pytest.mark.parametrize("steps", [1, 0, -4, 2.5, "64", None])
     def test_steps_validated_before_any_draw(self, monkeypatch, steps):
         monkeypatch.setattr(speedlimit, "_draw", lambda *args: pytest.fail("drew"))
