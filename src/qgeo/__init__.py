@@ -8,7 +8,7 @@ geodesics.  Modules:
 * :mod:`qgeo.states`       -- normalized states, overlaps, Wootters distance.
 * :mod:`qgeo.hamiltonian`  -- generator specs, energy statistics, the
   mean/dispersion decomposition, the overlap-rate bound.
-* :mod:`qgeo.propagation`  -- midpoint-exponential integrator, closed-form
+* :mod:`qgeo.propagation`  -- fourth-order Magnus integrator, closed-form
   two-level propagators and dispersion laws, evolution traces.
 * :mod:`qgeo.geometry`     -- path lengths, geodesic efficiency, geodesic
   interpolation.

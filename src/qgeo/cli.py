@@ -176,6 +176,14 @@ def run_scenario(
         h = TwoLevelDriven(epsilon=epsilon, omega=omega, omega0=omega0, hbar=hbar)
 
     t_final = h.orthogonality_time
+    # a legal epsilon near the float maximum would fail late and unnamed
+    if not math.isfinite(2.0 * epsilon / hbar):
+        raise ValueError(f"epsilon = {epsilon!r} is too large: 2*epsilon/hbar overflows")
+    if not t_final / cfg.steps >= sys.float_info.min:
+        raise ValueError(
+            f"epsilon = {epsilon!r} is too large: the step T/steps = "
+            f"{t_final / cfg.steps!r} is subnormal (hbar = {hbar!r})"
+        )
     psi0 = QuantumState.exact([1.0, 0.0])
     trace = evolve(h, psi0, t_final, cfg.steps)
     report = verify_bound(trace)

@@ -171,14 +171,15 @@ def _require_arc_routes_agree(theta_cos, theta_sin, ov, comp) -> None:
 
     Elementwise on arrays.  acos amplifies input rounding by 1/comp near
     overlap 1; asin by 1/ov near overlap 0.  Budget exactly that much float
-    noise (capped so a real transcription bug, which shifts the angle by
-    O(1), still trips).
+    noise, capped at sqrt(64 eps) ~ 1.2e-7: the most either route can move
+    when its input is off by 32 eps, reached at the singular end, where
+    acos(1 - delta) = sqrt(2 delta) to leading order.  A transcription bug
+    that shifts the angle by 1e-6 or more still trips at every overlap.
     """
     machine = float(np.finfo(float).eps)
-    amplification = np.minimum(
-        1.0 / np.maximum(ov, machine) + 1.0 / np.maximum(comp, machine), 1e5
-    )
-    tol = 1e-12 * np.maximum(theta_cos, 1.0) + 64.0 * machine * amplification
+    amplification = 1.0 / np.maximum(ov, machine) + 1.0 / np.maximum(comp, machine)
+    noise = np.minimum(64.0 * machine * amplification, math.sqrt(64.0 * machine))
+    tol = 1e-12 * np.maximum(theta_cos, 1.0) + noise
     bad = np.flatnonzero(np.abs(theta_cos - theta_sin) > tol)
     if bad.size:
         i = bad[0]

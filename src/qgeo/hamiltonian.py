@@ -76,11 +76,12 @@ def energy_statistics(
     raises :class:`~qgeo.errors.HermiticityError`, and a variance below
     ``-1e-12 * scale^2`` raises :class:`~qgeo.errors.FormulaError`; smaller
     negative variances clamp to zero.  ``<H^2>`` is ``||H psi||^2``, taken
-    after dividing ``H psi`` by the power of two just above ``scale``: that
+    after dividing ``H psi`` by the power of two at or below ``scale``: that
     division is exact, so the result is the unscaled one bit for bit, but the
-    squares cannot overflow.
+    squares cannot overflow, and the power of two itself stays finite up to
+    the float maximum.
     """
-    pow2 = np.ldexp(1.0, np.frexp(scale)[1])
+    pow2 = np.ldexp(1.0, np.frexp(scale)[1] - 1)
     rel = scale / pow2
     hv = hpsis * np.expand_dims(1.0 / pow2, -1)  # exact, and cheaper than a complex divide
     mean = np.einsum("...i,...i->...", psis.conj(), hv)

@@ -4,10 +4,12 @@
 a stack: the exact Pauli form at 2x2, the spectral form from ``eigh`` above.
 A constant generator is exponentiated once and the nodes ``U^k psi0`` are
 filled by doubling powers (:func:`fill_by_doubling`, which also serves the
-stacked sweep); otherwise each step applies the exponential of the generator
-sampled at the step midpoint.  Every product is unitary to round-off, so
-norm drift is a genuine error signal, checked at every node.  A trace holds
-its node states as one ``(n_nodes, dim)`` amplitude array.
+stacked sweep).  A time-dependent one is integrated by the fourth-order
+Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)): one
+exponential per step of an effective generator built from samples at the
+two Gauss nodes, batched in chunks of steps.  Every product is unitary to
+round-off, so norm drift is a genuine error signal, checked at every node.
+A trace holds its node states as one ``(n_nodes, dim)`` amplitude array.
 """
 
 from __future__ import annotations
@@ -42,7 +44,13 @@ from .states import QuantumState
 #: Cumulative norm drift beyond which propagation aborts.
 MAX_NORM_DRIFT = 1e-9
 
+#: Steps per batch of the Magnus integrator: 2*16 samples of a dim-32
+#: generator take 512 KB, so peak memory stays flat.
+MAGNUS_CHUNK = 16
+
 _ID2 = np.eye(2, dtype=complex)
+_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
+_COMMUTATOR_WEIGHT = math.sqrt(3.0) / 12.0
 
 
 def propagator_static(epsilon: float, t: float, hbar: float = 1.0) -> np.ndarray:
@@ -126,6 +134,46 @@ def fill_by_doubling(step: np.ndarray, psi0: np.ndarray, n_nodes: int) -> np.nda
         psis[..., filled : filled + block, :] = psis[..., :block, :] @ power_t
         filled += block
         power_t = power_t @ power_t
+    _require_unit_rows(psis, IntegrationError)
+    return psis
+
+
+def _magnus4_nodes(h: Hamiltonian, psi0: np.ndarray, starts: np.ndarray, dt: float) -> np.ndarray:
+    """Nodes of the fourth-order Magnus integrator from step start times ``starts``.
+
+    Each step samples the generator at the Gauss nodes ``t + (1/2 -+ sqrt(3)/6) dt``
+    (H1, H2) and applies ``exp(-i M dt / hbar)`` of the effective generator
+
+        M = (H1 + H2)/2 - i (sqrt(3)/12) (dt/hbar) [H2, H1],
+
+    which is Hermitian because the commutator of two Hermitian matrices is
+    anti-Hermitian.  The steps go in chunks of MAGNUS_CHUNK: one Hermiticity
+    check and one exponential per chunk, then the sequential matvec chain.
+    Raises IntegrationError when ``M dt / hbar`` overflows or a node's norm
+    drifts beyond MAX_NORM_DRIFT.
+    """
+    psis = np.empty((starts.size + 1, psi0.size), dtype=complex)
+    psis[0] = psi0
+    for first in range(0, starts.size, MAGNUS_CHUNK):
+        nodes = (starts[first : first + MAGNUS_CHUNK, np.newaxis] + dt * _GAUSS_NODES).ravel()
+        span = f"[{float(nodes[0])!r}, {float(nodes[-1])!r}]"
+        samples = require_hermitian(
+            np.array([h.generator(float(t)) for t in nodes]), context=f"generator on {span}"
+        )
+        # M dt/hbar from the phases A = H dt/hbar, so that huge energies over
+        # tiny steps square to O(1), not to inf
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            a = samples * (dt / h.hbar)
+            a1, a2 = a[0::2], a[1::2]
+            p = a2 @ a1  # [A2, A1] = P - P^dagger, since A1 A2 = (A2 A1)^dagger
+            phase = 0.5 * (a1 + a2) - (1j * _COMMUTATOR_WEIGHT) * (p - p.conj().swapaxes(-1, -2))
+        if not np.isfinite(phase).all():
+            raise IntegrationError(
+                f"the step phase of the generator on {span} overflows: "
+                f"dt = {dt!r} is too coarse for its energies"
+            )
+        for k, u in enumerate(expm_unitary_step(phase, 1.0, 1.0), start=first):
+            psis[k + 1] = u @ psis[k]
     _require_unit_rows(psis, IntegrationError)
     return psis
 
@@ -313,6 +361,11 @@ def evolve(
 ) -> EvolutionTrace:
     """Propagate ``psi0`` under ``h`` on a uniform grid of ``steps`` steps.
 
+    A constant generator gives exact nodes up to round-off.  Otherwise each
+    step is the fourth-order Magnus step: ``generator`` is sampled at the two
+    Gauss nodes of the step, so a run of ``steps`` steps samples it
+    ``2 * steps`` times, and the global error falls as ``dt^4``.
+
     Args:
         h: Hamiltonian spec; its ``generator`` drives the motion and its
             ``sample`` provides the recorded energy statistics.
@@ -347,15 +400,7 @@ def evolve(
         )
         psis = fill_by_doubling(step, psi0.amplitudes, n_nodes)
     else:
-        psis = np.empty((n_nodes, h.dim), dtype=complex)
-        psis[0] = psi0.amplitudes
-        for k in range(n_nodes - 1):
-            t_mid = times[k] + 0.5 * dt
-            gen = require_hermitian(
-                h.generator(float(t_mid)), context=f"generator(t={t_mid!r})"
-            )
-            psis[k + 1] = expm_unitary_step(gen, dt, h.hbar) @ psis[k]
-        _require_unit_rows(psis, IntegrationError)
+        psis = _magnus4_nodes(h, psi0.amplitudes, times[:-1], dt)
 
     mean, disp = _node_statistics(h, psis, times)
     return EvolutionTrace(times, psis, mean, disp, hbar=h.hbar)

@@ -2,11 +2,13 @@ import json
 import math
 import shutil
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from qgeo.cli import (
     ScenarioConfig,
@@ -17,7 +19,7 @@ from qgeo.cli import (
     run_scenario,
 )
 from qgeo.geometry import SpeedLimitReport, efficiency
-from qgeo.hamiltonian import ConstantMatrix, PAULI_X
+from qgeo.hamiltonian import PAULI_X, ConstantMatrix, TimeDependent
 from qgeo.propagation import evolve
 from qgeo.speedlimit import SweepResult
 from qgeo.states import QuantumState
@@ -178,6 +180,24 @@ class TestRunScenario:
         run = run_scenario(cfg, hamiltonian=h, psi0=psi0)
         np.testing.assert_array_equal(
             run.trace.initial_state.amplitudes, psi0.amplitudes
+        )
+
+    @pytest.mark.parametrize("steps", [500, 2000, 8000])
+    def test_modulated_geodesic_saturates_the_bound(self, steps):
+        # H(t) = (1 + 0.8 sin 3t) sigma_x keeps |0> on the geodesic
+        # (cos theta, -i sin theta), theta(t) = t + (0.8/3)(1 - cos 3t), so eta = 1
+        def theta(t):
+            return t + (0.8 / 3.0) * (1.0 - math.cos(3.0 * t))
+
+        t_final = brentq(lambda t: theta(t) - 0.98 * math.pi / 2.0, 0.0, 2.0, xtol=1e-15)
+        h = TimeDependent(lambda t: (1.0 + 0.8 * math.sin(3.0 * t)) * PAULI_X, dimension=2)
+        cfg = ScenarioConfig(scenario="custom", steps=steps, parameters={"t_final": t_final})
+        run = run_scenario(cfg, hamiltonian=h)
+        assert abs(run.report.eta - 1.0) <= 1e-11
+        assert run.report.bound_satisfied
+        th = theta(t_final)
+        np.testing.assert_allclose(
+            run.trace.final_state.amplitudes, [math.cos(th), -1j * math.sin(th)], rtol=0, atol=1e-10
         )
 
     def test_custom_without_hamiltonian(self):
@@ -497,6 +517,19 @@ class TestNonFiniteInput:
         assert name in err.split(" must be positive and finite")[0]
         assert "Infinity" not in out
 
+    @pytest.mark.parametrize(
+        "epsilon, cause",
+        [("1e308", "2*epsilon/hbar overflows"), ("8e307", "is subnormal")],
+    )
+    def test_epsilon_near_the_float_maximum_is_refused_by_name(self, capsys, epsilon, cause):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "scenario1", "--epsilon", epsilon)
+        assert code == 1
+        assert err.startswith(f"error: epsilon = {float(epsilon)!r} is too large")
+        assert cause in err
+        assert out == ""
+
     def test_non_finite_output_is_an_error_not_json_infinity(self, capsys, monkeypatch):
         import qgeo.cli as cli_module
 
@@ -600,6 +633,12 @@ class TestCliQueries:
         )
         assert code == 0
         assert json.loads(out)["min_time"] == pytest.approx(math.pi / 2.0)
+
+    def test_bound_near_orthogonality(self, capsys):
+        # asin(sqrt(1 - ov^2)) rounds to pi/2 here, 3e-9 from acos(ov)
+        code, out, _ = run_cli(capsys, "bound", "--overlap", "3e-9", "--dispersion", "1")
+        assert code == 0
+        assert json.loads(out)["min_time"] == math.acos(3e-9)
 
     def test_bound_requires_exactly_one_dispersion(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--overlap", "0.5")

@@ -67,6 +67,15 @@ class TestEnergyStatistics:
         assert mean == 0.0
         assert disp == 1e200
 
+    @pytest.mark.parametrize("size", [8e307, 1e308, np.finfo(float).max])
+    def test_energies_near_the_float_maximum_stay_finite(self, size):
+        psi = np.array([1.0, 0.0], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, disp = energy_statistics(psi, size * PAULI_X @ psi, size)
+        assert mean == 0.0
+        assert disp == size
+
     def test_imaginary_mean_is_a_hermiticity_error(self):
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
         psi = np.array([1.0, 1.0j]) / np.sqrt(2.0)

@@ -7,6 +7,7 @@ from qgeo.errors import DegenerateEndpointsError, FormulaError, GridError, Norma
 from qgeo.geometry import (
     GeodesicSpec,
     SpeedLimitReport,
+    _require_arc_routes_agree,
     efficiency,
     geodesic_distance,
     geodesic_line,
@@ -230,6 +231,15 @@ class TestSpeedLimitReportKernel:
         monkeypatch.setattr(np, "arccos", lambda x: arccos(x) + 1e-6)
         with pytest.raises(FormulaError, match="arccos and arcsin routes disagree"):
             speed_limit_report(overlaps, disp, durations, 1.0)
+
+    def test_arc_routes_cross_check_trips_at_every_overlap(self):
+        grid = np.concatenate(
+            ([0.0, 3e-9], np.logspace(-12.0, -5.0, 15), np.linspace(0.0, 1.0, 41))
+        )
+        for ov in grid:
+            comp = math.sqrt(1.0 - ov * ov)
+            with pytest.raises(FormulaError, match="arccos and arcsin routes disagree"):
+                _require_arc_routes_agree(math.acos(ov) + 1e-6, math.asin(comp), ov, comp)
 
     def test_infinite_path_length_rejected(self):
         tr = static_trace(64)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+import qgeo.propagation as propagation
 from qgeo.errors import (
     DimensionMismatchError,
     GridError,
@@ -438,19 +439,89 @@ class TestEvolve:
         with pytest.raises(IntegrationError):
             evolve(h, psi0, 1.0, steps=10)
 
-    def test_second_order_convergence_on_time_dependent_drive(self):
-        h = lab_frame_hamiltonian()
-        t_final = 2.0
-        oracle = lab_frame_solution(t_final, UP.amplitudes)
-        errors = []
-        for steps in (64, 128, 256, 512):
-            tr = evolve(h, UP, t_final, steps=steps)
-            errors.append(float(np.max(np.abs(tr.final_state.amplitudes - oracle))))
-        ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
-        for r in ratios:
-            assert 3.0 < r < 5.0  # halving dt divides the error by ~4
-        slope = math.log2(errors[0] / errors[-1]) / 3.0
-        assert slope == pytest.approx(2.0, abs=0.2)
+
+
+def rotating_drive(dim, seed):
+    """H(t) = e^{-iKt} H0 e^{iKt} and its exact solution e^{-iKT} e^{-i(H0-K)T} psi0."""
+    rng = np.random.default_rng(seed)
+    g0, gk = (rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim)))
+    h0, k = 0.5 * (g0 + g0.conj().T), 0.5 * (gk + gk.conj().T)
+
+    def func(t):
+        u = scipy_expm(-1j * k * t)
+        return u @ h0 @ u.conj().T
+
+    def solution(t, psi0):
+        return scipy_expm(-1j * k * t) @ scipy_expm(-1j * (h0 - k) * t) @ psi0
+
+    return TimeDependent(func, dimension=dim), solution
+
+
+class TestMagnusIntegrator:
+    """The fourth-order Magnus step that ``evolve`` takes for time-dependent generators."""
+
+    def assert_fourth_order(self, h, psi0, oracle):
+        errors = [
+            float(np.max(np.abs(evolve(h, psi0, 2.0, steps=n).final_state.amplitudes - oracle)))
+            for n in (16, 32, 64, 128)
+        ]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 12.0 < coarse / fine < 20.0  # halving dt divides the error by ~16
+        assert math.log2(errors[0] / errors[-1]) / 3.0 == pytest.approx(4.0, abs=0.2)
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    def test_fourth_order_on_the_pauli_path(self, hbar):
+        oracle = lab_frame_solution(2.0, UP.amplitudes, hbar=hbar)
+        self.assert_fourth_order(lab_frame_hamiltonian(hbar=hbar), UP, oracle)
+
+    def test_fourth_order_on_the_eigh_path(self):
+        h, solution = rotating_drive(4, seed=11)
+        psi0 = QuantumState.normalized([1.0, 0.5j, -0.25, 0.75])
+        self.assert_fourth_order(h, psi0, solution(2.0, psi0.amplitudes))
+
+    @pytest.mark.parametrize("steps", [100, 16, 17, 2])
+    def test_samples_and_exponentials_per_run(self, monkeypatch, steps):
+        calls = {"sample": 0, "expm": 0}
+        real_sample, real_expm = TimeDependent.sample, propagation.expm_unitary_step
+
+        def counting_sample(self, t=0.0):
+            calls["sample"] += 1
+            return real_sample(self, t)
+
+        def counting_expm(*args):
+            calls["expm"] += 1
+            return real_expm(*args)
+
+        monkeypatch.setattr(TimeDependent, "sample", counting_sample)
+        monkeypatch.setattr(propagation, "expm_unitary_step", counting_expm)
+        evolve(lab_frame_hamiltonian(), UP, 1.0, steps=steps)
+        # two Gauss nodes per step, every node's statistics, and the scale
+        assert calls["sample"] == 3 * steps + 2
+        assert calls["expm"] == math.ceil(steps / propagation.MAGNUS_CHUNK)
+
+    def test_energies_near_1e200_over_tiny_steps_do_not_overflow(self):
+        # H(t) = s g(s t) over T/s has the nodes of g over T, for any s
+        g = lab_frame_hamiltonian()
+        s = 1e200
+        h = TimeDependent(lambda t: s * g.sample(s * t), dimension=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = evolve(h, UP, 2.0 / s, steps=64)
+        unscaled = evolve(g, UP, 2.0, steps=64).amplitudes
+        assert np.max(np.abs(tr.amplitudes - unscaled)) <= 1e-12
+
+    def test_overflowing_step_phase_is_refused(self):
+        h = TimeDependent(lambda t: 1e200 * (PAULI_X + t * PAULI_Z), dimension=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="step phase .* overflows"):
+                evolve(h, UP, 1.0, steps=100)
+
+    def test_bad_sample_names_its_time(self):
+        skew = np.array([[0.0, 0.5], [0.0, 0.0]])
+        h = TimeDependent(lambda t: PAULI_X + (skew if t > 0.61 else 0.0), dimension=2)
+        with pytest.raises(HermiticityError, match="H\\(t=0.6"):
+            evolve(h, UP, 1.0, steps=10)
 
 
 class TestConstantGeneratorFill:
@@ -479,8 +550,6 @@ class TestConstantGeneratorFill:
         assert np.all(tr.amplitudes[:, 1].real == 0.0)
 
     def test_driven_evolve_samples_and_exponentiates_once(self, monkeypatch):
-        import qgeo.propagation as propagation
-
         calls = {"sample": 0, "expm": 0}
         real_sample, real_expm = TwoLevelDriven.sample, propagation.expm_unitary_step
 
