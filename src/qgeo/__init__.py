@@ -6,12 +6,12 @@ bounded below by hbar*arccos|<A|B>| / <dE>, with equality exactly on
 geodesics.  Modules:
 
 * :mod:`qgeo.states`       -- normalized states, overlaps, Wootters distance.
-* :mod:`qgeo.hamiltonian`  -- generator specs, energy statistics, the
-  mean/dispersion decomposition, the overlap-rate bound.
+* :mod:`qgeo.hamiltonian`  -- Hamiltonian specs and their one sampling path
+  (``sample``, ``apply_many``, ``constant_generator``), energy statistics,
+  the mean/dispersion decomposition, the overlap-rate bound.
 * :mod:`qgeo.propagation`  -- fourth-order Magnus integrator, closed-form
   two-level propagators and dispersion laws, evolution traces.
-* :mod:`qgeo.geometry`     -- path lengths, geodesic efficiency, geodesic
-  interpolation.
+* :mod:`qgeo.geometry`     -- path lengths, geodesic efficiency.
 * :mod:`qgeo.speedlimit`   -- minimum-time queries, bound verification,
   the short-time implicit solver, randomized sweeps.
 * :mod:`qgeo.cli`          -- the ``qgeo`` command.
@@ -29,14 +29,11 @@ from .errors import (
     StationaryStateError,
 )
 from .geometry import (
-    GeodesicSpec,
     SpeedLimitReport,
     efficiency,
     geodesic_distance,
-    geodesic_line,
     is_geodesic,
     path_length,
-    xi_of_t,
 )
 from .hamiltonian import (
     ConstantMatrix,
@@ -92,7 +89,6 @@ __all__ = [
     "DimensionMismatchError",
     "EvolutionTrace",
     "FormulaError",
-    "GeodesicSpec",
     "GridError",
     "Hamiltonian",
     "HermiticityError",
@@ -115,7 +111,6 @@ __all__ = [
     "energy_mean",
     "evolve",
     "geodesic_distance",
-    "geodesic_line",
     "hamiltonian_from_json",
     "hamiltonian_to_json",
     "inner",
@@ -136,5 +131,4 @@ __all__ = [
     "vaidman_decompose",
     "verify_bound",
     "wootters_distance",
-    "xi_of_t",
 ]

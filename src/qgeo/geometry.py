@@ -20,10 +20,9 @@ from .errors import (
     DegenerateEndpointsError,
     FormulaError,
     NormalizationError,
-    require_positive_finite,
 )
 from .quadrature import QuadratureResult, simpson_uniform
-from .states import CLAMP_WINDOW, QuantumState, overlap_modulus, wootters_distance
+from .states import CLAMP_WINDOW, QuantumState, wootters_distance
 
 #: Endpoints closer than this (in overlap) have no defined path ratio.
 DEGENERACY_TOL = 1e-12
@@ -206,52 +205,3 @@ def is_geodesic(trace, tol: float = 1e-6) -> bool:
     s = path_length(trace)
     s0 = geodesic_distance(trace.initial_state, trace.final_state)
     return s <= s0 + tol
-
-
-@dataclass(frozen=True, eq=False)
-class GeodesicSpec:
-    """Endpoint pair for the interpolating geodesic line.
-
-    Endpoints must not be phase-equivalent (overlap below 1 - 1e-12).
-    """
-
-    a: QuantumState
-    b: QuantumState
-
-    def __post_init__(self) -> None:
-        overlap = overlap_modulus(self.a, self.b)
-        if overlap >= 1.0 - DEGENERACY_TOL:
-            raise DegenerateEndpointsError(
-                f"geodesic endpoints have overlap {overlap!r}; "
-                "they must be distinct rays"
-            )
-
-
-def geodesic_line(spec: GeodesicSpec, xi: float) -> QuantumState:
-    """Normalized interpolant between the endpoints at parameter xi in [0, 1].
-
-    Returns N * [(1 - xi)|a> + xi|b>] with N the inverse norm of the bracket.
-    For orthogonal endpoints N reduces to [1 - 2*xi*(1 - xi)]^(-1/2).
-    """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"xi must lie in [0, 1], got {xi!r}")
-    vec = (1.0 - xi) * spec.a.amplitudes + xi * spec.b.amplitudes
-    return QuantumState.normalized(vec)
-
-
-def xi_of_t(epsilon: float, t: float, hbar: float = 1.0) -> float:
-    """Geodesic parameter reached at time t under the static generator.
-
-    xi(t) = tan(eps*t/hbar) / (1 + tan(eps*t/hbar)), evaluated in the
-    numerically stable form sin/(sin + cos); runs monotonically from 0 to 1
-    as t goes from 0 to pi*hbar/(2*eps).
-    """
-    require_positive_finite(epsilon=epsilon, hbar=hbar)
-    t_orth = math.pi * hbar / (2.0 * epsilon)
-    if not 0.0 <= t <= t_orth * (1.0 + 1e-12):
-        raise ValueError(
-            f"t must lie in [0, {t_orth!r}] (orthogonality time), got {t!r}"
-        )
-    theta = epsilon * t / hbar
-    s, c = math.sin(theta), math.cos(theta)
-    return s / (s + c)

@@ -34,32 +34,45 @@ HERMITICITY_TOL = 1e-12
 #: Relative threshold below which a state counts as an eigenstate (zero spread).
 STATIONARY_TOL = 1e-12
 
+#: Nodes per stacked sample in the node statistics, and steps per batch of
+#: the Magnus integrator: 2*16 samples of a dim-32 generator take 512 KB, so
+#: peak memory stays flat.
+STACK_CHUNK = 16
+
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def require_hermitian(
-    matrix: np.ndarray, tol: float = HERMITICITY_TOL, context: str = "matrix"
+    matrix: np.ndarray,
+    tol: float = HERMITICITY_TOL,
+    context: str | Callable[[int], str] = "matrix",
 ) -> np.ndarray:
     """Validate a square Hermitian matrix, or a stack ``(..., d, d)`` of them.
 
     Returns the input as complex.  A non-finite entry is refused first.  Each
     matrix's deviation ``max|M - M^dagger|`` is compared against ``tol`` times
     its largest entry magnitude (with a floor of 1 so the zero matrix passes).
+    ``context`` names the input in errors: a string, or a function of the
+    flat index of the first offending matrix of the stack.
     """
+
+    def name(i: int) -> str:
+        return context if isinstance(context, str) else context(i)
+
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatchError(f"{context} must be square, got shape {m.shape}")
+        raise DimensionMismatchError(f"{name(0)} must be square, got shape {m.shape}")
     scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
     if not math.isfinite(scale.max()):  # a nan or inf entry, refused before m - m^dagger
-        raise HermiticityError(f"{context} has a non-finite entry")
+        raise HermiticityError(f"{name(int(np.isfinite(scale).argmin()))} has a non-finite entry")
     dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     bad = dev > tol * scale
     if bad.any():
-        i = bad.argmax()
+        i = int(bad.argmax())
         raise HermiticityError(
-            f"{context} is not Hermitian: max|M - M^+| = {dev.flat[i]:.3e} "
+            f"{name(i)} is not Hermitian: max|M - M^+| = {dev.flat[i]:.3e} "
             f"(tol {tol:.1e} * scale {scale.flat[i]:.3e})"
         )
     return m
@@ -100,42 +113,53 @@ class Hamiltonian:
 
     Subclasses provide:
 
-    * ``sample(t)``   -- the (validated Hermitian) energy observable at time t.
-    * ``generator(t)``-- the matrix that actually generates the motion; equal
-      to ``sample(t)`` for every kind except :class:`TwoLevelDriven`, where
-      the drive is handled in the co-rotating frame.
-    * ``apply_many(times, psis)`` -- the observable applied to a whole trace
-      at once: row i is ``sample(times[i]) @ psis[i]``.
-    * ``dim``, ``hbar`` and the two constancy flags used for fast paths.
+    * ``sample(t)`` -- the validated Hermitian energy observable: ``(d, d)``
+      at one time, ``(n, d, d)`` for a 1-D array of n times.
+    * ``apply_many(times, psis)`` -- ``H(t_i) psi_i`` for every row of a
+      trace, with the round-off scale of each node's energy statistics.
+    * ``constant_generator`` -- the constant matrix that moves the state, or
+      None when the motion is integrated from ``sample``.  It is the
+      observable itself for the constant kinds, and the co-rotating matrix
+      for :class:`TwoLevelDriven`.
+    * ``dim``, ``hbar``, and ``sample_is_constant`` for the one-product path.
     """
 
     hbar: float
 
-    def sample(self, t: float = 0.0) -> np.ndarray:
+    #: The constant matrix that moves the state, or None.
+    constant_generator: np.ndarray | None = None
+
+    #: True when ``sample(t)`` does not depend on t.
+    sample_is_constant: bool = False
+
+    def sample(self, t: float | np.ndarray = 0.0) -> np.ndarray:
         raise NotImplementedError
 
-    def generator(self, t: float = 0.0) -> np.ndarray:
-        return self.sample(t)
+    def apply_many(
+        self, times: np.ndarray, psis: np.ndarray
+    ) -> tuple[np.ndarray, float | np.ndarray]:
+        """``(H(t_i) psi_i, max|H(t_i)| floored at 1)`` for the rows of ``psis``: ``(n, dim)``.
 
-    def apply_many(self, times: np.ndarray, psis: np.ndarray) -> np.ndarray:
-        """Apply the observable at ``times[i]`` to row i of ``psis``: ``(n, dim)``.
-
-        Constant samples take one product; otherwise every node goes through
-        ``sample``, so each one is validated as a single call would be.
+        The second item is the scale :func:`energy_statistics` takes.  A
+        constant sample takes one product and has one scale; otherwise the
+        nodes go through ``sample`` STACK_CHUNK at a time, one scale per node.
         """
         if self.sample_is_constant:
-            return psis @ self.sample(0.0).T
-        return np.array([self.sample(float(t)) @ v for t, v in zip(times, psis)])
+            m = self.sample()
+            return psis @ m.T, max(float(np.abs(m).max()), 1.0)
+        times = np.asarray(times, dtype=float)
+        hv = np.empty(psis.shape, dtype=complex)
+        scale = np.empty(times.size)
+        for first in range(0, times.size, STACK_CHUNK):
+            rows = slice(first, first + STACK_CHUNK)
+            m = self.sample(times[rows])
+            hv[rows] = (m @ psis[rows, :, np.newaxis])[..., 0]
+            scale[rows] = np.abs(m).max(axis=(-2, -1), initial=1.0)
+        return hv, scale
 
     @property
     def dim(self) -> int:
         raise NotImplementedError
-
-    #: True when ``generator(t)`` does not depend on t.
-    generator_is_constant: bool = False
-
-    #: True when ``sample(t)`` does not depend on t.
-    sample_is_constant: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +169,6 @@ class ConstantMatrix(Hamiltonian):
     matrix: np.ndarray
     hbar: float = 1.0
 
-    generator_is_constant = True
     sample_is_constant = True
 
     def __post_init__(self) -> None:
@@ -159,8 +182,12 @@ class ConstantMatrix(Hamiltonian):
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def sample(self, t: float = 0.0) -> np.ndarray:
+    @property
+    def constant_generator(self) -> np.ndarray:
         return self.matrix
+
+    def sample(self, t: float | np.ndarray = 0.0) -> np.ndarray:
+        return np.broadcast_to(self.matrix, np.shape(t) + self.matrix.shape)
 
     @property
     def dim(self) -> int:
@@ -171,14 +198,13 @@ class ConstantMatrix(Hamiltonian):
 class TimeDependent(Hamiltonian):
     """A user-supplied matrix-valued function of time.
 
-    Every sample is validated for Hermiticity at ``sample_tolerance``; a bad
-    sample anywhere (construction, propagation, statistics) raises
-    :class:`~qgeo.errors.HermiticityError`.
+    ``sample`` calls ``func`` once per time and validates the stack at
+    :data:`HERMITICITY_TOL`; a bad sample anywhere (propagation or
+    statistics) raises an error that names its time, ``H(t=...)``.
     """
 
     func: Callable[[float], np.ndarray]
     dimension: int
-    sample_tolerance: float = HERMITICITY_TOL
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
@@ -188,15 +214,20 @@ class TimeDependent(Hamiltonian):
                 f"Hamiltonian dimension must be >= 2, got {self.dimension}"
             )
 
-    def sample(self, t: float = 0.0) -> np.ndarray:
-        m = require_hermitian(
-            self.func(t), tol=self.sample_tolerance, context=f"H(t={t!r})"
-        )
-        if m.shape != (self.dimension, self.dimension):
-            raise DimensionMismatchError(
-                f"H(t={t!r}) has shape {m.shape}, declared dimension {self.dimension}"
-            )
-        return m
+    def sample(self, t: float | np.ndarray = 0.0) -> np.ndarray:
+        ts = np.asarray(t, dtype=float)
+        times = ts.ravel().tolist()
+        d = self.dimension
+        stack = np.empty((len(times), d, d), dtype=complex)
+        for k, tk in enumerate(times):
+            m = np.asarray(self.func(tk))
+            if m.shape != (d, d):
+                raise DimensionMismatchError(
+                    f"H(t={tk!r}) has shape {m.shape}, declared dimension {d}"
+                )
+            stack[k] = m
+        require_hermitian(stack, context=lambda i: f"H(t={times[i]!r})")
+        return stack.reshape(ts.shape + (d, d))
 
     @property
     def dim(self) -> int:
@@ -215,20 +246,19 @@ class TwoLevelStatic(Hamiltonian):
     epsilon: float
     hbar: float = 1.0
 
-    generator_is_constant = True
     sample_is_constant = True
 
     def __post_init__(self) -> None:
         require_positive_finite(hbar=self.hbar, epsilon=self.epsilon)
 
     @cached_property
-    def _matrix(self) -> np.ndarray:
+    def constant_generator(self) -> np.ndarray:
         m = self.epsilon * PAULI_X
         m.setflags(write=False)
         return m
 
-    def sample(self, t: float = 0.0) -> np.ndarray:
-        return self._matrix
+    def sample(self, t: float | np.ndarray = 0.0) -> np.ndarray:
+        return np.broadcast_to(self.constant_generator, np.shape(t) + (2, 2))
 
     @property
     def dim(self) -> int:
@@ -249,18 +279,15 @@ class TwoLevelDriven(Hamiltonian):
         H(t) = epsilon*(cos(wt) sigma_x + sin(wt) sigma_y) + (hbar*w0/2) sigma_z
 
     In the frame co-rotating with the drive this reduces to the constant
-    matrix epsilon*sigma_x + (detuning/2)*sigma_z, which is what generates
-    the evolution (``generator``); energy statistics are always taken against
-    the laboratory-frame matrix (``sample``).
+    matrix epsilon*sigma_x + (detuning/2)*sigma_z, which is what moves the
+    state (``constant_generator``); energy statistics are always taken
+    against the laboratory-frame matrix (``sample``).
     """
 
     epsilon: float
     omega: float
     omega0: float
     hbar: float = 1.0
-
-    generator_is_constant = True
-    sample_is_constant = False
 
     def __post_init__(self) -> None:
         require_positive_finite(
@@ -286,29 +313,28 @@ class TwoLevelDriven(Hamiltonian):
         """Effective coupling sqrt(epsilon^2 + detuning^2/4) > 0."""
         return math.hypot(self.epsilon, 0.5 * self.detuning)
 
-    def sample(self, t: float = 0.0) -> np.ndarray:
-        wt = self.omega * t
-        return (
-            self.epsilon * (math.cos(wt) * PAULI_X + math.sin(wt) * PAULI_Y)
-            + 0.5 * self.hbar * self.omega0 * PAULI_Z
-        )
+    def sample(self, t: float | np.ndarray = 0.0) -> np.ndarray:
+        # [[a, conj(d)], [d, -a]] with d = eps*e^{i w t}, a = hbar*w0/2
+        d = self.epsilon * np.exp(1j * self.omega * np.asarray(t, dtype=float))
+        a = 0.5 * self.hbar * self.omega0
+        m = np.empty(d.shape + (2, 2), dtype=complex)
+        m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, d.conj(), d, -a
+        return m
 
-    def apply_many(self, times: np.ndarray, psis: np.ndarray) -> np.ndarray:
-        # sample(t) = [[a, conj(d)], [d, -a]] with d = eps*e^{i w t}, a = hbar*w0/2
+    def apply_many(self, times: np.ndarray, psis: np.ndarray) -> tuple[np.ndarray, float]:
+        # the closed form of sample(t) @ psi: a stacked (n, 2, 2) product is 2x slower
         d = self.epsilon * np.exp(1j * self.omega * np.asarray(times, dtype=float))
         a = 0.5 * self.hbar * self.omega0
-        return np.column_stack(
+        hv = np.column_stack(
             (a * psis[:, 0] + d.conj() * psis[:, 1], d * psis[:, 0] - a * psis[:, 1])
         )
+        return hv, max(self.epsilon, abs(a), 1.0)  # |d| = eps at every node
 
     @cached_property
-    def _rotating_frame_generator(self) -> np.ndarray:
+    def constant_generator(self) -> np.ndarray:
         m = self.epsilon * PAULI_X + 0.5 * self.detuning * PAULI_Z
         m.setflags(write=False)
         return m
-
-    def generator(self, t: float = 0.0) -> np.ndarray:
-        return self._rotating_frame_generator
 
     @property
     def dim(self) -> int:
@@ -320,26 +346,24 @@ class TwoLevelDriven(Hamiltonian):
         return math.pi * self.hbar / (2.0 * self.kappa)
 
 
-def _state_statistics(
-    h: Hamiltonian, psi: QuantumState, t: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _state_statistics(h: Hamiltonian, psi: QuantumState, t: float) -> tuple[float, float]:
     if psi.dim != h.dim:
         raise DimensionMismatchError(
             f"state dimension {psi.dim} does not match Hamiltonian dimension {h.dim}"
         )
-    m = h.sample(t)
-    v = psi.amplitudes
-    return energy_statistics(v, m @ v, max(float(np.max(np.abs(m))), 1.0))
+    v = psi.amplitudes[np.newaxis]
+    mean, disp = energy_statistics(v, *h.apply_many(np.array([t], dtype=float), v))
+    return float(mean[0]), float(disp[0])
 
 
 def energy_mean(h: Hamiltonian, psi: QuantumState, t: float = 0.0) -> float:
     """Expectation value <psi|H(t)|psi> (guaranteed real for Hermitian H)."""
-    return float(_state_statistics(h, psi, t)[0])
+    return _state_statistics(h, psi, t)[0]
 
 
 def energy_dispersion(h: Hamiltonian, psi: QuantumState, t: float = 0.0) -> float:
     """Energy spread sqrt(<H^2> - <H>^2) >= 0 at time t (see :func:`energy_statistics`)."""
-    return float(_state_statistics(h, psi, t)[1])
+    return _state_statistics(h, psi, t)[1]
 
 
 def two_level_dispersion_spectral(

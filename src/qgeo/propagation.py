@@ -2,13 +2,15 @@
 
 :func:`expm_unitary_step` gives ``exp(-i * H * dt / hbar)`` of one matrix or
 a stack: the exact Pauli form at 2x2, the spectral form from ``eigh`` above.
-A constant generator is exponentiated once and the nodes ``U^k psi0`` are
-filled by doubling powers (:func:`fill_by_doubling`, which also serves the
-stacked sweep).  A time-dependent one is integrated by the fourth-order
-Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)): one
-exponential per step of an effective generator built from samples at the
-two Gauss nodes, batched in chunks of steps.  Every product is unitary to
-round-off, so norm drift is a genuine error signal, checked at every node.
+A Hamiltonian's ``constant_generator`` is exponentiated once and the nodes
+``U^k psi0`` are filled by doubling powers (:func:`fill_by_doubling`, which
+also serves the stacked sweep).  Without one, ``sample`` is integrated by the
+fourth-order Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+(2009)): one exponential per step of an effective generator built from
+samples at the two Gauss nodes, one stacked ``sample`` per chunk of steps.
+The node statistics come from ``apply_many``, each node at its own scale.
+Every product is unitary to round-off, so norm drift is a genuine error
+signal, checked at every node.
 A trace holds its node states as one ``(n_nodes, dim)`` amplitude array.
 """
 
@@ -31,6 +33,7 @@ from .errors import (
     require_positive_finite,
 )
 from .hamiltonian import (
+    STACK_CHUNK,
     Hamiltonian,
     PAULI_X,
     PAULI_Z,
@@ -43,10 +46,6 @@ from .states import QuantumState
 
 #: Cumulative norm drift beyond which propagation aborts.
 MAX_NORM_DRIFT = 1e-9
-
-#: Steps per batch of the Magnus integrator: 2*16 samples of a dim-32
-#: generator take 512 KB, so peak memory stays flat.
-MAGNUS_CHUNK = 16
 
 _ID2 = np.eye(2, dtype=complex)
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
@@ -147,19 +146,16 @@ def _magnus4_nodes(h: Hamiltonian, psi0: np.ndarray, starts: np.ndarray, dt: flo
         M = (H1 + H2)/2 - i (sqrt(3)/12) (dt/hbar) [H2, H1],
 
     which is Hermitian because the commutator of two Hermitian matrices is
-    anti-Hermitian.  The steps go in chunks of MAGNUS_CHUNK: one Hermiticity
-    check and one exponential per chunk, then the sequential matvec chain.
-    Raises IntegrationError when ``M dt / hbar`` overflows or a node's norm
-    drifts beyond MAX_NORM_DRIFT.
+    anti-Hermitian.  The steps go in chunks of STACK_CHUNK: one stacked
+    ``sample`` and one exponential per chunk, then the sequential matvec
+    chain.  Raises IntegrationError when ``M dt / hbar`` overflows or a
+    node's norm drifts beyond MAX_NORM_DRIFT.
     """
     psis = np.empty((starts.size + 1, psi0.size), dtype=complex)
     psis[0] = psi0
-    for first in range(0, starts.size, MAGNUS_CHUNK):
-        nodes = (starts[first : first + MAGNUS_CHUNK, np.newaxis] + dt * _GAUSS_NODES).ravel()
-        span = f"[{float(nodes[0])!r}, {float(nodes[-1])!r}]"
-        samples = require_hermitian(
-            np.array([h.generator(float(t)) for t in nodes]), context=f"generator on {span}"
-        )
+    for first in range(0, starts.size, STACK_CHUNK):
+        nodes = (starts[first : first + STACK_CHUNK, np.newaxis] + dt * _GAUSS_NODES).ravel()
+        samples = h.sample(nodes)
         # M dt/hbar from the phases A = H dt/hbar, so that huge energies over
         # tiny steps square to O(1), not to inf
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -169,7 +165,7 @@ def _magnus4_nodes(h: Hamiltonian, psi0: np.ndarray, starts: np.ndarray, dt: flo
             phase = 0.5 * (a1 + a2) - (1j * _COMMUTATOR_WEIGHT) * (p - p.conj().swapaxes(-1, -2))
         if not np.isfinite(phase).all():
             raise IntegrationError(
-                f"the step phase of the generator on {span} overflows: "
+                f"the step phase of H(t) on [{float(nodes[0])!r}, {float(nodes[-1])!r}] overflows: "
                 f"dt = {dt!r} is too coarse for its energies"
             )
         for k, u in enumerate(expm_unitary_step(phase, 1.0, 1.0), start=first):
@@ -350,10 +346,8 @@ def trace_hamiltonian_from_json(data: Mapping[str, Any]) -> Hamiltonian | None:
 def _node_statistics(
     h: Hamiltonian, psis: np.ndarray, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Energy mean and dispersion of the observable at every node."""
-    hv = h.apply_many(times, psis)  # row i is H(t_i) psi_i
-    scale = max(float(np.max(np.abs(h.sample(float(times[0]))))), 1.0)
-    return energy_statistics(psis, hv, scale)
+    """Energy mean and dispersion of the observable at every node, at each node's scale."""
+    return energy_statistics(psis, *h.apply_many(times, psis))
 
 
 def evolve(
@@ -361,14 +355,15 @@ def evolve(
 ) -> EvolutionTrace:
     """Propagate ``psi0`` under ``h`` on a uniform grid of ``steps`` steps.
 
-    A constant generator gives exact nodes up to round-off.  Otherwise each
-    step is the fourth-order Magnus step: ``generator`` is sampled at the two
-    Gauss nodes of the step, so a run of ``steps`` steps samples it
-    ``2 * steps`` times, and the global error falls as ``dt^4``.
+    When ``h.constant_generator`` is set, the nodes are exact up to
+    round-off.  Otherwise each step is the fourth-order Magnus step: ``sample``
+    is taken at the two Gauss nodes of the step, so a run of ``steps`` steps
+    samples ``2 * steps`` times, and the global error falls as ``dt^4``.
 
     Args:
-        h: Hamiltonian spec; its ``generator`` drives the motion and its
-            ``sample`` provides the recorded energy statistics.
+        h: Hamiltonian spec; its ``constant_generator``, or else its
+            ``sample``, drives the motion, and ``sample`` provides the
+            recorded energy statistics.
         psi0: initial state, same dimension as ``h``.
         t_final: final time, >= 0.  Zero yields a single-node trace.
         steps: number of uniform steps, >= 2.
@@ -394,10 +389,9 @@ def evolve(
     n_nodes = steps + 1 if t_final > 0.0 else 1
     times = np.linspace(0.0, t_final, n_nodes)
     dt = t_final / steps
-    if h.generator_is_constant:
-        step = expm_unitary_step(
-            require_hermitian(h.generator(0.0), context="generator"), dt, h.hbar
-        )
+    generator = h.constant_generator
+    if generator is not None:
+        step = expm_unitary_step(require_hermitian(generator, context="generator"), dt, h.hbar)
         psis = fill_by_doubling(step, psi0.amplitudes, n_nodes)
     else:
         psis = _magnus4_nodes(h, psi0.amplitudes, times[:-1], dt)

@@ -25,7 +25,6 @@ from .errors import FormulaError, StationaryStateError, require_positive_finite
 from .geometry import _require_arc_routes_agree
 from .hamiltonian import energy_statistics, overlap_rate_bound, require_hermitian
 from .propagation import EvolutionTrace, expm_unitary_step, fill_by_doubling, short_time_coefficient
-from .quadrature import simpson_uniform
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,15 @@ def min_time_spectral(
 
 
 def avg_dispersion(trace: EvolutionTrace) -> float:
-    """Time-averaged energy dispersion (1/T) * integral of dE(t) dt."""
+    """Time-averaged energy dispersion (1/T) * integral of dE(t) dt = hbar*s/(2T).
+
+    An even node count integrates the final interval by trapezoid and warns,
+    as :func:`~qgeo.geometry.path_length` does.
+    """
     if trace.duration <= 0.0:
         raise ValueError("average dispersion undefined on a zero-duration trace")
-    dt = trace.grid_spacing()
-    integral = simpson_uniform(np.asarray(trace.energy_dispersion), dt).value
-    return integral / trace.duration
+    quad = geometry.length_quadrature(trace.energy_dispersion, trace.grid_spacing(), trace.hbar)
+    return 0.5 * trace.hbar * quad.value / trace.duration
 
 
 def _bound_margin(avg_dispersion, duration, s0, hbar: float):

@@ -5,16 +5,13 @@ import pytest
 
 from qgeo.errors import DegenerateEndpointsError, FormulaError, GridError, NormalizationError
 from qgeo.geometry import (
-    GeodesicSpec,
     SpeedLimitReport,
     _require_arc_routes_agree,
     efficiency,
     geodesic_distance,
-    geodesic_line,
     is_geodesic,
     path_length,
     speed_limit_report,
-    xi_of_t,
 )
 from qgeo.hamiltonian import (
     ConstantMatrix,
@@ -268,90 +265,6 @@ class TestSpeedLimitReportSerialization:
             "quadrature_error",
         }
         assert isinstance(doc["bound_satisfied"], bool)
-
-
-class TestGeodesicLine:
-    def spec(self):
-        return GeodesicSpec(a=UP, b=DOWN)
-
-    def test_endpoints(self):
-        np.testing.assert_array_equal(
-            geodesic_line(self.spec(), 0.0).amplitudes, UP.amplitudes
-        )
-        np.testing.assert_array_equal(
-            geodesic_line(self.spec(), 1.0).amplitudes, DOWN.amplitudes
-        )
-
-    def test_midpoint_normalization(self):
-        mid = geodesic_line(self.spec(), 0.5)
-        inv = 1.0 / math.sqrt(2.0)
-        np.testing.assert_allclose(mid.amplitudes, [inv, inv], atol=1e-15)
-        # the closed-form constant for orthogonal endpoints at xi=1/2 is
-        # [1 - 2*xi*(1-xi)]^(-1/2) = sqrt(2)
-        n_half = 1.0 / math.sqrt(1.0 - 2.0 * 0.5 * 0.5)
-        assert n_half == pytest.approx(math.sqrt(2.0))
-
-    def test_orthogonal_normalization_constant_any_xi(self):
-        for xi in (0.1, 0.25, 0.7, 0.9):
-            state = geodesic_line(self.spec(), xi)
-            expected = np.array([1.0 - xi, xi]) / math.sqrt(
-                1.0 - 2.0 * xi * (1.0 - xi)
-            )
-            np.testing.assert_allclose(state.amplitudes, expected, atol=1e-14)
-
-    def test_reproduces_static_evolution(self):
-        eps = 1.0
-        h = TwoLevelStatic(epsilon=eps)
-        b = QuantumState.exact([0.0, -1.0j])  # endpoint of the transfer
-        spec = GeodesicSpec(a=UP, b=b)
-        tr = evolve(h, UP, h.orthogonality_time, steps=200)
-        for t, amps in zip(tr.times, tr.amplitudes):
-            xi = xi_of_t(eps, float(t))
-            interp = geodesic_line(spec, xi)
-            np.testing.assert_allclose(interp.amplitudes, amps, atol=1e-10)
-
-    def test_xi_out_of_range(self):
-        with pytest.raises(ValueError):
-            geodesic_line(self.spec(), 1.2)
-        with pytest.raises(ValueError):
-            geodesic_line(self.spec(), -0.1)
-
-    def test_degenerate_endpoints_rejected(self):
-        phase_twin = QuantumState.exact([1.0j, 0.0])
-        with pytest.raises(DegenerateEndpointsError):
-            GeodesicSpec(a=UP, b=phase_twin)
-
-    def test_nonorthogonal_endpoints_normalize_correctly(self):
-        b = QuantumState.normalized([1.0, 1.0])
-        spec = GeodesicSpec(a=UP, b=b)
-        state = geodesic_line(spec, 0.3)
-        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestXiOfT:
-    def test_endpoints_and_midpoint(self):
-        eps = 2.0
-        t_orth = math.pi / (2.0 * eps)
-        assert xi_of_t(eps, 0.0) == 0.0
-        assert xi_of_t(eps, 0.5 * t_orth) == pytest.approx(0.5)
-        assert xi_of_t(eps, t_orth) == pytest.approx(1.0)
-
-    def test_monotone(self):
-        eps = 1.0
-        ts = np.linspace(0.0, math.pi / 2.0, 101)
-        xis = [xi_of_t(eps, float(t)) for t in ts]
-        assert all(b >= a for a, b in zip(xis, xis[1:]))
-
-    def test_domain_enforced(self):
-        with pytest.raises(ValueError):
-            xi_of_t(1.0, -0.1)
-        with pytest.raises(ValueError):
-            xi_of_t(1.0, math.pi / 2.0 + 0.1)
-
-    def test_hbar_scaling(self):
-        assert xi_of_t(1.0, 0.3, hbar=1.0) == pytest.approx(
-            xi_of_t(2.0, 0.3, hbar=2.0)
-        )
 
 
 class TestIsGeodesic:

@@ -86,7 +86,7 @@ class TestConstantMatrix:
 
     def test_generator_equals_sample(self):
         h = ConstantMatrix(PAULI_X)
-        np.testing.assert_array_equal(h.generator(3.7), h.sample(0.0))
+        np.testing.assert_array_equal(h.constant_generator, h.sample(3.7))
 
     def test_rejects_one_dimensional(self):
         with pytest.raises(DimensionMismatchError):
@@ -135,11 +135,30 @@ class TestTimeDependent:
         with pytest.raises(DimensionMismatchError):
             h.sample(0.0)
 
-    def test_loose_tolerance_admits_noisy_samples(self):
+    def test_noisy_sample_is_refused(self):
         noisy = lambda t: PAULI_X + np.array([[0.0, 1e-8], [0.0, 0.0]])
         with pytest.raises(HermiticityError):
             TimeDependent(noisy, dimension=2).sample(0.0)
-        TimeDependent(noisy, dimension=2, sample_tolerance=1e-6).sample(0.0)
+
+    def test_evolve_refuses_the_noisy_sample_by_its_time(self):
+        noisy = lambda t: PAULI_X + np.array([[0.0, 1e-8], [0.0, 0.0]])
+        with pytest.raises(HermiticityError, match=r"^H\(t=0\.0[0-9]+\) is not Hermitian"):
+            evolve(TimeDependent(noisy, dimension=2), UP, 1.0, 10)
+
+    def test_stack_error_names_the_first_offending_time(self):
+        skew = np.array([[0.0, 0.5], [0.0, 0.0]])
+        h = TimeDependent(lambda t: PAULI_X + (skew if t > 0.5 else 0.0), dimension=2)
+        with pytest.raises(HermiticityError, match=r"^H\(t=0\.75\) is not Hermitian"):
+            h.sample(np.array([0.25, 0.5, 0.75, 1.0]))
+        inf = np.array([[math.inf, 1.0], [1.0, 0.0]])
+        h = TimeDependent(lambda t: inf if t > 0.5 else PAULI_X, dimension=2)
+        with pytest.raises(HermiticityError, match=r"^H\(t=0\.75\) has a non-finite entry"):
+            h.sample(np.array([0.25, 0.5, 0.75, 1.0]))
+
+    def test_stack_shape_is_checked_per_time(self):
+        h = TimeDependent(lambda t: np.eye(3) if t > 0.5 else np.eye(2), dimension=2)
+        with pytest.raises(DimensionMismatchError, match=r"^H\(t=0\.75\) has shape \(3, 3\)"):
+            h.sample(np.array([0.25, 0.75]))
 
 
 class TestTwoLevelStatic:
@@ -178,13 +197,11 @@ class TestTwoLevelDriven:
 
     def test_generator_is_constant_rotating_frame_matrix(self):
         h = TwoLevelDriven(epsilon=1.0, omega=0.25, omega0=0.2)
-        g = h.generator(0.0)
-        np.testing.assert_array_equal(g, h.generator(17.0))
-        np.testing.assert_allclose(g, PAULI_X + 0.025 * PAULI_Z, atol=1e-15)
+        np.testing.assert_allclose(h.constant_generator, PAULI_X + 0.025 * PAULI_Z, atol=1e-15)
 
     def test_resonant_generator_has_no_z_part(self):
         h = TwoLevelDriven(epsilon=0.3, omega=1.0, omega0=1.0)
-        np.testing.assert_allclose(h.generator(), 0.3 * PAULI_X, atol=1e-15)
+        np.testing.assert_allclose(h.constant_generator, 0.3 * PAULI_X, atol=1e-15)
 
     def test_sample_norm_is_time_independent(self):
         h = TwoLevelDriven(epsilon=0.8, omega=2.0, omega0=1.5)
@@ -220,10 +237,22 @@ class TestApplyMany:
         rng = np.random.default_rng(99)
         times = np.sort(rng.uniform(0.0, 20.0, size=37))
         psis = np.array([random_state(rng, h.dim).amplitudes for _ in times])
-        got = h.apply_many(times, psis)
-        want = np.stack([h.sample(float(t)) @ v for t, v in zip(times, psis)])
+        got, scale = h.apply_many(times, psis)
+        samples = np.stack([h.sample(float(t)) for t in times])
+        want = np.einsum("nij,nj->ni", samples, psis)
         assert got.shape == (times.size, h.dim)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        want_scale = np.maximum(np.abs(samples).max(axis=(1, 2)), 1.0)
+        np.testing.assert_allclose(np.broadcast_to(scale, times.shape), want_scale, rtol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(_apply_many_cases()))
+    def test_stacked_sample_equals_scalar_samples(self, name):
+        h = _apply_many_cases()[name]
+        times = np.linspace(0.0, 7.0, 23)
+        stacked = h.sample(times)
+        assert stacked.shape == (times.size, h.dim, h.dim)
+        np.testing.assert_array_equal(stacked, np.stack([h.sample(float(t)) for t in times]))
+        assert h.sample(0.3).shape == (h.dim, h.dim)
 
 
 class TestEnergyMean:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+import qgeo.hamiltonian as hamiltonian
 import qgeo.propagation as propagation
 from qgeo.errors import (
     DimensionMismatchError,
@@ -144,7 +145,7 @@ class TestPropagatorDriven:
     def test_is_exponential_of_rotating_frame_generator(self):
         h = TwoLevelDriven(epsilon=EPS, omega=OMEGA, omega0=OMEGA0)
         t = 1.9
-        expected = scipy_expm(-1j * h.generator(0.0) * t)
+        expected = scipy_expm(-1j * h.constant_generator * t)
         np.testing.assert_allclose(
             propagator_driven(EPS, OMEGA, OMEGA0, t), expected, atol=1e-13
         )
@@ -481,23 +482,30 @@ class TestMagnusIntegrator:
 
     @pytest.mark.parametrize("steps", [100, 16, 17, 2])
     def test_samples_and_exponentials_per_run(self, monkeypatch, steps):
-        calls = {"sample": 0, "expm": 0}
-        real_sample, real_expm = TimeDependent.sample, propagation.expm_unitary_step
+        calls = {"func": 0, "hermitian": 0, "expm": 0}
+        real_hermitian, real_expm = hamiltonian.require_hermitian, propagation.expm_unitary_step
+        lab = lab_frame_hamiltonian()
 
-        def counting_sample(self, t=0.0):
-            calls["sample"] += 1
-            return real_sample(self, t)
+        def counting_func(t):
+            calls["func"] += 1
+            return lab.func(t)
+
+        def counting_hermitian(*args, **kwargs):
+            calls["hermitian"] += 1
+            return real_hermitian(*args, **kwargs)
 
         def counting_expm(*args):
             calls["expm"] += 1
             return real_expm(*args)
 
-        monkeypatch.setattr(TimeDependent, "sample", counting_sample)
+        monkeypatch.setattr(hamiltonian, "require_hermitian", counting_hermitian)
         monkeypatch.setattr(propagation, "expm_unitary_step", counting_expm)
-        evolve(lab_frame_hamiltonian(), UP, 1.0, steps=steps)
-        # two Gauss nodes per step, every node's statistics, and the scale
-        assert calls["sample"] == 3 * steps + 2
-        assert calls["expm"] == math.ceil(steps / propagation.MAGNUS_CHUNK)
+        evolve(TimeDependent(counting_func, dimension=2), UP, 1.0, steps=steps)
+        # two Gauss nodes per step and every node's statistics, one check per stack
+        chunks = math.ceil(steps / hamiltonian.STACK_CHUNK)
+        assert calls["func"] == 3 * steps + 1
+        assert calls["hermitian"] == chunks + math.ceil((steps + 1) / hamiltonian.STACK_CHUNK)
+        assert calls["expm"] == chunks
 
     def test_energies_near_1e200_over_tiny_steps_do_not_overflow(self):
         # H(t) = s g(s t) over T/s has the nodes of g over T, for any s
@@ -516,6 +524,24 @@ class TestMagnusIntegrator:
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError, match="step phase .* overflows"):
                 evolve(h, UP, 1.0, steps=100)
+
+    @pytest.mark.parametrize("growth", [1e4, 1e6, 1e8])
+    def test_generator_whose_norm_grows_is_accepted(self, growth):
+        # each node's round-off window scales with its own |H(t_i)|, not |H(0)|
+        rng = np.random.default_rng(1)
+        g = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        a, b = 0.5 * (g + g.conj().swapaxes(1, 2))
+        psi0 = QuantumState.normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
+        h = TimeDependent(lambda t: a * (1.0 + growth * t * t) + b * math.sin(t), 4)
+        tr = evolve(h, psi0, 1.0, 400)
+        for i in (0, 200, 400):
+            t, v = float(tr.times[i]), tr.amplitudes[i]
+            m = h.func(t)
+            mean = np.vdot(v, m @ v).real
+            disp = np.linalg.norm(m @ v - mean * v)
+            scale = np.abs(m).max()
+            assert abs(tr.energy_mean[i] - mean) <= 1e-12 * scale
+            assert abs(tr.energy_dispersion[i] - disp) <= 1e-10 * scale
 
     def test_bad_sample_names_its_time(self):
         skew = np.array([[0.0, 0.5], [0.0, 0.0]])

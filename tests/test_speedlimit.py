@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from qgeo import speedlimit
 from qgeo.errors import StationaryStateError
-from qgeo.geometry import efficiency
+from qgeo.geometry import efficiency, path_length
 from qgeo.hamiltonian import (
     PAULI_X,
     ConstantMatrix,
@@ -191,6 +191,19 @@ class TestAvgDispersion:
         tr = evolve(h, UP, 0.0, steps=10)
         with pytest.raises(ValueError):
             avg_dispersion(tr)
+
+    @pytest.mark.parametrize("quantity", [avg_dispersion, path_length, efficiency])
+    def test_even_node_count_warns(self, quantity):
+        tr = evolve(TwoLevelStatic(epsilon=1.0), UP, 1.0, steps=5)  # 6 nodes
+        with pytest.warns(UserWarning, match="even node count"):
+            quantity(tr)
+
+    def test_is_the_path_length_average(self):
+        h = TwoLevelDriven(epsilon=EPS, omega=OMEGA, omega0=OMEGA0, hbar=1.7)
+        tr = evolve(h, UP, 3.0, steps=200)
+        assert avg_dispersion(tr) == pytest.approx(
+            1.7 * path_length(tr) / (2.0 * 3.0), rel=1e-15
+        )
 
 
 class TestVerifyBound:

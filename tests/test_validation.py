@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qgeo.errors import StationaryStateError, require_positive_finite
-from qgeo.geometry import xi_of_t
 from qgeo.hamiltonian import (
     ConstantMatrix,
     PAULI_X,
@@ -92,9 +91,6 @@ CASES = [
         "short_time_coefficient", short_time_coefficient, {"omega": 0.25, "omega0": 0.2}
     ),
     ("EvolutionTrace", "hbar", _trace),
-    *_cases(
-        "xi_of_t", xi_of_t, {"epsilon": 1.0, "t": 0.1, "hbar": 1.0}, ("epsilon", "hbar")
-    ),
     *_cases(
         "BoundQuery",
         lambda **kw: min_time(BoundQuery(overlap=0.5, **kw)),
