@@ -25,7 +25,6 @@ result does not depend on the chunking.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -44,6 +43,7 @@ from .hamiltonian import (
     hamiltonian_from_json,
 )
 from .propagation import EvolutionTrace, evolve, short_time_coefficient
+from .propagation import trace_hamiltonian_to_json, write_joined
 from .si import (
     ELECTRON_MASS,
     ELEMENTARY_CHARGE,
@@ -234,23 +234,16 @@ def _dump_json(obj: Any, pad: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
 
     With ``indent`` set the stdlib runs its pure-Python encoder item by item;
-    here a list of floats is one C-level join of ``float.__repr__`` (the
-    stdlib's float format).  A non-finite value raises the stdlib's own
-    ValueError, never "Infinity".  Keys must be strings, as in every document
-    qgeo writes; any other key raises TypeError.  ``pad`` is the newline and
-    indent of the current nesting level.
+    this renders the same text with one join per container.  A non-finite
+    value raises the stdlib's own ValueError, never "Infinity".  Keys must be
+    strings, as in every document qgeo writes; any other key raises
+    TypeError.  ``pad`` is the newline and indent of the current nesting level.
     """
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
-        try:  # float.__repr__ raises TypeError on any item that is not a float
-            body = ("," + inner).join(map(float.__repr__, obj))
-            all_finite_floats = "n" not in body  # no "inf" or "nan"
-        except TypeError:
-            all_finite_floats = False
-        if not all_finite_floats:
-            body = ("," + inner).join([_dump_json(x, inner) for x in obj])
+        body = ("," + inner).join([_dump_json(x, inner) for x in obj])
         return "[" + inner + body + pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -267,6 +260,31 @@ def _dump_json(obj: Any, pad: str = "\n") -> str:
         # the stdlib's own error, from the same pure-Python encoder path
         json.dumps(obj, indent=2, allow_nan=False)
     return json.dumps(obj, allow_nan=False)
+
+
+def _write_trace(out_dir: Path, trace: EvolutionTrace, hamiltonian: Hamiltonian | None) -> None:
+    """Write trace.json and trace.csv from one ``float.__repr__`` pass over the trace.
+
+    trace.json is ``_dump_json(trace.to_json(hamiltonian)) + "\\n"``, streamed key
+    by key, one template per state.
+    """
+    columns = trace.float_columns()
+    times, *amps, mean, dispersion = columns
+    vector = "[\n        " + ",\n        ".join(["%s"] * trace.dim) + "\n      ]"
+    state = '{\n      "im": ' + vector + ',\n      "re": ' + vector + "\n    }"
+    h_json = _dump_json(trace_hamiltonian_to_json(hamiltonian), "\n  ")
+    with open(out_dir / "trace.json", "w") as fh:
+        for head, pieces in (
+            ('{\n  "energy_dispersion": [', dispersion),
+            ('\n  ],\n  "energy_mean": [', mean),
+            (f'\n  ],\n  "hamiltonian": {h_json},\n  "hbar": {float(trace.hbar)!r},\n  "states": [',
+             map(state.__mod__, zip(*amps[1::2], *amps[0::2]))),
+            ('\n  ],\n  "times": [', times),
+        ):
+            fh.write(head + "\n    ")
+            write_joined(fh, pieces, ",\n    ")
+        fh.write("\n  ]\n}\n")
+    trace.to_csv(out_dir / "trace.csv", columns)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -379,10 +397,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "trace.json").write_text(
-            _dump_json(run.trace.to_json(run.hamiltonian)) + "\n"
-        )
-        run.trace.to_csv(out_dir / "trace.csv")
+        _write_trace(out_dir, run.trace, run.hamiltonian)
         (out_dir / "report.json").write_text(
             _dump_json(run.report.to_json()) + "\n"
         )
@@ -395,9 +410,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         }
         print(_dump_json(envelope))
     elif cfg.output == "csv":
-        buf = io.StringIO()
-        run.trace.to_csv(buf)
-        sys.stdout.write(buf.getvalue())
+        run.trace.to_csv(sys.stdout)
     else:
         print(emit_table([run.report]))
     return 0 if run.report.bound_satisfied else 2

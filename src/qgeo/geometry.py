@@ -20,6 +20,7 @@ from .errors import (
     DegenerateEndpointsError,
     FormulaError,
     NormalizationError,
+    require_positive_finite,
 )
 from .quadrature import QuadratureResult, simpson_uniform
 from .states import CLAMP_WINDOW, QuantumState, wootters_distance
@@ -103,6 +104,11 @@ class SpeedLimitReport:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "SpeedLimitReport":
+        """Inverse of :meth:`to_json`: ``s`` must be positive and finite, the flag a bool."""
+        require_positive_finite(s=float(data["s"]))
+        flag = data["bound_satisfied"]
+        if not isinstance(flag, bool):
+            raise ValueError(f"bound_satisfied must be a JSON boolean, got {flag!r}")
         return cls(
             s0=float(data["s0"]),
             s=float(data["s"]),
@@ -110,7 +116,7 @@ class SpeedLimitReport:
             t_effective=float(data["t_effective"]),
             t_ideal=float(data["t_ideal"]),
             avg_dispersion=float(data["avg_dispersion"]),
-            bound_satisfied=bool(data["bound_satisfied"]),
+            bound_satisfied=flag,
             quadrature_error=float(data["quadrature_error"]),
         )
 

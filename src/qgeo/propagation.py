@@ -16,11 +16,11 @@ A trace holds its node states as one ``(n_nodes, dim)`` amplitude array.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from itertools import islice
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -50,6 +50,8 @@ MAX_NORM_DRIFT = 1e-9
 _ID2 = np.eye(2, dtype=complex)
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
 _COMMUTATOR_WEIGHT = math.sqrt(3.0) / 12.0
+#: Rows or nodes per ``write`` call of the trace writers.
+_WRITE_BLOCK = 1024
 
 
 def propagator_static(epsilon: float, t: float, hbar: float = 1.0) -> np.ndarray:
@@ -275,18 +277,10 @@ class EvolutionTrace:
 
     def to_json(self, hamiltonian: Hamiltonian | None = None) -> dict[str, Any]:
         """JSON envelope with hbar, optional Hamiltonian spec, and all arrays."""
-        h_json: dict[str, Any] | None
-        if hamiltonian is None:
-            h_json = None
-        else:
-            try:
-                h_json = hamiltonian_to_json(hamiltonian)
-            except ValueError:
-                h_json = None  # a bare callable has no serialized form
         re_rows, im_rows = self.amplitudes.real.tolist(), self.amplitudes.imag.tolist()
         return {
             "hbar": float(self.hbar),
-            "hamiltonian": h_json,
+            "hamiltonian": trace_hamiltonian_to_json(hamiltonian),
             "times": self.times.tolist(),
             "states": [{"re": r, "im": i} for r, i in zip(re_rows, im_rows)],
             "energy_mean": self.energy_mean.tolist(),
@@ -313,26 +307,42 @@ class EvolutionTrace:
             hbar=float(data["hbar"]),
         )
 
-    def to_csv(self, target: Any) -> None:
-        """Write one row per node: t, amplitudes (re/im interleaved), stats."""
-        if hasattr(target, "write"):
-            self._write_csv(target)
-        else:
-            with open(target, "w", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh: io.TextIOBase) -> None:
-        writer = csv.writer(fh)
-        amp_cols = [f"{part}_{k}" for k in range(self.dim) for part in ("re", "im")]
-        writer.writerow(["t", *amp_cols, "energy_mean", "energy_dispersion"])
+    def float_columns(self) -> list[list[str]]:
+        """The CSV columns as ``float.__repr__`` text, which is JSON's float format too."""
         amps = self.amplitudes
-        interleaved = np.stack((amps.real, amps.imag), axis=2).reshape(self.n_nodes, -1)
-        table = np.column_stack(
-            (self.times, interleaved, self.energy_mean, self.energy_dispersion)
-        )
+        parts = [part[:, k] for k in range(self.dim) for part in (amps.real, amps.imag)]
+        columns = (self.times, *parts, self.energy_mean, self.energy_dispersion)
+        return [list(map(float.__repr__, col.tolist())) for col in columns]
+
+    def to_csv(self, target: Any, columns: list[list[str]] | None = None) -> None:
+        """Write one row per node: t, amplitudes (re/im interleaved), stats.
+
+        ``columns`` is :meth:`float_columns`, passed when the caller has it.
+        """
+        if not hasattr(target, "write"):
+            with open(target, "w", newline="") as fh:
+                return self.to_csv(fh, columns)
+        amp_cols = [f"{part}_{k}" for k in range(self.dim) for part in ("re", "im")]
         # the rows csv.writer would write: a float repr never needs quoting
-        rows = [",".join(map(float.__repr__, row)) + "\r\n" for row in table.tolist()]
-        fh.write("".join(rows))
+        target.write(",".join(["t", *amp_cols, "energy_mean", "energy_dispersion"]) + "\r\n")
+        write_joined(target, map(",".join, zip(*(columns or self.float_columns()))), "\r\n")
+        target.write("\r\n")
+
+
+def write_joined(fh: io.TextIOBase, pieces: Iterable[str], sep: str) -> None:
+    """Write ``sep.join(pieces)`` to ``fh`` in blocks, never as one string."""
+    pieces, lead = iter(pieces), ""
+    while block := list(islice(pieces, _WRITE_BLOCK)):
+        fh.write(lead + sep.join(block))
+        lead = sep
+
+
+def trace_hamiltonian_to_json(hamiltonian: Hamiltonian | None) -> dict[str, Any] | None:
+    """The Hamiltonian spec a trace stores: None for none or a bare callable."""
+    try:
+        return None if hamiltonian is None else hamiltonian_to_json(hamiltonian)
+    except ValueError:  # a bare callable has no serialized form
+        return None
 
 
 def trace_hamiltonian_from_json(data: Mapping[str, Any]) -> Hamiltonian | None:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import shutil
@@ -13,14 +15,21 @@ from scipy.optimize import brentq
 from qgeo.cli import (
     ScenarioConfig,
     _dump_json,
+    _write_trace,
     build_parser,
     emit_table,
     main,
     run_scenario,
 )
 from qgeo.geometry import SpeedLimitReport, efficiency
-from qgeo.hamiltonian import PAULI_X, ConstantMatrix, TimeDependent
-from qgeo.propagation import evolve
+from qgeo.hamiltonian import (
+    PAULI_X,
+    ConstantMatrix,
+    TimeDependent,
+    TwoLevelDriven,
+    TwoLevelStatic,
+)
+from qgeo.propagation import _WRITE_BLOCK, EvolutionTrace, evolve
 from qgeo.speedlimit import SweepResult
 from qgeo.states import QuantumState
 
@@ -464,6 +473,18 @@ class TestBoundViolation:
         assert code == 2
         assert "violation (eta > 1)" in out
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("s", 0.0), ("s", -1.0), ("bound_satisfied", "no"), ("bound_satisfied", 1)],
+    )
+    def test_table_rejects_a_hostile_report(self, capsys, tmp_path, field, value):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps({**synthetic_report(eta=0.9).to_json(), field: value}))
+        code, out, err = run_cli(capsys, "table", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {field} must be ")
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
@@ -560,7 +581,7 @@ def containers(children):
         st.lists(children, max_size=5)
         | st.lists(children, max_size=3).map(tuple)
         | st.dictionaries(TEXT, children, max_size=5)
-        | st.lists(FINITE_FLOATS, min_size=1, max_size=6)  # the all-float fast path
+        | st.lists(FINITE_FLOATS, min_size=1, max_size=6)  # all-float lists
         | st.lists(st.integers() | FINITE_FLOATS, min_size=1, max_size=6)  # mixed
     )
 
@@ -624,6 +645,102 @@ class TestDumpJson:
         assert (tmp_path / "report.json").read_text() == stdlib_dump(run.report.to_json()) + "\n"
         envelope = {"config": run.config.to_json(), "report": run.report.to_json(), "extras": {}}
         assert out == stdlib_dump(envelope) + "\n"
+
+
+def csv_writer_rendering(tr):
+    """trace.csv as csv.writer writes the repr of every cell."""
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(
+        ["t", *[f"{p}_{k}" for k in range(tr.dim) for p in ("re", "im")],
+         "energy_mean", "energy_dispersion"]
+    )
+    for t, amps, mean, disp in zip(tr.times, tr.amplitudes, tr.energy_mean, tr.energy_dispersion):
+        cells = [t, *[x for a in amps for x in (a.real, a.imag)], mean, disp]
+        writer.writerow([repr(float(x)) for x in cells])
+    return want.getvalue()
+
+
+def first_difference(got, want):
+    """None when equal, else the offset and the text around the first differing character.
+
+    pytest's own diff of two long strings can take minutes.
+    """
+    if got == want:
+        return None
+    i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return i, got[max(i - 40, 0) : i + 40], want[max(i - 40, 0) : i + 40]
+
+
+def edge_trace(dim, n_nodes):
+    """A trace built directly, holding -0.0, 5e-324 and 1e-300 among random values, up to t = 1e300."""
+    rng = np.random.default_rng(1000 * dim + n_nodes)
+    re, im = rng.normal(size=(2, n_nodes, dim))
+
+    def plant():  # values too small to move a norm
+        re[:, 0], im[:, 0] = -0.0, 5e-324
+        re[1::2, 1], im[::2, -1] = 1e-300, -0.0
+
+    plant()
+    norm = np.sqrt(np.sum(re * re + im * im, axis=1, keepdims=True))
+    re, im = re / norm, im / norm
+    plant()
+    amps = np.empty((n_nodes, dim), dtype=complex)
+    amps.real, amps.imag = re, im
+    mean = rng.normal(size=n_nodes) * 1e-300
+    mean[::2] = -0.0
+    disp = rng.uniform(0.0, 1e300, n_nodes)
+    disp[::4] = 5e-324
+    times = np.linspace(-1.0, 1e300, n_nodes) if n_nodes > 1 else np.array([1e300])
+    return EvolutionTrace(times, amps, mean, disp, hbar=1.0545718176461565e-34)
+
+
+def writer_hamiltonians(dim):
+    rng = np.random.default_rng(dim)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    cases = {
+        "none": None,
+        "time-dependent": TimeDependent(lambda t: np.eye(dim) * t, dim),
+        "constant-matrix": ConstantMatrix(g + g.conj().T),
+    }
+    if dim == 2:
+        cases["static"] = TwoLevelStatic(epsilon=0.7, hbar=1.3)
+        cases["driven"] = TwoLevelDriven(epsilon=1.0, omega=0.25, omega0=0.2)
+    return cases
+
+
+class TestTraceWriter:
+    """trace.json and trace.csv from one formatting pass equal the stdlib renderings."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "n_nodes", [1, 3, 5, _WRITE_BLOCK - 1, _WRITE_BLOCK, _WRITE_BLOCK + 1, 2 * _WRITE_BLOCK + 1]
+    )
+    def test_files_are_the_stdlib_renderings(self, tmp_path, dim, n_nodes):
+        tr = edge_trace(dim, n_nodes)
+        want_csv = csv_writer_rendering(tr)
+        for name, h in writer_hamiltonians(dim).items():
+            out_dir = tmp_path / name
+            out_dir.mkdir()
+            _write_trace(out_dir, tr, h)
+            want = json.dumps(tr.to_json(h), sort_keys=True, indent=2, allow_nan=False) + "\n"
+            assert first_difference((out_dir / "trace.json").read_text(), want) is None, name
+            with open(out_dir / "trace.csv", newline="") as fh:
+                assert first_difference(fh.read(), want_csv) is None, name
+
+    def test_edge_values_reach_the_files(self, tmp_path):
+        tr = edge_trace(3, 5)
+        _write_trace(tmp_path, tr, None)
+        doc = (tmp_path / "trace.json").read_text()
+        for text in ("-0.0", "5e-324", "1e-300", "1e+300"):
+            assert text in doc
+        assert EvolutionTrace.from_json(json.loads(doc)).amplitudes.tobytes() == tr.amplitudes.tobytes()
+
+    def test_csv_output_is_the_csv_writer_rendering(self, capsys):
+        code, out, _ = run_cli(capsys, "scenario2", "--steps", "300", "--output", "csv")
+        assert code == 0
+        run = run_scenario(ScenarioConfig(scenario="driven", steps=300))
+        assert first_difference(out, csv_writer_rendering(run.trace)) is None
 
 
 class TestCliQueries:
