@@ -14,7 +14,8 @@ geodesics.  Modules:
 * :mod:`qgeo.geometry`     -- path lengths, geodesic efficiency.
 * :mod:`qgeo.speedlimit`   -- minimum-time queries, bound verification,
   the short-time implicit solver, randomized sweeps.
-* :mod:`qgeo.cli`          -- the ``qgeo`` command.
+* :mod:`qgeo.cli`          -- the ``qgeo`` command; it renders only the trace
+  files itself, and every other document with the stdlib's ``json``.
 """
 
 from .errors import (
@@ -31,7 +32,6 @@ from .errors import (
 from .geometry import (
     SpeedLimitReport,
     efficiency,
-    geodesic_distance,
     is_geodesic,
     path_length,
 )
@@ -47,14 +47,12 @@ from .hamiltonian import (
     hamiltonian_from_json,
     hamiltonian_to_json,
     overlap_rate_bound,
-    two_level_dispersion_spectral,
     vaidman_decompose,
 )
 from .propagation import (
     EvolutionTrace,
     dispersion_driven_closed,
     dispersion_driven_near_resonance,
-    dispersion_short_time,
     evolve,
     propagator_driven,
     propagator_static,
@@ -65,8 +63,6 @@ from .speedlimit import (
     SweepResult,
     avg_dispersion,
     min_time,
-    min_time_spectral,
-    orthogonal_min_time,
     run_sweep,
     solve_implicit_time,
     verify_bound,
@@ -75,7 +71,6 @@ from .states import (
     QuantumState,
     inner,
     overlap_modulus,
-    phase_equivalent,
     wootters_distance,
 )
 
@@ -105,29 +100,23 @@ __all__ = [
     "avg_dispersion",
     "dispersion_driven_closed",
     "dispersion_driven_near_resonance",
-    "dispersion_short_time",
     "efficiency",
     "energy_dispersion",
     "energy_mean",
     "evolve",
-    "geodesic_distance",
     "hamiltonian_from_json",
     "hamiltonian_to_json",
     "inner",
     "is_geodesic",
     "min_time",
-    "min_time_spectral",
-    "orthogonal_min_time",
     "overlap_modulus",
     "overlap_rate_bound",
     "path_length",
-    "phase_equivalent",
     "propagator_driven",
     "propagator_static",
     "run_sweep",
     "short_time_coefficient",
     "solve_implicit_time",
-    "two_level_dispersion_spectral",
     "vaidman_decompose",
     "verify_bound",
     "wootters_distance",

@@ -30,11 +30,10 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .errors import QGeoError
+from .errors import QGeoError, json_number
 from .geometry import SpeedLimitReport
 from .hamiltonian import (
     Hamiltonian,
@@ -230,36 +229,9 @@ def emit_table(reports: Sequence[SpeedLimitReport]) -> str:
     return "\n".join(lines)
 
 
-def _dump_json(obj: Any, pad: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
-
-    With ``indent`` set the stdlib runs its pure-Python encoder item by item;
-    this renders the same text with one join per container.  A non-finite
-    value raises the stdlib's own ValueError, never "Infinity".  Keys must be
-    strings, as in every document qgeo writes; any other key raises
-    TypeError.  ``pad`` is the newline and indent of the current nesting level.
-    """
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        body = ("," + inner).join([_dump_json(x, inner) for x in obj])
-        return "[" + inner + body + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        body = ("," + inner).join(
-            [
-                f"{encode_basestring_ascii(k)}: {_dump_json(v, inner)}"
-                for k, v in sorted(obj.items())
-            ]
-        )
-        return "{" + inner + body + pad + "}"
-    if isinstance(obj, float) and not math.isfinite(obj):
-        # the stdlib's own error, from the same pure-Python encoder path
-        json.dumps(obj, indent=2, allow_nan=False)
-    return json.dumps(obj, allow_nan=False)
+def _dump_json(obj: Any) -> str:
+    """The one rendering of every document qgeo prints or writes, apart from the trace."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _write_trace(out_dir: Path, trace: EvolutionTrace, hamiltonian: Hamiltonian | None) -> None:
@@ -272,7 +244,8 @@ def _write_trace(out_dir: Path, trace: EvolutionTrace, hamiltonian: Hamiltonian 
     times, *amps, mean, dispersion = columns
     vector = "[\n        " + ",\n        ".join(["%s"] * trace.dim) + "\n      ]"
     state = '{\n      "im": ' + vector + ',\n      "re": ' + vector + "\n    }"
-    h_json = _dump_json(trace_hamiltonian_to_json(hamiltonian), "\n  ")
+    # JSON escapes every newline inside a string, so this only re-indents the layout
+    h_json = _dump_json(trace_hamiltonian_to_json(hamiltonian)).replace("\n", "\n  ")
     with open(out_dir / "trace.json", "w") as fh:
         for head, pieces in (
             ('{\n  "energy_dispersion": [', dispersion),
@@ -356,36 +329,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merged_config(args: argparse.Namespace) -> ScenarioConfig:
-    file_cfg: dict[str, Any] = {}
-    if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ValueError("config file must hold a JSON object")
+    file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(file_cfg, dict):
+        raise ValueError("config file must hold a JSON object")
 
-    def pick(name: str, default: Any = None) -> Any:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return file_cfg.get(name, default)
-
-    params: dict[str, float] = {}
-    for name in (
-        "epsilon",
-        "omega",
-        "omega0",
-        "hbar",
-        "b_perp_tesla",
-        "b_parallel_tesla",
-    ):
-        value = pick(name)
-        if value is not None:
-            params[name] = float(value)
+    # flags win over the file
+    merged = {**file_cfg, **{k: v for k, v in vars(args).items() if v is not None}}
+    params = {
+        name: json_number(merged, name)
+        for name in ("epsilon", "omega", "omega0", "hbar", "b_perp_tesla", "b_parallel_tesla")
+        if name in merged
+    }
+    steps = merged.get("steps", 2000)
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise ValueError(f"steps must be a JSON integer, got {steps!r}")
     return ScenarioConfig(
         scenario=args.scenario,
-        steps=int(pick("steps", 2000)),
-        unit_system=str(pick("unit_system", "natural")),
-        output=str(pick("output", "json")),
+        steps=steps,
+        unit_system=str(merged.get("unit_system", "natural")),
+        output=str(merged.get("output", "json")),
         parameters=params,
     )
 
@@ -456,9 +418,7 @@ def _cmd_implicit(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.trace) as fh:
-        data = json.load(fh)
-    trace = EvolutionTrace.from_json(data)
+    trace = EvolutionTrace.from_json(json.loads(Path(args.trace).read_text()))
     report = verify_bound(trace)
     print(_dump_json(report.to_json()))
     return 0 if report.bound_satisfied else 2
@@ -481,9 +441,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     reports = []
     for path in args.reports:
-        with open(path) as fh:
-            data = json.load(fh)
-        if "report" in data and isinstance(data["report"], Mapping):
+        data = json.loads(Path(path).read_text())
+        # a scenario envelope holds its report; from_json refuses a non-object
+        if isinstance(data, Mapping) and isinstance(data.get("report"), Mapping):
             data = data["report"]
         reports.append(SpeedLimitReport.from_json(data))
     print(emit_table(reports))

@@ -6,6 +6,8 @@ usual builtin.
 """
 
 import math
+import numbers
+from typing import Any, Mapping
 
 
 class QGeoError(ValueError):
@@ -56,3 +58,14 @@ def require_positive_finite(**params: float) -> None:
     for name, value in params.items():
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def json_number(data: Mapping[str, Any], name: str) -> float:
+    """``data[name]`` as a float; ValueError naming it unless it is a JSON number (not a bool)."""
+    value = data[name]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{name} must be a JSON number within the float range") from None

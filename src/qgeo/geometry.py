@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 import numpy as np
@@ -20,18 +20,14 @@ from .errors import (
     DegenerateEndpointsError,
     FormulaError,
     NormalizationError,
+    json_number,
     require_positive_finite,
 )
 from .quadrature import QuadratureResult, simpson_uniform
-from .states import CLAMP_WINDOW, QuantumState, wootters_distance
+from .states import CLAMP_WINDOW, wootters_distance
 
 #: Endpoints closer than this (in overlap) have no defined path ratio.
 DEGENERACY_TOL = 1e-12
-
-
-def geodesic_distance(a: QuantumState, b: QuantumState) -> float:
-    """Length 2*arccos|<a|b>| of the shortest curve between the two rays."""
-    return wootters_distance(a, b)
 
 
 def length_quadrature(
@@ -104,21 +100,16 @@ class SpeedLimitReport:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "SpeedLimitReport":
-        """Inverse of :meth:`to_json`: ``s`` must be positive and finite, the flag a bool."""
-        require_positive_finite(s=float(data["s"]))
+        """Inverse of :meth:`to_json`: JSON types checked by field, ``s`` positive and finite."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a report must be a JSON object, got {type(data).__name__}")
+        floats = [f.name for f in fields(cls) if f.name != "bound_satisfied"]
+        values = {name: json_number(data, name) for name in floats}
+        require_positive_finite(s=values["s"])
         flag = data["bound_satisfied"]
         if not isinstance(flag, bool):
             raise ValueError(f"bound_satisfied must be a JSON boolean, got {flag!r}")
-        return cls(
-            s0=float(data["s0"]),
-            s=float(data["s"]),
-            eta=float(data["eta"]),
-            t_effective=float(data["t_effective"]),
-            t_ideal=float(data["t_ideal"]),
-            avg_dispersion=float(data["avg_dispersion"]),
-            bound_satisfied=flag,
-            quadrature_error=float(data["quadrature_error"]),
-        )
+        return cls(bound_satisfied=flag, **values)
 
 
 def speed_limit_report(
@@ -209,5 +200,5 @@ def efficiency(trace) -> SpeedLimitReport:
 def is_geodesic(trace, tol: float = 1e-6) -> bool:
     """True when the trace length exceeds the endpoint distance by <= tol."""
     s = path_length(trace)
-    s0 = geodesic_distance(trace.initial_state, trace.final_state)
+    s0 = wootters_distance(trace.initial_state, trace.final_state)
     return s <= s0 + tol

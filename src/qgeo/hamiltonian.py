@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatchError,
     FormulaError,
     HermiticityError,
-    NormalizationError,
     StationaryStateError,
     require_positive_finite,
 )
@@ -364,26 +363,6 @@ def energy_mean(h: Hamiltonian, psi: QuantumState, t: float = 0.0) -> float:
 def energy_dispersion(h: Hamiltonian, psi: QuantumState, t: float = 0.0) -> float:
     """Energy spread sqrt(<H^2> - <H>^2) >= 0 at time t (see :func:`energy_statistics`)."""
     return _state_statistics(h, psi, t)[1]
-
-
-def two_level_dispersion_spectral(
-    e1: float, e2: float, a1: complex, a2: complex
-) -> float:
-    """Dispersion of psi = a1|E1> + a2|E2> in the eigenbasis of a 2-level H.
-
-    Equals (E2 - E1)/2 * sqrt(1 - (|a1|^2 - |a2|^2)^2); maximal for balanced
-    superpositions, zero for eigenstates.
-    """
-    if e2 < e1:
-        raise ValueError(f"eigenvalues out of order: E2={e2!r} < E1={e1!r}")
-    p1 = abs(a1) ** 2
-    p2 = abs(a2) ** 2
-    if abs(p1 + p2 - 1.0) > 1e-12:
-        raise NormalizationError(
-            f"|a1|^2 + |a2|^2 = {p1 + p2!r} must be 1 within 1e-12"
-        )
-    spread = 1.0 - (p1 - p2) ** 2
-    return 0.5 * (e2 - e1) * math.sqrt(max(spread, 0.0))
 
 
 @dataclass(frozen=True)

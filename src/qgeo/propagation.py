@@ -30,6 +30,7 @@ from .errors import (
     GridError,
     IntegrationError,
     NormalizationError,
+    json_number,
     require_positive_finite,
 )
 from .hamiltonian import (
@@ -259,21 +260,14 @@ class EvolutionTrace:
     def final_state(self) -> QuantumState:
         return QuantumState(self.amplitudes[-1])
 
-    def is_uniform(self, rel_tol: float = 1e-9) -> bool:
-        """True when all node spacings agree to ``rel_tol`` relatively."""
-        if self.n_nodes < 2:
-            return True
-        dts = np.diff(self.times)
-        dt = self.duration / (self.n_nodes - 1)
-        return bool(np.max(np.abs(dts - dt)) <= rel_tol * dt)
-
     def grid_spacing(self, rel_tol: float = 1e-9) -> float:
-        """The common node spacing; raises GridError on non-uniform grids."""
+        """The common node spacing; raises GridError unless every spacing agrees to ``rel_tol``."""
         if self.n_nodes < 2:
             raise GridError("a single-node trace has no spacing")
-        if not self.is_uniform(rel_tol):
+        dt = self.duration / (self.n_nodes - 1)
+        if not np.max(np.abs(np.diff(self.times) - dt)) <= rel_tol * dt:
             raise GridError("trace grid is not uniform")
-        return self.duration / (self.n_nodes - 1)
+        return dt
 
     def to_json(self, hamiltonian: Hamiltonian | None = None) -> dict[str, Any]:
         """JSON envelope with hbar, optional Hamiltonian spec, and all arrays."""
@@ -289,7 +283,9 @@ class EvolutionTrace:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "EvolutionTrace":
-        """Inverse of :meth:`to_json`; rejects ragged or off-norm states."""
+        """Inverse of :meth:`to_json`; names a field of the wrong JSON type or shape."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a trace must be a JSON object, got {type(data).__name__}")
         try:
             re = np.array([s["re"] for s in data["states"]], dtype=float)
             im = np.array([s["im"] for s in data["states"]], dtype=float)
@@ -300,11 +296,11 @@ class EvolutionTrace:
         amps = np.empty(re.shape, dtype=complex)
         amps.real, amps.imag = re, im  # re + 1j*im would compute 0*inf for an infinite im
         return cls(
-            times=np.asarray(data["times"], dtype=float),
+            times=_json_floats(data["times"], "times"),
             amplitudes=amps,
-            energy_mean=np.asarray(data["energy_mean"], dtype=float),
-            energy_dispersion=np.asarray(data["energy_dispersion"], dtype=float),
-            hbar=float(data["hbar"]),
+            energy_mean=_json_floats(data["energy_mean"], "energy_mean"),
+            energy_dispersion=_json_floats(data["energy_dispersion"], "energy_dispersion"),
+            hbar=json_number(data, "hbar"),
         )
 
     def float_columns(self) -> list[list[str]]:
@@ -327,6 +323,14 @@ class EvolutionTrace:
         target.write(",".join(["t", *amp_cols, "energy_mean", "energy_dispersion"]) + "\r\n")
         write_joined(target, map(",".join, zip(*(columns or self.float_columns()))), "\r\n")
         target.write("\r\n")
+
+
+def _json_floats(value: Any, name: str) -> np.ndarray:
+    """``value`` as a float array; ValueError naming the field when numpy cannot convert it."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # an object, a non-numeric string, a ragged nesting
+        raise ValueError(f"{name} must be an array of JSON numbers: {exc}") from None
 
 
 def write_joined(fh: io.TextIOBase, pieces: Iterable[str], sep: str) -> None:
@@ -496,13 +500,3 @@ def dispersion_driven_near_resonance(
     out = np.sqrt(np.clip(val, 0.0, None))
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
-
-def dispersion_short_time(
-    epsilon: float, omega: float, omega0: float, t: float | np.ndarray
-):
-    """Quadratic short-time model eps*(1 + a*t^2) of the driven dispersion."""
-    require_positive_finite(epsilon=epsilon)
-    a = short_time_coefficient(omega, omega0)
-    t_arr = np.asarray(t, dtype=float)
-    out = epsilon * (1.0 + a * t_arr * t_arr)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out

@@ -76,31 +76,6 @@ def min_time(query: BoundQuery) -> float:
     return query.hbar * theta_cos / d
 
 
-def orthogonal_min_time(dispersion: float, hbar: float = 1.0) -> float:
-    """Minimum time pi*hbar/(2*dE) = h/(4*dE) to reach an orthogonal state."""
-    require_positive_finite(hbar=hbar)
-    if dispersion == 0.0:
-        raise StationaryStateError("minimum time undefined at zero dispersion")
-    require_positive_finite(dispersion=dispersion)
-    return 0.5 * math.pi * hbar / dispersion
-
-
-def min_time_spectral(
-    e1: float, e2: float, overlap: float, hbar: float = 1.0
-) -> float:
-    """Minimum time (2*hbar/(E2 - E1)) * arccos(overlap) for a two-level band.
-
-    The largest dispersion available with spectrum {E1, E2} is (E2 - E1)/2,
-    attained by balanced superpositions, so this is the floor over all states
-    supported on the band.
-    """
-    if e2 <= e1:
-        raise ValueError(f"need E2 > E1, got E1={e1!r}, E2={e2!r}")
-    return min_time(
-        BoundQuery(overlap=overlap, dispersion=0.5 * (e2 - e1), hbar=hbar)
-    )
-
-
 def avg_dispersion(trace: EvolutionTrace) -> float:
     """Time-averaged energy dispersion (1/T) * integral of dE(t) dt = hbar*s/(2T).
 

@@ -118,9 +118,3 @@ def overlap_modulus(a: QuantumState, b: QuantumState) -> float:
 def wootters_distance(a: QuantumState, b: QuantumState) -> float:
     """Statistical distance 2*arccos|<a|b>| between rays; range [0, pi]."""
     return 2.0 * math.acos(overlap_modulus(a, b))
-
-
-def phase_equivalent(a: QuantumState, b: QuantumState, tol: float = 1e-9) -> bool:
-    """True when the two states coincide up to a global phase."""
-    return overlap_modulus(a, b) >= 1.0 - tol
-

@@ -8,7 +8,6 @@ from qgeo.geometry import (
     SpeedLimitReport,
     _require_arc_routes_agree,
     efficiency,
-    geodesic_distance,
     is_geodesic,
     path_length,
     speed_limit_report,
@@ -20,7 +19,7 @@ from qgeo.hamiltonian import (
     energy_dispersion,
 )
 from qgeo.propagation import EvolutionTrace, evolve
-from qgeo.states import QuantumState, overlap_modulus
+from qgeo.states import QuantumState, overlap_modulus, wootters_distance
 
 UP = QuantumState.exact([1.0, 0.0])
 DOWN = QuantumState.exact([0.0, 1.0])
@@ -40,20 +39,20 @@ def driven_trace(steps=1000):
 
 class TestGeodesicDistance:
     def test_orthogonal_endpoints(self):
-        assert geodesic_distance(UP, DOWN) == pytest.approx(math.pi)
+        assert wootters_distance(UP, DOWN) == pytest.approx(math.pi)
 
     def test_coincident_endpoints(self):
-        assert geodesic_distance(UP, UP) == 0.0
+        assert wootters_distance(UP, UP) == 0.0
 
     def test_half_overlap(self):
         b = QuantumState.exact([0.5, math.sqrt(3.0) / 2.0])
-        assert geodesic_distance(UP, b) == pytest.approx(2.0 * math.pi / 3.0)
+        assert wootters_distance(UP, b) == pytest.approx(2.0 * math.pi / 3.0)
 
     def test_depends_only_on_endpoints(self):
         coarse = static_trace(steps=100)
         fine = static_trace(steps=800)
-        d1 = geodesic_distance(coarse.initial_state, coarse.final_state)
-        d2 = geodesic_distance(fine.initial_state, fine.final_state)
+        d1 = wootters_distance(coarse.initial_state, coarse.final_state)
+        d2 = wootters_distance(fine.initial_state, fine.final_state)
         assert d1 == pytest.approx(d2, abs=1e-12)
 
 
@@ -73,7 +72,7 @@ class TestPathLength:
         s_fine = path_length(driven_trace(steps=2000))
         assert abs(s_coarse - s_fine) < 1e-8
         h = TwoLevelDriven(epsilon=EPS, omega=OMEGA, omega0=OMEGA0)
-        assert s_fine > geodesic_distance(UP, QuantumState.normalized(
+        assert s_fine > wootters_distance(UP, QuantumState.normalized(
             [0.5 * h.detuning / h.kappa, EPS / h.kappa]))
 
     def test_two_node_trace_rejected(self):
@@ -282,6 +281,6 @@ class TestIsGeodesic:
     def test_tolerance_dial(self):
         tr = driven_trace(steps=500)
         s = path_length(tr)
-        s0 = geodesic_distance(tr.initial_state, tr.final_state)
+        s0 = wootters_distance(tr.initial_state, tr.final_state)
         assert not is_geodesic(tr, tol=0.5 * (s - s0))
         assert is_geodesic(tr, tol=2.0 * (s - s0))

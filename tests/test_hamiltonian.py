@@ -6,7 +6,6 @@ import pytest
 from qgeo.errors import (
     DimensionMismatchError,
     HermiticityError,
-    NormalizationError,
     StationaryStateError,
 )
 from qgeo.hamiltonian import (
@@ -23,7 +22,6 @@ from qgeo.hamiltonian import (
     hamiltonian_to_json,
     overlap_rate_bound,
     require_hermitian,
-    two_level_dispersion_spectral,
     vaidman_decompose,
 )
 from qgeo.propagation import evolve
@@ -318,51 +316,6 @@ class TestEnergyDispersion:
         d1 = energy_dispersion(ConstantMatrix(m), psi)
         d2 = energy_dispersion(ConstantMatrix(2.5 * m), psi)
         assert d2 == pytest.approx(2.5 * d1, rel=1e-12)
-
-
-class TestSpectralDispersion:
-    def test_known_value(self):
-        d = two_level_dispersion_spectral(1.0, 3.0, math.sqrt(3.0) / 2.0, 0.5)
-        assert d == pytest.approx(math.sqrt(3.0) / 2.0)
-
-    def test_eigenstates_give_zero(self):
-        assert two_level_dispersion_spectral(0.0, 2.0, 1.0, 0.0) == 0.0
-        assert two_level_dispersion_spectral(0.0, 2.0, 0.0, 1.0) == 0.0
-
-    def test_balanced_superposition_is_maximal(self):
-        inv = 1.0 / math.sqrt(2.0)
-        d = two_level_dispersion_spectral(-1.0, 1.0, inv, inv)
-        assert d == pytest.approx(1.0)
-
-    def test_complex_amplitudes_only_matter_through_moduli(self):
-        inv = 1.0 / math.sqrt(2.0)
-        d1 = two_level_dispersion_spectral(0.0, 1.0, inv, inv)
-        d2 = two_level_dispersion_spectral(0.0, 1.0, inv * 1j, -inv)
-        assert d1 == pytest.approx(d2)
-
-    def test_matches_generic_route(self):
-        # build a diagonal two-level H and compare against energy_dispersion
-        rng = np.random.default_rng(17)
-        for _ in range(30):
-            e1, gap = sorted(rng.uniform(0.1, 3.0, size=2))
-            e2 = e1 + gap
-            theta = rng.uniform(0.0, math.pi / 2.0)
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            a1 = math.cos(theta)
-            a2 = math.sin(theta) * np.exp(1j * phi)
-            psi = QuantumState.exact([a1, a2], tol=1e-9)
-            h = ConstantMatrix(np.diag([e1, e2]).astype(complex))
-            assert two_level_dispersion_spectral(e1, e2, a1, a2) == pytest.approx(
-                energy_dispersion(h, psi), abs=1e-12
-            )
-
-    def test_rejects_out_of_order_eigenvalues(self):
-        with pytest.raises(ValueError):
-            two_level_dispersion_spectral(3.0, 1.0, 1.0, 0.0)
-
-    def test_rejects_unnormalized_amplitudes(self):
-        with pytest.raises(NormalizationError):
-            two_level_dispersion_spectral(0.0, 1.0, 1.0, 1.0)
 
 
 class TestVaidmanDecompose:

@@ -1,4 +1,4 @@
-"""Every import in the package sits at module level.
+"""Every import in the package sits at module level, and every export resolves.
 
 An import inside a function body hides a dependency from the module header
 and is the usual way a module cycle (such as geometry -> speedlimit ->
@@ -40,3 +40,10 @@ def test_no_imports_inside_functions(path):
 def test_detector_finds_a_deferred_import():
     source = "def f():\n    from .speedlimit import min_time\n    return min_time\n"
     assert function_local_imports(source) == [("f", 2)]
+
+
+def test_every_export_resolves_once_in_sorted_order():
+    # a stale name breaks ``from qgeo import *`` but not ``import qgeo``
+    for name in qgeo.__all__:
+        getattr(qgeo, name)
+    assert qgeo.__all__ == sorted(set(qgeo.__all__))

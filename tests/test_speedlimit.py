@@ -28,8 +28,6 @@ from qgeo.speedlimit import (
     SweepResult,
     avg_dispersion,
     min_time,
-    min_time_spectral,
-    orthogonal_min_time,
     run_sweep,
     solve_implicit_time,
     verify_bound,
@@ -108,62 +106,6 @@ class TestMinTime:
         t1 = min_time(BoundQuery(overlap=0.2, dispersion=1.0, hbar=1.0))
         t2 = min_time(BoundQuery(overlap=0.2, dispersion=1.0, hbar=3.0))
         assert t2 == pytest.approx(3.0 * t1)
-
-
-class TestOrthogonalMinTime:
-    def test_unit_case(self):
-        assert orthogonal_min_time(1.0) == pytest.approx(math.pi / 2.0)
-
-    def test_agrees_with_min_time_at_zero_overlap(self):
-        for d in (0.3, 1.0, 7.0):
-            assert orthogonal_min_time(d) == pytest.approx(
-                min_time(BoundQuery(overlap=0.0, dispersion=d))
-            )
-
-    def test_spectral_consistency(self):
-        # using the maximal band dispersion (E2-E1)/2 reproduces h/(2(E2-E1))
-        e1, e2 = 0.4, 1.9
-        h_planck = 2.0 * math.pi
-        assert orthogonal_min_time(0.5 * (e2 - e1)) == pytest.approx(
-            h_planck / (2.0 * (e2 - e1))
-        )
-
-    def test_electron_in_microtesla_field(self):
-        b_perp = 1e-6
-        eps = HBAR_SI * rabi_angular_frequency(b_perp)
-        t = orthogonal_min_time(eps, hbar=HBAR_SI)
-        assert 1.7e-5 < t < 1.9e-5
-
-    def test_zero_dispersion_raises(self):
-        with pytest.raises(StationaryStateError):
-            orthogonal_min_time(0.0)
-
-
-class TestMinTimeSpectral:
-    def test_unit_band(self):
-        assert min_time_spectral(0.0, 2.0, 0.0) == pytest.approx(math.pi / 2.0)
-
-    def test_coincident_target(self):
-        assert min_time_spectral(0.0, 2.0, 1.0) == 0.0
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            min_time_spectral(2.0, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            min_time_spectral(1.0, 1.0, 0.5)
-
-    def test_bounded_spectrum_floor(self):
-        # whenever the band sits inside [-E_max, E_max], no state beats
-        # (hbar/E_max) * arccos(overlap)
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            e_max = float(rng.uniform(0.5, 4.0))
-            e1, e2 = sorted(rng.uniform(-e_max, e_max, size=2))
-            if e2 - e1 < 1e-6:
-                continue
-            ov = float(rng.uniform(0.0, 1.0))
-            floor = math.acos(ov) / e_max
-            assert min_time_spectral(e1, e2, ov) >= floor - 1e-12
 
 
 class TestAvgDispersion:

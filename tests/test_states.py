@@ -10,7 +10,6 @@ from qgeo.states import (
     QuantumState,
     inner,
     overlap_modulus,
-    phase_equivalent,
     wootters_distance,
 )
 
@@ -189,28 +188,4 @@ def test_distance_zero_iff_phase_equivalent(seed, dim, phase):
     rng = np.random.default_rng(seed)
     a = random_state(rng, dim)
     rotated = QuantumState.exact(np.exp(1j * phase) * a.amplitudes)
-    assert phase_equivalent(a, rotated)
     assert wootters_distance(a, rotated) < 1e-6
-
-
-class TestPhaseEquivalent:
-    def test_phase_rotated_basis_state(self):
-        a = QuantumState.exact([0.0, 1.0])
-        b = QuantumState.exact([0.0, -1.0j])
-        assert phase_equivalent(a, b)
-
-    def test_distinct_basis_states(self):
-        a = QuantumState.exact([1.0, 0.0])
-        b = QuantumState.exact([0.0, 1.0])
-        assert not phase_equivalent(a, b)
-
-    def test_pure_global_phase(self):
-        a = QuantumState.exact([1.0, 0.0])
-        b = QuantumState.exact([np.exp(1j * 2.3), 0.0])
-        assert phase_equivalent(a, b)
-
-    def test_tol_parameter(self):
-        a = QuantumState.exact([1.0, 0.0])
-        b = QuantumState.normalized([1.0, 0.01])
-        assert not phase_equivalent(a, b, tol=1e-9)
-        assert phase_equivalent(a, b, tol=1e-3)

@@ -19,7 +19,6 @@ from qgeo.propagation import (
     EvolutionTrace,
     dispersion_driven_closed,
     dispersion_driven_near_resonance,
-    dispersion_short_time,
     propagator_driven,
     propagator_static,
     short_time_coefficient,
@@ -32,8 +31,6 @@ from qgeo.si import (
 from qgeo.speedlimit import (
     BoundQuery,
     min_time,
-    min_time_spectral,
-    orthogonal_min_time,
     run_sweep,
     solve_implicit_time,
 )
@@ -82,12 +79,6 @@ CASES = [
         DRIVE,
     ),
     *_cases(
-        "dispersion_short_time",
-        dispersion_short_time,
-        {"epsilon": 1.0, "omega": 0.25, "omega0": 0.2, "t": 0.1},
-        ("epsilon", "omega", "omega0"),
-    ),
-    *_cases(
         "short_time_coefficient", short_time_coefficient, {"omega": 0.25, "omega0": 0.2}
     ),
     ("EvolutionTrace", "hbar", _trace),
@@ -101,10 +92,6 @@ CASES = [
         "avg_dispersion",
         lambda v: min_time(BoundQuery(overlap=0.5, avg_dispersion=v)),
     ),
-    *_cases(
-        "orthogonal_min_time", orthogonal_min_time, {"dispersion": 1.0, "hbar": 1.0}
-    ),
-    ("min_time_spectral", "hbar", lambda v: min_time_spectral(0.0, 2.0, 0.5, hbar=v)),
     *_cases("solve_implicit_time", solve_implicit_time, DRIVE),
     ("run_sweep", "hbar", lambda v: run_sweep(samples=1, steps=8, hbar=v)),
     ("larmor_angular_frequency", "b_parallel_tesla", larmor_angular_frequency),
