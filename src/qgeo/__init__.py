@@ -9,8 +9,10 @@ geodesics.  Modules:
 * :mod:`qgeo.hamiltonian`  -- Hamiltonian specs and their one sampling path
   (``sample``, ``apply_many``, ``constant_generator``), energy statistics,
   the mean/dispersion decomposition, the overlap-rate bound.
-* :mod:`qgeo.propagation`  -- fourth-order Magnus integrator, closed-form
-  two-level propagators and dispersion laws, evolution traces.
+* :mod:`qgeo.propagation`  -- fourth-order Magnus integrator (Simpson nodes,
+  each time sampled once, the exponential applied as a Taylor action above
+  2x2), closed-form two-level propagators and dispersion laws, evolution
+  traces.
 * :mod:`qgeo.geometry`     -- path lengths, geodesic efficiency.
 * :mod:`qgeo.speedlimit`   -- minimum-time queries, bound verification,
   the short-time implicit solver, randomized sweeps.

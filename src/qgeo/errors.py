@@ -60,8 +60,13 @@ def require_positive_finite(**params: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def json_number(data: Mapping[str, Any], name: str) -> float:
-    """``data[name]`` as a float; ValueError naming it unless it is a JSON number (not a bool)."""
+def json_number(data: Mapping[str, Any], name: str, default: float | None = None) -> float:
+    """``data[name]`` as a float; ValueError naming it unless it is a JSON number (not a bool).
+
+    ``default``, when given, stands for an absent field.
+    """
+    if default is not None and name not in data:
+        return default
     value = data[name]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a JSON number, got {value!r}")

@@ -23,6 +23,7 @@ from .errors import (
     FormulaError,
     HermiticityError,
     StationaryStateError,
+    json_number,
     require_positive_finite,
 )
 from .states import QuantumState
@@ -107,6 +108,12 @@ def energy_statistics(
     return mean.real * pow2, np.sqrt(np.clip(var, 0.0, None)) * pow2
 
 
+def apply_samples(samples: np.ndarray, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(H_i psi_i, max|H_i| floored at 1)`` for a stack of samples and states ``(n, dim)``."""
+    hv = (samples @ psis[:, :, np.newaxis])[..., 0]
+    return hv, np.abs(samples).max(axis=(-2, -1), initial=1.0)
+
+
 class Hamiltonian:
     """Common protocol for the energy observables driving an evolution.
 
@@ -151,9 +158,7 @@ class Hamiltonian:
         scale = np.empty(times.size)
         for first in range(0, times.size, STACK_CHUNK):
             rows = slice(first, first + STACK_CHUNK)
-            m = self.sample(times[rows])
-            hv[rows] = (m @ psis[rows, :, np.newaxis])[..., 0]
-            scale[rows] = np.abs(m).max(axis=(-2, -1), initial=1.0)
+            hv[rows], scale[rows] = apply_samples(self.sample(times[rows]), psis[rows])
         return hv, scale
 
     @property
@@ -476,13 +481,13 @@ def hamiltonian_from_json(data: Mapping[str, Any], hbar: float = 1.0) -> Hamilto
         return ConstantMatrix(matrix, hbar=hbar)
     if kind == "two_level_static":
         return TwoLevelStatic(
-            epsilon=float(data["epsilon"]), hbar=float(data.get("hbar", 1.0))
+            epsilon=json_number(data, "epsilon"), hbar=json_number(data, "hbar", 1.0)
         )
     if kind == "two_level_driven":
         return TwoLevelDriven(
-            epsilon=float(data["epsilon"]),
-            omega=float(data["omega"]),
-            omega0=float(data["omega0"]),
-            hbar=float(data.get("hbar", 1.0)),
+            epsilon=json_number(data, "epsilon"),
+            omega=json_number(data, "omega"),
+            omega0=json_number(data, "omega0"),
+            hbar=json_number(data, "hbar", 1.0),
         )
     raise ValueError(f"unknown Hamiltonian kind {kind!r}")

@@ -4,12 +4,16 @@
 a stack: the exact Pauli form at 2x2, the spectral form from ``eigh`` above.
 A Hamiltonian's ``constant_generator`` is exponentiated once and the nodes
 ``U^k psi0`` are filled by doubling powers (:func:`fill_by_doubling`, which
-also serves the stacked sweep).  Without one, ``sample`` is integrated by the
-fourth-order Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
-(2009)): one exponential per step of an effective generator built from
-samples at the two Gauss nodes, one stacked ``sample`` per chunk of steps.
-The node statistics come from ``apply_many``, each node at its own scale.
-Every product is unitary to round-off, so norm drift is a genuine error
+also serves the stacked sweep), and the node statistics come from
+``apply_many``.  Without one, ``sample`` is integrated by the fourth-order
+Magnus step with Simpson nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+151 (2009)): each time is sampled once, one stacked ``sample`` per chunk of
+steps, and a step's end sample is the next step's start sample and gives
+its node's statistics.  Above 2x2 the step applies the exponential's Taylor
+polynomial to the state, with no propagator formed (Al-Mohy & Higham, SIAM
+J. Sci. Comput. 33, 488 (2011)), unless a phase of its chunk exceeds 1 in
+the inf-norm; then, and at 2x2, it takes :func:`expm_unitary_step`.
+Every step is unitary to round-off, so norm drift is a genuine error
 signal, checked at every node.
 A trace holds its node states as one ``(n_nodes, dim)`` amplitude array.
 """
@@ -38,6 +42,7 @@ from .hamiltonian import (
     Hamiltonian,
     PAULI_X,
     PAULI_Z,
+    apply_samples,
     energy_statistics,
     hamiltonian_from_json,
     hamiltonian_to_json,
@@ -49,8 +54,9 @@ from .states import QuantumState
 MAX_NORM_DRIFT = 1e-9
 
 _ID2 = np.eye(2, dtype=complex)
-_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
-_COMMUTATOR_WEIGHT = math.sqrt(3.0) / 12.0
+#: ``_TAYLOR_THETA[m]``: the largest ``|M|`` whose Taylor degree ``m`` truncates
+#: ``exp(-i M)`` below ``2^-53``, ``((m+1)! 2^-53)^(1/(m+1))``; above 1 at m = 18.
+_TAYLOR_THETA = np.array([(math.factorial(m + 1) * 2.0**-53) ** (1.0 / (m + 1)) for m in range(19)])
 #: Rows or nodes per ``write`` call of the trace writers.
 _WRITE_BLOCK = 1024
 
@@ -140,41 +146,81 @@ def fill_by_doubling(step: np.ndarray, psi0: np.ndarray, n_nodes: int) -> np.nda
     return psis
 
 
-def _magnus4_nodes(h: Hamiltonian, psi0: np.ndarray, starts: np.ndarray, dt: float) -> np.ndarray:
-    """Nodes of the fourth-order Magnus integrator from step start times ``starts``.
+def _taylor_degrees(norms: np.ndarray) -> np.ndarray:
+    """Least Taylor degree ``m`` with ``norm^(m+1)/(m+1)! <= 2^-53`` for each ``norm <= 1``."""
+    return np.searchsorted(_TAYLOR_THETA, norms)
 
-    Each step samples the generator at the Gauss nodes ``t + (1/2 -+ sqrt(3)/6) dt``
-    (H1, H2) and applies ``exp(-i M dt / hbar)`` of the effective generator
 
-        M = (H1 + H2)/2 - i (sqrt(3)/12) (dt/hbar) [H2, H1],
+def _expm_action(phase: np.ndarray, psi: np.ndarray, degree: int) -> np.ndarray:
+    """``exp(-i * phase) @ psi`` by its Taylor polynomial of ``degree``, in Horner form."""
+    v = psi
+    for j in range(degree, 0, -1):
+        v = psi + (phase @ v) * (-1j / j)
+    return v
+
+
+def _magnus4_nodes(
+    h: Hamiltonian, psi0: np.ndarray, times: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes of the fourth-order Magnus integrator on ``times``, and their energy statistics.
+
+    ``sample`` is taken once at every node and once at every step's midpoint.
+    With the phases ``A = H dt / hbar`` at a step's start, midpoint and end
+    (A0, Am, A1), ``B0 = (A0 + 4 Am + A1)/6`` and ``B1 = (A1 - A0)/12``, the
+    step applies ``exp(-i M)`` of
+
+        M = B0 - i [B1, B0],
 
     which is Hermitian because the commutator of two Hermitian matrices is
-    anti-Hermitian.  The steps go in chunks of STACK_CHUNK: one stacked
-    ``sample`` and one exponential per chunk, then the sequential matvec
-    chain.  Raises IntegrationError when ``M dt / hbar`` overflows or a
-    node's norm drifts beyond MAX_NORM_DRIFT.
+    anti-Hermitian.  Above 2x2, a chunk whose every ``M`` has ``|M|_inf <= 1``
+    applies the exponential's Taylor polynomial to the state, so forms no
+    propagator; otherwise the chunk takes one stacked :func:`expm_unitary_step`.
+    The steps go in chunks of STACK_CHUNK, one stacked ``sample`` each, after
+    one of the initial node.  The node samples also give the statistics, by
+    :func:`~qgeo.hamiltonian.apply_samples` as in ``apply_many``.
+    Raises IntegrationError when ``M`` overflows or a node's norm drifts
+    beyond MAX_NORM_DRIFT.
     """
-    psis = np.empty((starts.size + 1, psi0.size), dtype=complex)
+    psis = np.empty((times.size, psi0.size), dtype=complex)
+    hv = np.empty(psis.shape, dtype=complex)
+    scale = np.empty(times.size)
     psis[0] = psi0
-    for first in range(0, starts.size, STACK_CHUNK):
-        nodes = (starts[first : first + STACK_CHUNK, np.newaxis] + dt * _GAUSS_NODES).ravel()
+    start = h.sample(times[:1])
+    hv[:1], scale[:1] = apply_samples(start, psis[:1])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        a_end = start[0] * (dt / h.hbar)
+    for first in range(0, times.size - 1, STACK_CHUNK):
+        rows = slice(first + 1, min(first + STACK_CHUNK, times.size - 1) + 1)
+        nodes = np.empty(2 * (rows.stop - rows.start))
+        nodes[0::2], nodes[1::2] = times[rows] - 0.5 * dt, times[rows]
         samples = h.sample(nodes)
-        # M dt/hbar from the phases A = H dt/hbar, so that huge energies over
-        # tiny steps square to O(1), not to inf
+        # M from the phases A = H dt/hbar, so that huge energies over tiny
+        # steps square to O(1), not to inf
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             a = samples * (dt / h.hbar)
-            a1, a2 = a[0::2], a[1::2]
-            p = a2 @ a1  # [A2, A1] = P - P^dagger, since A1 A2 = (A2 A1)^dagger
-            phase = 0.5 * (a1 + a2) - (1j * _COMMUTATOR_WEIGHT) * (p - p.conj().swapaxes(-1, -2))
+            a0 = np.concatenate((a_end[np.newaxis], a[1:-1:2]))
+            am, a1 = a[0::2], a[1::2]
+            b0 = (a0 + 4.0 * am + a1) * (1.0 / 6.0)
+            b1 = (a1 - a0) * (1.0 / 12.0)
+            p = b1 @ b0  # [B1, B0] = P - P^dagger, since B0 B1 = (B1 B0)^dagger
+            phase = b0 - 1j * (p - p.conj().swapaxes(-1, -2))
         if not np.isfinite(phase).all():
+            span = f"[{float(times[first])!r}, {float(times[rows.stop - 1])!r}]"
             raise IntegrationError(
-                f"the step phase of H(t) on [{float(nodes[0])!r}, {float(nodes[-1])!r}] overflows: "
+                f"the step phase of H(t) on {span} overflows: "
                 f"dt = {dt!r} is too coarse for its energies"
             )
-        for k, u in enumerate(expm_unitary_step(phase, 1.0, 1.0), start=first):
-            psis[k + 1] = u @ psis[k]
+        norms = np.abs(phase).sum(axis=-1).max(axis=-1)
+        if psi0.size > 2 and norms.max() <= 1.0:
+            for k, (m, degree) in enumerate(zip(phase, _taylor_degrees(norms).tolist()), first):
+                psis[k + 1] = _expm_action(m, psis[k], degree)
+        else:
+            for k, u in enumerate(expm_unitary_step(phase, 1.0, 1.0), start=first):
+                psis[k + 1] = u @ psis[k]
+        hv[rows], scale[rows] = apply_samples(samples[1::2], psis[rows])
+        a_end = a1[-1]
     _require_unit_rows(psis, IntegrationError)
-    return psis
+    return psis, *energy_statistics(psis, hv, scale)
 
 
 def _require_unit_rows(amps: np.ndarray, error: type[Exception]) -> None:
@@ -354,14 +400,7 @@ def trace_hamiltonian_from_json(data: Mapping[str, Any]) -> Hamiltonian | None:
     h_json = data.get("hamiltonian")
     if h_json is None:
         return None
-    return hamiltonian_from_json(h_json, hbar=float(data.get("hbar", 1.0)))
-
-
-def _node_statistics(
-    h: Hamiltonian, psis: np.ndarray, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Energy mean and dispersion of the observable at every node, at each node's scale."""
-    return energy_statistics(psis, *h.apply_many(times, psis))
+    return hamiltonian_from_json(h_json, hbar=json_number(data, "hbar", 1.0))
 
 
 def evolve(
@@ -370,9 +409,11 @@ def evolve(
     """Propagate ``psi0`` under ``h`` on a uniform grid of ``steps`` steps.
 
     When ``h.constant_generator`` is set, the nodes are exact up to
-    round-off.  Otherwise each step is the fourth-order Magnus step: ``sample``
-    is taken at the two Gauss nodes of the step, so a run of ``steps`` steps
-    samples ``2 * steps`` times, and the global error falls as ``dt^4``.
+    round-off.  Otherwise each step is the fourth-order Magnus step with
+    Simpson nodes: ``sample`` is taken at every node and every step's
+    midpoint, so a run of ``steps`` steps samples ``2 * steps + 1`` times;
+    the node samples give the statistics, and the global error falls as
+    ``dt^4``.
 
     Args:
         h: Hamiltonian spec; its ``constant_generator``, or else its
@@ -407,10 +448,10 @@ def evolve(
     if generator is not None:
         step = expm_unitary_step(require_hermitian(generator, context="generator"), dt, h.hbar)
         psis = fill_by_doubling(step, psi0.amplitudes, n_nodes)
+        # no name holds H psi, so it is freed before the trace copies its arrays
+        mean, disp = energy_statistics(psis, *h.apply_many(times, psis))
     else:
-        psis = _magnus4_nodes(h, psi0.amplitudes, times[:-1], dt)
-
-    mean, disp = _node_statistics(h, psis, times)
+        psis, mean, disp = _magnus4_nodes(h, psi0.amplitudes, times, dt)
     return EvolutionTrace(times, psis, mean, disp, hbar=h.hbar)
 
 

@@ -140,7 +140,7 @@ class TestTimeDependent:
 
     def test_evolve_refuses_the_noisy_sample_by_its_time(self):
         noisy = lambda t: PAULI_X + np.array([[0.0, 1e-8], [0.0, 0.0]])
-        with pytest.raises(HermiticityError, match=r"^H\(t=0\.0[0-9]+\) is not Hermitian"):
+        with pytest.raises(HermiticityError, match=r"^H\(t=0\.0\) is not Hermitian"):
             evolve(TimeDependent(noisy, dimension=2), UP, 1.0, 10)
 
     def test_stack_error_names_the_first_offending_time(self):
@@ -413,6 +413,26 @@ class TestSerialization:
         h = TimeDependent(lambda t: PAULI_X, dimension=2)
         with pytest.raises(ValueError):
             hamiltonian_to_json(h)
+
+    @pytest.mark.parametrize("value", [None, True, "1.0"])
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("two_level_static", "epsilon"),
+            ("two_level_static", "hbar"),
+            ("two_level_driven", "omega"),
+            ("two_level_driven", "omega0"),
+            ("two_level_driven", "hbar"),
+        ],
+    )
+    def test_preset_number_of_wrong_json_type_is_named(self, kind, field, value):
+        preset = {
+            "two_level_static": TwoLevelStatic(epsilon=0.4),
+            "two_level_driven": TwoLevelDriven(epsilon=1.0, omega=0.25, omega0=0.2),
+        }[kind]
+        doc = {**hamiltonian_to_json(preset), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a JSON number"):
+            hamiltonian_from_json(doc)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,8 @@ from qgeo.hamiltonian import (
 )
 from qgeo.propagation import (
     EvolutionTrace,
-    _node_statistics,
+    _expm_action,
+    _taylor_degrees,
     dispersion_driven_closed,
     dispersion_driven_near_resonance,
     evolve,
@@ -314,6 +315,13 @@ class TestTraceSerialization:
         assert doc["hamiltonian"] is None
         assert trace_hamiltonian_from_json(doc) is None
 
+    @pytest.mark.parametrize("value", [None, True, "1.0"])
+    def test_envelope_hbar_of_wrong_json_type_is_named(self, value):
+        h, tr = self.trace()
+        doc = {**tr.to_json(h), "hbar": value}
+        with pytest.raises(ValueError, match="^hbar must be a JSON number"):
+            trace_hamiltonian_from_json(doc)
+
     def test_callable_hamiltonian_serializes_as_null(self):
         h = lab_frame_hamiltonian()
         tr = evolve(h, UP, 0.5, steps=8)
@@ -472,7 +480,7 @@ class TestMagnusIntegrator:
         oracle = lab_frame_solution(2.0, UP.amplitudes, hbar=hbar)
         self.assert_fourth_order(lab_frame_hamiltonian(hbar=hbar), UP, oracle)
 
-    def test_fourth_order_on_the_eigh_path(self):
+    def test_fourth_order_on_the_action_path(self):
         h, solution = rotating_drive(4, seed=11)
         psi0 = QuantumState.normalized([1.0, 0.5j, -0.25, 0.75])
         self.assert_fourth_order(h, psi0, solution(2.0, psi0.amplitudes))
@@ -498,11 +506,81 @@ class TestMagnusIntegrator:
         monkeypatch.setattr(hamiltonian, "require_hermitian", counting_hermitian)
         monkeypatch.setattr(propagation, "expm_unitary_step", counting_expm)
         evolve(TimeDependent(counting_func, dimension=2), UP, 1.0, steps=steps)
-        # two Gauss nodes per step and every node's statistics, one check per stack
+        # every node and every midpoint once, one check for the initial node and one per stack
         chunks = math.ceil(steps / hamiltonian.STACK_CHUNK)
-        assert calls["func"] == 3 * steps + 1
-        assert calls["hermitian"] == chunks + math.ceil((steps + 1) / hamiltonian.STACK_CHUNK)
+        assert calls["func"] == 2 * steps + 1
+        assert calls["hermitian"] == 1 + chunks
         assert calls["expm"] == chunks
+
+    @pytest.mark.parametrize("norm", [1.0, 0.3, 1e-3])
+    @pytest.mark.parametrize("dim", [3, 8, 32])
+    def test_action_matches_the_exponential(self, dim, norm):
+        rng = np.random.default_rng(dim)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m = 0.5 * (g + g.conj().T)
+        m *= norm / np.abs(m).sum(axis=1).max()  # |M|_inf = norm
+        psi = QuantumState.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim)).amplitudes
+        degree = int(_taylor_degrees(np.array([norm]))[0])
+        assert degree <= 18
+        got = _expm_action(m, psi, degree)
+        assert np.max(np.abs(got - expm_unitary_step(m, 1.0, 1.0) @ psi)) <= 1e-14
+
+    def test_taylor_degree_is_the_least_that_truncates_below_2_53(self):
+        norms = np.concatenate(([0.0, 1e-300, 1e-17, 2.0**-53, 1e-8], np.linspace(1e-3, 1.0, 200)))
+        for norm, m in zip(norms.tolist(), _taylor_degrees(norms).tolist()):
+            assert m <= 18
+            assert norm ** (m + 1) / math.factorial(m + 1) <= 2.0**-53
+            assert m == 0 or norm**m / math.factorial(m) > 2.0**-53
+
+    def test_chunk_with_a_large_phase_takes_the_exponential(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        a = 0.5 * (g + g.conj().T)
+        a /= np.abs(a).sum(axis=1).max()
+        psi0 = QuantumState.normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
+        # |M|_inf stays below 1 over the first 16 steps and reaches ~3 over the last 16
+        h = TimeDependent(lambda t: a * (1.0 + 100.0 * t**3), dimension=4)
+        calls = {"expm": 0}
+        real_expm = propagation.expm_unitary_step
+
+        def counting_expm(*args):
+            calls["expm"] += 1
+            return real_expm(*args)
+
+        monkeypatch.setattr(propagation, "expm_unitary_step", counting_expm)
+        tr = evolve(h, psi0, 1.0, steps=32)
+        assert calls["expm"] == 1
+        # H(t) = a f(t) commutes with itself and Simpson's rule integrates a
+        # cubic f exactly, so every step is exact: exp(-i a (t + 25 t^4))
+        exact = expm_unitary_step(a, 1.0 + 25.0, 1.0) @ psi0.amplitudes
+        assert np.max(np.abs(tr.final_state.amplitudes - exact)) <= 1e-12
+
+    def test_zero_duration_samples_once(self):
+        calls = []
+        lab = lab_frame_hamiltonian()
+
+        def counting_func(t):
+            calls.append(t)
+            return lab.func(t)
+
+        tr = evolve(TimeDependent(counting_func, dimension=2), UP, 0.0, steps=8)
+        assert calls == [0.0]
+        assert tr.n_nodes == 1
+        assert tr.energy_mean[0] == pytest.approx(energy_mean(lab, UP, 0.0), abs=1e-15)
+        assert tr.energy_dispersion[0] == pytest.approx(energy_dispersion(lab, UP, 0.0), abs=1e-15)
+
+    def test_node_statistics_match_the_samples(self):
+        h, _ = rotating_drive(8, seed=3)
+        psi0 = QuantumState.normalized(np.arange(1.0, 9.0) + 1j * np.arange(8.0, 0.0, -1.0))
+        tr = evolve(h, psi0, 2.0, steps=40)
+        for i in (0, 17, 40):
+            t, v = float(tr.times[i]), tr.amplitudes[i]
+            m = h.func(t)
+            mean = np.vdot(v, m @ v).real
+            disp = np.linalg.norm(m @ v - mean * v)
+            scale = np.abs(m).max()
+            assert abs(tr.energy_mean[i] - mean) <= 1e-12 * scale
+            assert abs(tr.energy_dispersion[i] - disp) <= 1e-12 * scale
 
     def test_energies_near_1e200_over_tiny_steps_do_not_overflow(self):
         # H(t) = s g(s t) over T/s has the nodes of g over T, for any s
@@ -601,9 +679,8 @@ class TestConstantGeneratorFill:
             return PAULI_X + t * PAULI_Z + (skew if t == bad_t else 0.0)
 
         h = TimeDependent(func, dimension=2)
-        psis = np.array([UP.amplitudes] * times.size)
         with pytest.raises(HermiticityError, match="H\\(t=0.6"):
-            _node_statistics(h, psis, times)
+            evolve(h, UP, 1.0, steps=10)
 
 
 class TestOverlapDecay:
