@@ -6,13 +6,15 @@ bounded below by hbar*arccos|<A|B>| / <dE>, with equality exactly on
 geodesics.  Modules:
 
 * :mod:`qgeo.states`       -- normalized states, overlaps, Wootters distance.
-* :mod:`qgeo.hamiltonian`  -- Hamiltonian specs and their one sampling path
-  (``sample``, ``apply_many``, ``constant_generator``), energy statistics,
-  the mean/dispersion decomposition, the overlap-rate bound.
-* :mod:`qgeo.propagation`  -- fourth-order Magnus integrator (Simpson nodes,
-  each time sampled once, the exponential applied as a Taylor action above
-  2x2), closed-form two-level propagators and dispersion laws, evolution
-  traces.
+* :mod:`qgeo.hamiltonian`  -- Hamiltonian specs with one matrix, the
+  observable ``sample(t)`` that both moves the state and is measured
+  (``constant_generator`` and ``frame_rate`` give its constant form), energy
+  statistics, the mean/dispersion decomposition, the overlap-rate bound.
+* :mod:`qgeo.propagation`  -- exact doubling fill for a constant generator
+  (in the drive's frame for the driven preset), fourth-order Magnus
+  integrator (Simpson nodes, each time sampled once, the exponential applied
+  as a Taylor action above 2x2), closed-form two-level propagators and
+  dispersion laws, evolution traces.
 * :mod:`qgeo.geometry`     -- path lengths, geodesic efficiency.
 * :mod:`qgeo.speedlimit`   -- minimum-time queries, bound verification,
   the short-time implicit solver, randomized sweeps.

@@ -34,11 +34,6 @@ HERMITICITY_TOL = 1e-12
 #: Relative threshold below which a state counts as an eigenstate (zero spread).
 STATIONARY_TOL = 1e-12
 
-#: Nodes per stacked sample in the node statistics, and steps per batch of
-#: the Magnus integrator: 2*16 samples of a dim-32 generator take 512 KB, so
-#: peak memory stays flat.
-STACK_CHUNK = 16
-
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -117,53 +112,42 @@ def apply_samples(samples: np.ndarray, psis: np.ndarray) -> tuple[np.ndarray, np
 class Hamiltonian:
     """Common protocol for the energy observables driving an evolution.
 
-    Subclasses provide:
+    One matrix, the observable ``sample(t)``, both moves the state and gives
+    its energy statistics.  Subclasses set:
 
-    * ``sample(t)`` -- the validated Hermitian energy observable: ``(d, d)``
-      at one time, ``(n, d, d)`` for a 1-D array of n times.
-    * ``apply_many(times, psis)`` -- ``H(t_i) psi_i`` for every row of a
-      trace, with the round-off scale of each node's energy statistics.
-    * ``constant_generator`` -- the constant matrix that moves the state, or
-      None when the motion is integrated from ``sample``.  It is the
-      observable itself for the constant kinds, and the co-rotating matrix
-      for :class:`TwoLevelDriven`.
-    * ``dim``, ``hbar``, and ``sample_is_constant`` for the one-product path.
+    * ``constant_generator`` -- the constant K with
+      ``sample(t) = R(t) K R(t)^dagger``, ``R(t) = exp(-i * frame_rate * t * sigma_z / 2)``;
+      or None, and then they override ``sample`` and ``dim``.
+    * ``frame_rate`` -- derived from the spec: 0 (R = I, K is the observable)
+      but for :class:`TwoLevelDriven`.
+    * ``hbar``.
     """
 
     hbar: float
 
-    #: The constant matrix that moves the state, or None.
+    #: K with sample(t) = R(t) K R(t)^dagger, or None.
     constant_generator: np.ndarray | None = None
 
-    #: True when ``sample(t)`` does not depend on t.
-    sample_is_constant: bool = False
-
-    def sample(self, t: float | np.ndarray = 0.0) -> np.ndarray:
-        raise NotImplementedError
-
-    def apply_many(
-        self, times: np.ndarray, psis: np.ndarray
-    ) -> tuple[np.ndarray, float | np.ndarray]:
-        """``(H(t_i) psi_i, max|H(t_i)| floored at 1)`` for the rows of ``psis``: ``(n, dim)``.
-
-        The second item is the scale :func:`energy_statistics` takes.  A
-        constant sample takes one product and has one scale; otherwise the
-        nodes go through ``sample`` STACK_CHUNK at a time, one scale per node.
-        """
-        if self.sample_is_constant:
-            m = self.sample()
-            return psis @ m.T, max(float(np.abs(m).max()), 1.0)
-        times = np.asarray(times, dtype=float)
-        hv = np.empty(psis.shape, dtype=complex)
-        scale = np.empty(times.size)
-        for first in range(0, times.size, STACK_CHUNK):
-            rows = slice(first, first + STACK_CHUNK)
-            hv[rows], scale[rows] = apply_samples(self.sample(times[rows]), psis[rows])
-        return hv, scale
+    @property
+    def frame_rate(self) -> float:
+        return 0.0
 
     @property
     def dim(self) -> int:
-        raise NotImplementedError
+        return int(self.constant_generator.shape[0])
+
+    def sample(self, t: float | np.ndarray = 0.0) -> np.ndarray:
+        """The validated Hermitian observable: ``(d, d)`` at one time, ``(n, d, d)`` for n times."""
+        k, rate = self.constant_generator, self.frame_rate
+        if not rate:
+            return np.broadcast_to(k, np.shape(t) + k.shape)
+        # R = diag(r, conj r) with r = e^{-i rate t/2} turns K's off-diagonal by e^{-/+ i rate t}
+        turn = np.exp(-1j * rate * np.asarray(t, dtype=float))
+        m = np.empty(turn.shape + (2, 2), dtype=complex)
+        m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = (
+            k[0, 0], k[0, 1] * turn, k[1, 0] * turn.conj(), k[1, 1]
+        )
+        return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,8 +156,6 @@ class ConstantMatrix(Hamiltonian):
 
     matrix: np.ndarray
     hbar: float = 1.0
-
-    sample_is_constant = True
 
     def __post_init__(self) -> None:
         require_positive_finite(hbar=self.hbar)
@@ -189,13 +171,6 @@ class ConstantMatrix(Hamiltonian):
     @property
     def constant_generator(self) -> np.ndarray:
         return self.matrix
-
-    def sample(self, t: float | np.ndarray = 0.0) -> np.ndarray:
-        return np.broadcast_to(self.matrix, np.shape(t) + self.matrix.shape)
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,8 +225,6 @@ class TwoLevelStatic(Hamiltonian):
     epsilon: float
     hbar: float = 1.0
 
-    sample_is_constant = True
-
     def __post_init__(self) -> None:
         require_positive_finite(hbar=self.hbar, epsilon=self.epsilon)
 
@@ -260,13 +233,6 @@ class TwoLevelStatic(Hamiltonian):
         m = self.epsilon * PAULI_X
         m.setflags(write=False)
         return m
-
-    def sample(self, t: float | np.ndarray = 0.0) -> np.ndarray:
-        return np.broadcast_to(self.constant_generator, np.shape(t) + (2, 2))
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     @property
     def orthogonality_time(self) -> float:
@@ -278,14 +244,16 @@ class TwoLevelStatic(Hamiltonian):
 class TwoLevelDriven(Hamiltonian):
     """Circularly driven two-level system with a static splitting.
 
-    Laboratory-frame observable:
+    Laboratory-frame observable, which moves the state and gives its energy
+    statistics:
 
         H(t) = epsilon*(cos(wt) sigma_x + sin(wt) sigma_y) + (hbar*w0/2) sigma_z
+             = R(t) K R(t)^dagger,   R(t) = exp(-i w t sigma_z / 2),
 
-    In the frame co-rotating with the drive this reduces to the constant
-    matrix epsilon*sigma_x + (detuning/2)*sigma_z, which is what moves the
-    state (``constant_generator``); energy statistics are always taken
-    against the laboratory-frame matrix (``sample``).
+    with ``constant_generator`` K = epsilon*sigma_x + (hbar*w0/2)*sigma_z and
+    ``frame_rate`` w.  The state psi = R phi solves the Schrodinger equation
+    when phi moves under the constant K - (hbar*w/2)*sigma_z =
+    epsilon*sigma_x - (detuning/2)*sigma_z, and <psi|H|psi> = <phi|K|phi>.
     """
 
     epsilon: float
@@ -317,32 +285,15 @@ class TwoLevelDriven(Hamiltonian):
         """Effective coupling sqrt(epsilon^2 + detuning^2/4) > 0."""
         return math.hypot(self.epsilon, 0.5 * self.detuning)
 
-    def sample(self, t: float | np.ndarray = 0.0) -> np.ndarray:
-        # [[a, conj(d)], [d, -a]] with d = eps*e^{i w t}, a = hbar*w0/2
-        d = self.epsilon * np.exp(1j * self.omega * np.asarray(t, dtype=float))
-        a = 0.5 * self.hbar * self.omega0
-        m = np.empty(d.shape + (2, 2), dtype=complex)
-        m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, d.conj(), d, -a
-        return m
-
-    def apply_many(self, times: np.ndarray, psis: np.ndarray) -> tuple[np.ndarray, float]:
-        # the closed form of sample(t) @ psi: a stacked (n, 2, 2) product is 2x slower
-        d = self.epsilon * np.exp(1j * self.omega * np.asarray(times, dtype=float))
-        a = 0.5 * self.hbar * self.omega0
-        hv = np.column_stack(
-            (a * psis[:, 0] + d.conj() * psis[:, 1], d * psis[:, 0] - a * psis[:, 1])
-        )
-        return hv, max(self.epsilon, abs(a), 1.0)  # |d| = eps at every node
+    @property
+    def frame_rate(self) -> float:
+        return self.omega
 
     @cached_property
     def constant_generator(self) -> np.ndarray:
-        m = self.epsilon * PAULI_X + 0.5 * self.detuning * PAULI_Z
+        m = self.epsilon * PAULI_X + (0.5 * self.hbar * self.omega0) * PAULI_Z
         m.setflags(write=False)
         return m
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     @property
     def orthogonality_time(self) -> float:
@@ -356,7 +307,7 @@ def _state_statistics(h: Hamiltonian, psi: QuantumState, t: float) -> tuple[floa
             f"state dimension {psi.dim} does not match Hamiltonian dimension {h.dim}"
         )
     v = psi.amplitudes[np.newaxis]
-    mean, disp = energy_statistics(v, *h.apply_many(np.array([t], dtype=float), v))
+    mean, disp = energy_statistics(v, *apply_samples(h.sample([t]), v))
     return float(mean[0]), float(disp[0])
 
 

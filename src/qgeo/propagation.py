@@ -2,10 +2,11 @@
 
 :func:`expm_unitary_step` gives ``exp(-i * H * dt / hbar)`` of one matrix or
 a stack: the exact Pauli form at 2x2, the spectral form from ``eigh`` above.
-A Hamiltonian's ``constant_generator`` is exponentiated once and the nodes
-``U^k psi0`` are filled by doubling powers (:func:`fill_by_doubling`, which
-also serves the stacked sweep), and the node statistics come from
-``apply_many``.  Without one, ``sample`` is integrated by the fourth-order
+With a ``constant_generator`` K, the step of ``K - (hbar*frame_rate/2)*sigma_z``
+is exponentiated once, its powers are filled by doubling
+(:func:`fill_by_doubling`, which also serves the stacked sweep), and the
+nodes ``R(t) U^k psi0`` carry K's statistics of ``U^k psi0``.  Without a K,
+``sample`` is integrated by the fourth-order
 Magnus step with Simpson nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 151 (2009)): each time is sampled once, one stacked ``sample`` per chunk of
 steps, and a step's end sample is the next step's start sample and gives
@@ -38,7 +39,6 @@ from .errors import (
     require_positive_finite,
 )
 from .hamiltonian import (
-    STACK_CHUNK,
     Hamiltonian,
     PAULI_X,
     PAULI_Z,
@@ -52,6 +52,10 @@ from .states import QuantumState
 
 #: Cumulative norm drift beyond which propagation aborts.
 MAX_NORM_DRIFT = 1e-9
+
+#: Steps per batch of the Magnus integrator: 2*16 samples of a dim-32
+#: generator take 512 KB, so peak memory stays flat.
+STACK_CHUNK = 16
 
 _ID2 = np.eye(2, dtype=complex)
 #: ``_TAYLOR_THETA[m]``: the largest ``|M|`` whose Taylor degree ``m`` truncates
@@ -76,17 +80,16 @@ def propagator_static(epsilon: float, t: float, hbar: float = 1.0) -> np.ndarray
 def propagator_driven(
     epsilon: float, omega: float, omega0: float, t: float, hbar: float = 1.0
 ) -> np.ndarray:
-    """Closed-form rotating-frame propagator of the driven two-level system.
+    """Closed-form laboratory-frame propagator of the driven two-level system.
 
     With detuning D = hbar*(omega - omega0) and kappa = sqrt(eps^2 + D^2/4):
 
-        U(t) = cos(kappa*t/hbar)*I
-               - i*sin(kappa*t/hbar) * [ (D/(2*kappa))*sigma_z
-                                         + (eps/kappa)*sigma_x ].
+        U(t) = R(t) * [cos(kappa*t/hbar)*I
+                       - i*sin(kappa*t/hbar) * ((eps/kappa)*sigma_x - (D/(2*kappa))*sigma_z)],
 
-    This is the exponential of the constant co-rotating generator
-    eps*sigma_x + (D/2)*sigma_z; see :class:`~qgeo.hamiltonian.TwoLevelDriven`
-    for how it relates to the laboratory-frame observable.
+    with R(t) = diag(e^{-i w t/2}, e^{i w t/2}): the exponential of the
+    constant eps*sigma_x - (D/2)*sigma_z in the frame of the drive, carried
+    back to the laboratory frame (see :class:`~qgeo.hamiltonian.TwoLevelDriven`).
     """
     require_positive_finite(epsilon=epsilon, omega=omega, omega0=omega0, hbar=hbar)
     if t < 0.0:
@@ -94,8 +97,9 @@ def propagator_driven(
     detuning = hbar * (omega - omega0)
     kappa = math.hypot(epsilon, 0.5 * detuning)
     x = kappa * t / hbar
-    axis = (0.5 * detuning / kappa) * PAULI_Z + (epsilon / kappa) * PAULI_X
-    return math.cos(x) * _ID2 - 1j * math.sin(x) * axis
+    axis = (epsilon / kappa) * PAULI_X - (0.5 * detuning / kappa) * PAULI_Z
+    frame = np.exp(-0.5j * omega * t * np.array([1.0, -1.0]))
+    return frame[:, np.newaxis] * (math.cos(x) * _ID2 - 1j * math.sin(x) * axis)
 
 
 def expm_unitary_step(h_matrix: np.ndarray, dt: float | np.ndarray, hbar: float) -> np.ndarray:
@@ -177,7 +181,7 @@ def _magnus4_nodes(
     propagator; otherwise the chunk takes one stacked :func:`expm_unitary_step`.
     The steps go in chunks of STACK_CHUNK, one stacked ``sample`` each, after
     one of the initial node.  The node samples also give the statistics, by
-    :func:`~qgeo.hamiltonian.apply_samples` as in ``apply_many``.
+    :func:`~qgeo.hamiltonian.apply_samples`.
     Raises IntegrationError when ``M`` overflows or a node's norm drifts
     beyond MAX_NORM_DRIFT.
     """
@@ -333,10 +337,11 @@ class EvolutionTrace:
         if not isinstance(data, Mapping):
             raise ValueError(f"a trace must be a JSON object, got {type(data).__name__}")
         try:
-            re = np.array([s["re"] for s in data["states"]], dtype=float)
-            im = np.array([s["im"] for s in data["states"]], dtype=float)
-        except (TypeError, ValueError) as exc:  # ragged or non-numeric vectors
+            re = np.asarray([s["re"] for s in data["states"]])
+            im = np.asarray([s["im"] for s in data["states"]])
+        except (TypeError, ValueError) as exc:  # ragged vectors, or a state that is not an object
             raise DimensionMismatchError(f"states are not an (n, dim) array: {exc}")
+        re, im = _json_floats(re, "states"), _json_floats(im, "states")
         if re.shape != im.shape:
             raise DimensionMismatchError(f"re/im shapes differ: {re.shape}, {im.shape}")
         amps = np.empty(re.shape, dtype=complex)
@@ -372,11 +377,14 @@ class EvolutionTrace:
 
 
 def _json_floats(value: Any, name: str) -> np.ndarray:
-    """``value`` as a float array; ValueError naming the field when numpy cannot convert it."""
+    """``value`` as a float array; ValueError naming the field unless numpy reads only numbers."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:  # an object, a non-numeric string, a ragged nesting
+        arr = np.asarray(value)
+    except ValueError as exc:  # a ragged nesting
         raise ValueError(f"{name} must be an array of JSON numbers: {exc}") from None
+    if arr.dtype.kind not in "iuf":  # bools, strings, nulls, objects; numpy makes [true, 0.5] float
+        raise ValueError(f"{name} must be an array of JSON numbers, got {arr.dtype.name} entries")
+    return arr.astype(float, copy=False)
 
 
 def write_joined(fh: io.TextIOBase, pieces: Iterable[str], sep: str) -> None:
@@ -408,17 +416,18 @@ def evolve(
 ) -> EvolutionTrace:
     """Propagate ``psi0`` under ``h`` on a uniform grid of ``steps`` steps.
 
-    When ``h.constant_generator`` is set, the nodes are exact up to
-    round-off.  Otherwise each step is the fourth-order Magnus step with
-    Simpson nodes: ``sample`` is taken at every node and every step's
-    midpoint, so a run of ``steps`` steps samples ``2 * steps + 1`` times;
-    the node samples give the statistics, and the global error falls as
-    ``dt^4``.
+    The state solves the Schrodinger equation of ``h.sample(t)``, whose
+    statistics it records.  With ``h.constant_generator`` K, the nodes are
+    exact up to round-off: ``phi`` moves under the constant
+    ``K - (hbar*rate/2)*sigma_z``, its statistics under K are the node's
+    (``R^dagger sample(t) R = K``), and the node is ``R(t) phi``.  Otherwise
+    each step is the fourth-order Magnus step with Simpson nodes: ``sample``
+    is taken at every node and every step's midpoint, so a run of ``steps``
+    steps samples ``2 * steps + 1`` times; the node samples give the
+    statistics, and the global error falls as ``dt^4``.
 
     Args:
-        h: Hamiltonian spec; its ``constant_generator``, or else its
-            ``sample``, drives the motion, and ``sample`` provides the
-            recorded energy statistics.
+        h: Hamiltonian spec.
         psi0: initial state, same dimension as ``h``.
         t_final: final time, >= 0.  Zero yields a single-node trace.
         steps: number of uniform steps, >= 2.
@@ -446,10 +455,18 @@ def evolve(
     dt = t_final / steps
     generator = h.constant_generator
     if generator is not None:
-        step = expm_unitary_step(require_hermitian(generator, context="generator"), dt, h.hbar)
+        k = require_hermitian(generator, context="generator")
+        rate = h.frame_rate
+        # phi moves under K - (hbar*rate/2) sigma_z, and psi = R(t) phi
+        step = expm_unitary_step(k - (0.5 * h.hbar * rate) * PAULI_Z if rate else k, dt, h.hbar)
         psis = fill_by_doubling(step, psi0.amplitudes, n_nodes)
-        # no name holds H psi, so it is freed before the trace copies its arrays
-        mean, disp = energy_statistics(psis, *h.apply_many(times, psis))
+        # R^dagger sample(t) R = K; no name holds K phi, so it is freed before the phases
+        mean, disp = energy_statistics(psis, psis @ k.T, max(float(np.abs(k).max()), 1.0))
+        if rate:
+            phase = np.exp(-0.5j * rate * times)
+            psis[:, 0] *= phase
+            psis[:, 1] *= np.conjugate(phase, out=phase)
+            del phase  # freed before the trace copies its arrays
     else:
         psis, mean, disp = _magnus4_nodes(h, psi0.amplitudes, times, dt)
     return EvolutionTrace(times, psis, mean, disp, hbar=h.hbar)
@@ -458,12 +475,12 @@ def evolve(
 def short_time_coefficient(omega: float, omega0: float) -> float:
     """Quadratic growth rate of the driven dispersion at early times.
 
-    a = (omega0^2 / 2) * (1 + 2*omega/omega0), in rad^2/s^2; the dispersion
-    grows as eps*(1 + a*t^2) before O(t^4) corrections set in.  An ``a`` that
-    overflows (or underflows to zero) is refused as ``coefficient_a``.
+    a = omega*omega0/2, in rad^2/s^2: :func:`dispersion_driven_closed` gives
+    dE = eps*(1 + a*t^2) + O(t^4).  An ``a`` that overflows (or underflows to
+    zero) is refused as ``coefficient_a``.
     """
     require_positive_finite(omega=omega, omega0=omega0)
-    a = 0.5 * omega0 * omega0 * (1.0 + 2.0 * omega / omega0)
+    a = 0.5 * omega * omega0
     require_positive_finite(coefficient_a=a)
     return a
 
@@ -475,41 +492,20 @@ def dispersion_driven_closed(
     t: float | np.ndarray,
     hbar: float = 1.0,
 ):
-    """Laboratory-frame energy dispersion along the driven transfer curve.
+    """Energy dispersion of H(t) along the driven transfer from (1, 0).
 
-    Exact for any detuning D = hbar*(omega - omega0):
+    The state is R(t) phi(t) with R^dagger H(t) R = K = eps*sigma_x + (hbar*w0/2)*sigma_z,
+    so <H^2> = eps^2 + (hbar*w0/2)^2 and <H> = <phi|K|phi> = hbar*w0/2 - b, where
+    phi's Bloch vector turns from (0, 0, 1) about (eps, 0, -D/2)/kappa by
+    2*kappa*t/hbar.  For any detuning D = hbar*(omega - omega0), with
+    kappa = sqrt(eps^2 + D^2/4):
 
-        dE^2 = eps^2 + (hbar*w0)^2/4 - B^2,
+        dE^2 = eps^2 + b*(hbar*w0 - b),   b = (eps^2*hbar*w/kappa^2) * sin^2(kappa*t/hbar).
 
-    where B is the laboratory-frame mean energy along the curve,
-
-        B = (hbar*w0/2) * [cos^2(kt/h) - ((4 eps^2 - D^2)/(4 k^2)) sin^2(kt/h)]
-            - (eps^2/k) sin(2kt/h) sin(wt)
-            + (2 eps^2/k) (D/(2k)) sin^2(kt/h) cos(wt),
-
-    with k = kappa = sqrt(eps^2 + D^2/4).  Accepts scalar or array ``t``.
+    Accepts scalar or array ``t``.
     """
-    require_positive_finite(epsilon=epsilon, omega=omega, omega0=omega0, hbar=hbar)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise ValueError("t must be nonnegative")
-    detuning = hbar * (omega - omega0)
-    kappa = math.hypot(epsilon, 0.5 * detuning)
-    x = kappa * t_arr / hbar
-    sin_x, cos_x = np.sin(x), np.cos(x)
-    s2, c2 = sin_x * sin_x, cos_x * cos_x
-    e2 = epsilon * epsilon
-    mean = (
-        0.5 * hbar * omega0 * (c2 - ((4.0 * e2 - detuning * detuning) / (4.0 * kappa * kappa)) * s2)
-        - (e2 / kappa) * np.sin(2.0 * x) * np.sin(omega * t_arr)
-        + (2.0 * e2 / kappa) * (0.5 * detuning / kappa) * s2 * np.cos(omega * t_arr)
-    )
-    val = e2 + 0.25 * (hbar * omega0) ** 2 - mean * mean
-    scale = e2 + 0.25 * (hbar * omega0) ** 2
-    if np.any(val < -1e-10 * scale):
-        raise FormulaError("closed-form dispersion went negative beyond round-off")
-    out = np.sqrt(np.clip(val, 0.0, None))
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    kappa = math.hypot(epsilon, 0.5 * hbar * (omega - omega0))
+    return _driven_dispersion(epsilon, omega, omega0, t, hbar, kappa)
 
 
 def dispersion_driven_near_resonance(
@@ -521,23 +517,22 @@ def dispersion_driven_near_resonance(
 ):
     """Near-resonance (|detuning| << eps) limit of the driven dispersion.
 
-        dE^2 = eps^2 + (hbar*w0)^2/4 * { 1 - [ cos(2 eps t / hbar)
-               - (2 eps/(hbar w0)) sin(2 eps t / hbar) sin(w t) ]^2 }.
-
-    Coincides exactly with :func:`dispersion_driven_closed` at zero detuning.
+    :func:`dispersion_driven_closed` with kappa replaced by eps, so
+    b = hbar*w * sin^2(eps*t/hbar); the two coincide exactly at zero detuning.
     """
+    return _driven_dispersion(epsilon, omega, omega0, t, hbar, epsilon)
+
+
+def _driven_dispersion(epsilon, omega, omega0, t, hbar, kappa):
+    """sqrt(eps^2 + b*(hbar*w0 - b)), b = (eps^2*hbar*w/kappa^2) * sin^2(kappa*t/hbar)."""
     require_positive_finite(epsilon=epsilon, omega=omega, omega0=omega0, hbar=hbar)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("t must be nonnegative")
-    x = 2.0 * epsilon * t_arr / hbar
-    bracket = np.cos(x) - (2.0 * epsilon / (hbar * omega0)) * np.sin(x) * np.sin(
-        omega * t_arr
-    )
-    val = epsilon * epsilon + 0.25 * (hbar * omega0) ** 2 * (1.0 - bracket * bracket)
-    scale = epsilon * epsilon + 0.25 * (hbar * omega0) ** 2
-    if np.any(val < -1e-10 * scale):
-        raise FormulaError("near-resonance dispersion went negative beyond round-off")
+    b = (epsilon * epsilon * hbar * omega / (kappa * kappa)) * np.sin(kappa * t_arr / hbar) ** 2
+    val = epsilon * epsilon + b * (hbar * omega0 - b)
+    # a variance for the exact kappa; with kappa = eps far from resonance b can pass hbar*w0
+    if np.any(val < -1e-10 * (epsilon * epsilon + 0.25 * (hbar * omega0) ** 2)):
+        raise FormulaError("driven dispersion went negative beyond round-off")
     out = np.sqrt(np.clip(val, 0.0, None))
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
+    return float(out) if t_arr.ndim == 0 else out

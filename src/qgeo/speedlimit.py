@@ -128,8 +128,9 @@ def solve_implicit_time(
     """Ideal transfer time under the short-time dispersion model.
 
     Solves  T + a*T^3/3 = t0  for T, with  t0 = pi*hbar/(2*eps)  and
-    a = (omega0^2/2)*(1 + 2*omega/omega0).  The cubic is strictly increasing,
-    so its one real root lies strictly inside (0, t0); in closed form
+    a = omega*omega0/2 (:func:`~qgeo.propagation.short_time_coefficient`).  The
+    cubic is strictly increasing, so its one real root lies strictly inside
+    (0, t0); in closed form
 
         T = (2/sqrt(a)) * sinh(asinh(x)/3),   x = 1.5*t0*sqrt(a),
 

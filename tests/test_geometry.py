@@ -273,9 +273,20 @@ class TestIsGeodesic:
     def test_detuned_drive_is_not(self):
         assert not is_geodesic(driven_trace(), tol=1e-6)
 
-    def test_resonant_drive_recovers_geodesic(self):
+    def test_resonant_drive_follows_the_lab_frame_law(self):
+        # at resonance dE^2 = eps^2 + (hbar w0/2)^2 sin^2(2 eps t/hbar) > eps^2,
+        # so the Bloch path is a spiral, longer than the geodesic
         h = TwoLevelDriven(epsilon=1.0, omega=0.2, omega0=0.2)
         tr = evolve(h, UP, h.orthogonality_time, steps=1000)
+        law = np.sqrt(1.0 + 0.1**2 * np.sin(2.0 * tr.times) ** 2)
+        np.testing.assert_allclose(tr.energy_dispersion, law, rtol=0.0, atol=1e-13)
+        assert not is_geodesic(tr, tol=1e-6)
+
+    def test_resonant_drive_recovers_geodesic(self):
+        # the excess s - pi = (pi/16) (hbar w0/eps)^2 + O(w0^4) vanishes as w0 -> 0
+        h = TwoLevelDriven(epsilon=1.0, omega=1e-3, omega0=1e-3)
+        tr = evolve(h, UP, h.orthogonality_time, steps=1000)
+        assert path_length(tr) - math.pi == pytest.approx(math.pi / 16.0 * 1e-6, rel=1e-3)
         assert is_geodesic(tr, tol=1e-6)
 
     def test_tolerance_dial(self):

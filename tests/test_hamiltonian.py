@@ -193,13 +193,22 @@ class TestTwoLevelDriven:
         assert h.detuning == pytest.approx(0.1)
         assert h.kappa == pytest.approx(math.hypot(1.0, 0.05))
 
-    def test_generator_is_constant_rotating_frame_matrix(self):
-        h = TwoLevelDriven(epsilon=1.0, omega=0.25, omega0=0.2)
-        np.testing.assert_allclose(h.constant_generator, PAULI_X + 0.025 * PAULI_Z, atol=1e-15)
+    def test_generator_is_the_sample_at_zero(self):
+        h = TwoLevelDriven(epsilon=1.0, omega=0.25, omega0=0.2, hbar=1.5)
+        np.testing.assert_allclose(h.constant_generator, PAULI_X + 0.15 * PAULI_Z, atol=1e-15)
+        np.testing.assert_array_equal(h.constant_generator, h.sample(0.0))
+        assert h.frame_rate == 0.25
 
-    def test_resonant_generator_has_no_z_part(self):
+    def test_resonant_frame_generator_has_no_z_part(self):
+        # phi = R^dagger psi moves under K - (hbar*w/2) sigma_z = eps sigma_x - (D/2) sigma_z
+        h = TwoLevelDriven(epsilon=0.3, omega=1.0, omega0=1.0, hbar=1.7)
+        moving = h.constant_generator - 0.5 * h.hbar * h.frame_rate * PAULI_Z
+        np.testing.assert_array_equal(moving, 0.3 * PAULI_X)
+
+    def test_frame_rate_cannot_be_set(self):
         h = TwoLevelDriven(epsilon=0.3, omega=1.0, omega0=1.0)
-        np.testing.assert_allclose(h.constant_generator, 0.3 * PAULI_X, atol=1e-15)
+        with pytest.raises(AttributeError):
+            h.frame_rate = 0.0
 
     def test_sample_norm_is_time_independent(self):
         h = TwoLevelDriven(epsilon=0.8, omega=2.0, omega0=1.5)
@@ -213,7 +222,7 @@ class TestTwoLevelDriven:
         assert res.orthogonality_time == pytest.approx(math.pi / 2.0)
 
 
-def _apply_many_cases():
+def _sample_cases():
     rng = np.random.default_rng(4242)
     h0, h1 = random_hermitian(rng, 3), random_hermitian(rng, 3)
     return {
@@ -228,29 +237,30 @@ def _apply_many_cases():
     }
 
 
-class TestApplyMany:
-    @pytest.mark.parametrize("name", sorted(_apply_many_cases()))
-    def test_matches_per_node_samples(self, name):
-        h = _apply_many_cases()[name]
-        rng = np.random.default_rng(99)
-        times = np.sort(rng.uniform(0.0, 20.0, size=37))
-        psis = np.array([random_state(rng, h.dim).amplitudes for _ in times])
-        got, scale = h.apply_many(times, psis)
-        samples = np.stack([h.sample(float(t)) for t in times])
-        want = np.einsum("nij,nj->ni", samples, psis)
-        assert got.shape == (times.size, h.dim)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        want_scale = np.maximum(np.abs(samples).max(axis=(1, 2)), 1.0)
-        np.testing.assert_allclose(np.broadcast_to(scale, times.shape), want_scale, rtol=1e-15)
-
-    @pytest.mark.parametrize("name", sorted(_apply_many_cases()))
+class TestSample:
+    @pytest.mark.parametrize("name", sorted(_sample_cases()))
     def test_stacked_sample_equals_scalar_samples(self, name):
-        h = _apply_many_cases()[name]
+        h = _sample_cases()[name]
         times = np.linspace(0.0, 7.0, 23)
         stacked = h.sample(times)
         assert stacked.shape == (times.size, h.dim, h.dim)
         np.testing.assert_array_equal(stacked, np.stack([h.sample(float(t)) for t in times]))
         assert h.sample(0.3).shape == (h.dim, h.dim)
+
+    @pytest.mark.parametrize("name", sorted(_sample_cases()))
+    def test_sample_is_the_generator_in_the_frame(self, name):
+        # sample(t) = R(t) K R(t)^dagger with R(t) = exp(-i rate t sigma_z / 2)
+        h = _sample_cases()[name]
+        if h.constant_generator is None:
+            assert h.frame_rate == 0.0
+            return
+        for t in np.linspace(0.0, 7.0, 9):
+            if h.frame_rate:
+                r = np.diag(np.exp(-0.5j * h.frame_rate * t * np.array([1.0, -1.0])))
+            else:
+                r = np.eye(h.dim)
+            want = r @ h.constant_generator @ r.conj().T
+            assert np.max(np.abs(h.sample(float(t)) - want)) <= 1e-15 * np.abs(want).max()
 
 
 class TestEnergyMean:

@@ -1,8 +1,9 @@
-"""Every import in the package sits at module level, and every export resolves.
+"""Every import in the package sits at module level, is used, and every export resolves.
 
 An import inside a function body hides a dependency from the module header
 and is the usual way a module cycle (such as geometry -> speedlimit ->
-geometry) creeps back in.
+geometry) creeps back in.  An import that nothing reads is left behind when
+its last caller goes.
 """
 
 import ast
@@ -28,6 +29,20 @@ def function_local_imports(source: str) -> list[tuple[str, int]]:
     return found
 
 
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import (``__future__`` aside) that no expression reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    # an attribute chain such as np.linalg.norm reads its head as a Name
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
 def test_every_module_is_scanned():
     assert {"geometry.py", "speedlimit.py", "propagation.py"} <= {p.name for p in MODULES}
 
@@ -40,6 +55,24 @@ def test_no_imports_inside_functions(path):
 def test_detector_finds_a_deferred_import():
     source = "def f():\n    from .speedlimit import min_time\n    return min_time\n"
     assert function_local_imports(source) == [("f", 2)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    # __init__ imports to re-export, so only the other modules are held to this
+    assert unused_imports(path.read_text()) == []
+
+
+def test_detector_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\nimport os.path\n"
+        "from .errors import FormulaError, GridError\n"
+        "def f(x: GridError) -> float:\n    return np.sqrt(x)\n"
+    )
+    assert unused_imports(source) == ["FormulaError", "os"]
 
 
 def test_every_export_resolves_once_in_sorted_order():

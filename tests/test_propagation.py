@@ -12,6 +12,7 @@ import qgeo.hamiltonian as hamiltonian
 import qgeo.propagation as propagation
 from qgeo.errors import (
     DimensionMismatchError,
+    FormulaError,
     GridError,
     HermiticityError,
     IntegrationError,
@@ -108,6 +109,11 @@ class TestPropagatorStatic:
             propagator_static(1.0, -0.5)
 
 
+def frame(omega, t):
+    """R(t) = diag(e^{-i w t/2}, e^{+i w t/2}), the rotation of the drive."""
+    return np.diag(np.exp(-0.5j * omega * t * np.array([1.0, -1.0])))
+
+
 class TestPropagatorDriven:
     def test_identity_at_zero(self):
         np.testing.assert_allclose(
@@ -115,40 +121,45 @@ class TestPropagatorDriven:
         )
 
     def test_transfer_endpoint(self):
+        # in the frame of the drive, (1, 0) ends at (i D/(2 kappa), -i eps/kappa)
         h = TwoLevelDriven(epsilon=EPS, omega=OMEGA, omega0=OMEGA0)
-        u = propagator_driven(EPS, OMEGA, OMEGA0, h.orthogonality_time)
-        out = u @ np.array([1.0, 0.0])
-        expected = [
-            -1j * 0.5 * h.detuning / h.kappa,
-            -1j * EPS / h.kappa,
-        ]
+        t = h.orthogonality_time
+        out = propagator_driven(EPS, OMEGA, OMEGA0, t) @ np.array([1.0, 0.0])
+        expected = frame(OMEGA, t) @ [1j * 0.5 * h.detuning / h.kappa, -1j * EPS / h.kappa]
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
-    def test_zero_detuning_reduces_to_static(self):
+    def test_zero_detuning_is_the_static_propagator_in_the_frame(self):
         for t in (0.3, 1.7, 4.0):
             u_driven = propagator_driven(0.8, 1.1, 1.1, t)
             u_static = propagator_static(0.8, t)
-            np.testing.assert_allclose(u_driven, u_static, atol=1e-14)
+            np.testing.assert_allclose(u_driven, frame(1.1, t) @ u_static, atol=1e-14)
 
     def test_unitarity(self):
         for t in np.linspace(0.0, 30.0, 11):
             u = propagator_driven(EPS, OMEGA, OMEGA0, float(t))
             np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
-    def test_composition_property(self):
+    def test_composition_through_the_frame(self):
+        # H(t1 + t) = R(t1) H(t) R(t1)^dagger, so U(t1 + t2) = R(t1) U(t2) R(t1)^dagger U(t1)
         t1, t2 = 0.8, 2.1
         u1 = propagator_driven(EPS, OMEGA, OMEGA0, t1)
         u2 = propagator_driven(EPS, OMEGA, OMEGA0, t2)
         u12 = propagator_driven(EPS, OMEGA, OMEGA0, t1 + t2)
-        np.testing.assert_allclose(u2 @ u1, u12, atol=1e-13)
+        r1 = frame(OMEGA, t1)
+        np.testing.assert_allclose(r1 @ u2 @ r1.conj().T @ u1, u12, atol=1e-13)
 
-    def test_is_exponential_of_rotating_frame_generator(self):
-        h = TwoLevelDriven(epsilon=EPS, omega=OMEGA, omega0=OMEGA0)
-        t = 1.9
-        expected = scipy_expm(-1j * h.constant_generator * t)
-        np.testing.assert_allclose(
-            propagator_driven(EPS, OMEGA, OMEGA0, t), expected, atol=1e-13
-        )
+    @pytest.mark.parametrize("hbar", [0.7, 1.0, 1.9])
+    def test_is_the_lab_frame_solution(self, hbar):
+        h = TwoLevelDriven(epsilon=EPS, omega=OMEGA, omega0=OMEGA0, hbar=hbar)
+        for t in (0.0, 1.9, 7.3):
+            moving = h.constant_generator - 0.5 * hbar * h.frame_rate * PAULI_Z
+            expected = frame(h.frame_rate, t) @ scipy_expm(-1j * moving * t / hbar)
+            got = propagator_driven(EPS, OMEGA, OMEGA0, t, hbar)
+            np.testing.assert_allclose(got, expected, atol=1e-13)
+            for psi0 in (np.array([1.0, 0.0]), np.array([0.6, 0.8j])):
+                np.testing.assert_allclose(
+                    got @ psi0, lab_frame_solution(t, psi0, hbar=hbar), atol=1e-13
+                )
 
 
 class TestExpmStep:
@@ -417,6 +428,28 @@ class TestEvolve:
                 energy_dispersion(h, QuantumState(tr.amplitudes[i]), t), abs=1e-10
             )
 
+    @pytest.mark.parametrize("hbar", [0.7, 1.0, 1.9])
+    def test_driven_nodes_solve_the_lab_frame_equation(self, hbar):
+        # the states solve i hbar psi' = sample(t) psi, and the statistics are
+        # those of sample(t) in them; at 400 steps, over 60 such draws, the worst
+        # node error measured 3.8e-14 and the worst statistic 1.8e-13 * max|H|
+        rng = np.random.default_rng(int(10 * hbar))
+        for _ in range(4):
+            eps, omega, omega0 = rng.uniform(0.3, 2.0), rng.uniform(0.05, 1.5), rng.uniform(0.05, 1.5)
+            h = TwoLevelDriven(epsilon=eps, omega=omega, omega0=omega0, hbar=hbar)
+            psi0 = QuantumState.normalized(rng.normal(size=2) + 1j * rng.normal(size=2))
+            tr = evolve(h, psi0, float(rng.uniform(0.5, 6.0)), steps=400)
+            for t, v, mean, disp in zip(
+                tr.times.tolist(), tr.amplitudes, tr.energy_mean, tr.energy_dispersion
+            ):
+                exact = lab_frame_solution(t, psi0.amplitudes, eps, omega, omega0, hbar)
+                assert np.max(np.abs(v - exact)) <= 2e-13
+                m = h.sample(t)
+                want = np.vdot(v, m @ v).real
+                scale = np.abs(m).max()
+                assert abs(mean - want) <= 1e-12 * scale
+                assert abs(disp - np.linalg.norm(m @ v - want * v)) <= 1e-12 * scale
+
     def test_norms_stay_put(self):
         h = lab_frame_hamiltonian()
         tr = evolve(h, UP, 10.0, steps=500)
@@ -507,7 +540,7 @@ class TestMagnusIntegrator:
         monkeypatch.setattr(propagation, "expm_unitary_step", counting_expm)
         evolve(TimeDependent(counting_func, dimension=2), UP, 1.0, steps=steps)
         # every node and every midpoint once, one check for the initial node and one per stack
-        chunks = math.ceil(steps / hamiltonian.STACK_CHUNK)
+        chunks = math.ceil(steps / propagation.STACK_CHUNK)
         assert calls["func"] == 2 * steps + 1
         assert calls["hermitian"] == 1 + chunks
         assert calls["expm"] == chunks
@@ -718,6 +751,14 @@ class TestDispersionDrivenClosed:
         with pytest.raises(ValueError):
             dispersion_driven_closed(EPS, OMEGA, OMEGA0, -1.0)
 
+    def test_near_resonance_law_refuses_a_far_detuning(self):
+        # b = hbar*w*sin^2(eps t/hbar) reaches hbar*w = 10 > hbar*w0, and the law's
+        # dE^2 = 0.01 + 10*(1 - 10) is negative; the exact law stays a variance
+        t = math.pi / 0.2
+        with pytest.raises(FormulaError, match="driven dispersion went negative"):
+            dispersion_driven_near_resonance(0.1, 10.0, 1.0, t)
+        assert dispersion_driven_closed(0.1, 10.0, 1.0, t) >= 0.1
+
     def test_stays_within_spectral_envelope(self):
         # dE^2 = eps^2 + (hbar w0/2)^2 - <H>^2  <=  eps^2 + (hbar w0/2)^2
         ts = np.linspace(0.0, 40.0, 801)
@@ -730,11 +771,20 @@ class TestDispersionDrivenClosed:
 class TestShortTime:
     def test_coefficient_formula(self):
         a = short_time_coefficient(OMEGA, OMEGA0)
-        assert a == pytest.approx(0.5 * OMEGA0**2 * (1.0 + 2.0 * OMEGA / OMEGA0))
+        assert a == pytest.approx(0.5 * OMEGA * OMEGA0)
+        assert a == pytest.approx(0.025)
 
     def test_resonant_coefficient(self):
         w = 0.7
-        assert short_time_coefficient(w, w) == pytest.approx(1.5 * w * w)
+        assert short_time_coefficient(w, w) == pytest.approx(0.5 * w * w)
+
+    @pytest.mark.parametrize("hbar", [0.7, 1.0, 1.9])
+    def test_is_the_quadratic_term_of_the_closed_law(self, hbar):
+        # dE/eps - 1 = a t^2 + O(t^4), whatever hbar and the detuning
+        a = short_time_coefficient(OMEGA, OMEGA0)
+        t = 1e-3
+        growth = dispersion_driven_closed(EPS, OMEGA, OMEGA0, t, hbar) / EPS - 1.0
+        assert growth / (t * t) == pytest.approx(a, rel=1e-4)
 
 
 class TestMetricRelation:

@@ -204,7 +204,7 @@ class TestSolveImplicitTime:
 
     def test_reference_parameters(self):
         a = short_time_coefficient(OMEGA, OMEGA0)
-        assert a == pytest.approx(0.07)
+        assert a == pytest.approx(0.025)
         t = solve_implicit_time(EPS, OMEGA, OMEGA0)
         target = math.pi / 2.0
         assert abs(t + a * t**3 / 3.0 - target) <= 1e-14 * target
