@@ -427,7 +427,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("QGEO_SEED", str(_DEFAULT_SEED)))
+        raw = os.environ.get("QGEO_SEED", str(_DEFAULT_SEED))
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"QGEO_SEED must be an integer, got {raw!r}") from None
     result = run_sweep(
         samples=args.samples,
         seed=seed,

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    FormulaError,
     HermiticityError,
     StationaryStateError,
     json_number,
@@ -40,15 +39,14 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def require_hermitian(
-    matrix: np.ndarray,
-    tol: float = HERMITICITY_TOL,
-    context: str | Callable[[int], str] = "matrix",
+    matrix: np.ndarray, context: str | Callable[[int], str] = "matrix"
 ) -> np.ndarray:
     """Validate a square Hermitian matrix, or a stack ``(..., d, d)`` of them.
 
     Returns the input as complex.  A non-finite entry is refused first.  Each
-    matrix's deviation ``max|M - M^dagger|`` is compared against ``tol`` times
-    its largest entry magnitude (with a floor of 1 so the zero matrix passes).
+    matrix's deviation ``max|M - M^dagger|`` is compared against
+    :data:`HERMITICITY_TOL` times its largest entry magnitude (with a floor of
+    1 so the zero matrix passes).
     ``context`` names the input in errors: a string, or a function of the
     flat index of the first offending matrix of the stack.
     """
@@ -63,50 +61,45 @@ def require_hermitian(
     if not math.isfinite(scale.max()):  # a nan or inf entry, refused before m - m^dagger
         raise HermiticityError(f"{name(int(np.isfinite(scale).argmin()))} has a non-finite entry")
     dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    bad = dev > tol * scale
+    bad = dev > HERMITICITY_TOL * scale
     if bad.any():
         i = int(bad.argmax())
         raise HermiticityError(
             f"{name(i)} is not Hermitian: max|M - M^+| = {dev.flat[i]:.3e} "
-            f"(tol {tol:.1e} * scale {scale.flat[i]:.3e})"
+            f"(tol {HERMITICITY_TOL:.1e} * scale {scale.flat[i]:.3e})"
         )
     return m
 
 
-def energy_statistics(
-    psis: np.ndarray, hpsis: np.ndarray, scale: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Energy mean and dispersion of states ``psis`` of shape ``(..., d)``.
+def energy_statistics(h: np.ndarray, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energy mean and dispersion of states ``psis`` ``(..., n, d)`` under ``h`` ``(..., d, d)``.
 
-    ``hpsis`` holds ``H psi`` for each state, and ``scale`` is ``max|H|``
-    floored at 1, one value or one per state.  ``scale`` sets the round-off
-    windows of the two checks: an imaginary mean beyond ``1e-12 * scale``
-    raises :class:`~qgeo.errors.HermiticityError`, and a variance below
-    ``-1e-12 * scale^2`` raises :class:`~qgeo.errors.FormulaError`; smaller
-    negative variances clamp to zero.  ``<H^2>`` is ``||H psi||^2``, taken
-    after dividing ``H psi`` by the power of two at or below ``scale``: that
-    division is exact, so the result is the unscaled one bit for bit, but the
-    squares cannot overflow, and the power of two itself stays finite up to
-    the float maximum.
+    Returns two ``(..., n)`` arrays: ``<H> = <psi|H|psi>`` and the residual
+    norm ``dE = ||H psi - <H> psi||``, which equals ``sqrt(<H^2> - <H>^2)`` for
+    a unit ``psi`` without the cancellation of two large squares when
+    ``|<H>| >> dE`` (the two-pass variance of Chan, Golub & LeVeque, Am. Stat.
+    37, 242 (1983)).  Each matrix is first divided by the power of two at or
+    below ``max|H|`` floored at 1: that division is exact, so the results are
+    the unscaled ones bit for bit, but no square overflows, up to the float
+    maximum.  An imaginary mean beyond ``1e-12`` times that floored ``max|H|``
+    raises :class:`~qgeo.errors.HermiticityError`.
     """
+    scale = np.abs(h).max(axis=(-2, -1), initial=1.0)[..., np.newaxis]  # against (..., n)
     pow2 = np.ldexp(1.0, np.frexp(scale)[1] - 1)
-    rel = scale / pow2
-    hv = hpsis * np.expand_dims(1.0 / pow2, -1)  # exact, and cheaper than a complex divide
-    mean = np.einsum("...i,...i->...", psis.conj(), hv)
-    if np.any(np.abs(mean.imag) > 1e-12 * rel):
+    if pow2.max() > 1.0:  # dividing by 1 would only copy h
+        h = h * (1.0 / pow2)[..., np.newaxis]  # exact
+    psis = np.ascontiguousarray(psis, dtype=complex)
+    hv = psis @ np.swapaxes(h, -1, -2)
+    v, w = psis.view(float), hv.view(float)  # (re, im) pairs: real sums, no conjugate copies
+    mean = np.einsum("...i,...i->...", v, w)
+    imag = np.einsum("...i,...i->...", v[..., 0::2], w[..., 1::2])
+    imag -= np.einsum("...i,...i->...", v[..., 1::2], w[..., 0::2])
+    if (np.abs(imag) > 1e-12 * (scale / pow2)).any():
         raise HermiticityError(
-            f"energy expectation has imaginary part {np.max(np.abs(mean.imag * pow2)):.3e}"
+            f"energy expectation has imaginary part {np.max(np.abs(imag * pow2)):.3e}"
         )
-    var = np.real(np.einsum("...i,...i->...", hv.conj(), hv)) - mean.real * mean.real
-    if np.any(var < -1e-12 * rel * rel):
-        raise FormulaError("negative energy variance beyond round-off")
-    return mean.real * pow2, np.sqrt(np.clip(var, 0.0, None)) * pow2
-
-
-def apply_samples(samples: np.ndarray, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(H_i psi_i, max|H_i| floored at 1)`` for a stack of samples and states ``(n, dim)``."""
-    hv = (samples @ psis[:, :, np.newaxis])[..., 0]
-    return hv, np.abs(samples).max(axis=(-2, -1), initial=1.0)
+    w -= mean[..., np.newaxis] * v  # the residual H psi - <H> psi, in place
+    return mean * pow2, np.sqrt(np.einsum("...i,...i->...", w, w)) * pow2
 
 
 class Hamiltonian:
@@ -306,8 +299,7 @@ def _state_statistics(h: Hamiltonian, psi: QuantumState, t: float) -> tuple[floa
         raise DimensionMismatchError(
             f"state dimension {psi.dim} does not match Hamiltonian dimension {h.dim}"
         )
-    v = psi.amplitudes[np.newaxis]
-    mean, disp = energy_statistics(v, *apply_samples(h.sample([t]), v))
+    mean, disp = energy_statistics(h.sample(t), psi.amplitudes[np.newaxis])
     return float(mean[0]), float(disp[0])
 
 
@@ -317,7 +309,7 @@ def energy_mean(h: Hamiltonian, psi: QuantumState, t: float = 0.0) -> float:
 
 
 def energy_dispersion(h: Hamiltonian, psi: QuantumState, t: float = 0.0) -> float:
-    """Energy spread sqrt(<H^2> - <H>^2) >= 0 at time t (see :func:`energy_statistics`)."""
+    """Energy spread ||H(t) psi - <H> psi|| >= 0 at time t (see :func:`energy_statistics`)."""
     return _state_statistics(h, psi, t)[1]
 
 
@@ -333,9 +325,9 @@ class Decomposition:
 def vaidman_decompose(q: np.ndarray, psi: QuantumState) -> Decomposition:
     """Split the action of observable ``q`` on ``psi``.
 
-    Returns mean <Q>, dispersion dQ and the unit vector
-    ``|psi_perp> = (Q|psi> - <Q>|psi>) / dQ`` orthogonal to ``psi``, so that
-    ``Q|psi> = <Q>|psi> + dQ|psi_perp>`` reconstructs exactly.
+    Returns mean <Q> and dispersion dQ from :func:`energy_statistics`, and
+    the unit vector ``|psi_perp> = (Q|psi> - <Q>|psi>) / dQ`` orthogonal to
+    ``psi``, so that ``Q|psi> = <Q>|psi> + dQ|psi_perp>`` reconstructs exactly.
 
     Raises:
         StationaryStateError: when ``psi`` is an eigenstate of ``q`` within
@@ -348,23 +340,13 @@ def vaidman_decompose(q: np.ndarray, psi: QuantumState) -> Decomposition:
             f"observable of shape {m.shape} does not match state dimension {psi.dim}"
         )
     v = psi.amplitudes
-    qv = m @ v
-    mean = float(np.real(np.vdot(v, qv)))
-    # The residual norm equals sqrt(<Q^2> - <Q>^2) but avoids the catastrophic
-    # cancellation of the two large squares near an eigenstate.
-    residual = qv - mean * v
-    dispersion = float(np.linalg.norm(residual))
-    scale = max(float(np.max(np.abs(m))), 0.0)
-    if dispersion <= STATIONARY_TOL * max(scale, 1e-300):
+    mean, dispersion = (float(x[0]) for x in energy_statistics(m, v[np.newaxis]))
+    if dispersion <= STATIONARY_TOL * max(float(np.max(np.abs(m))), 1e-300):
         raise StationaryStateError(
             f"state is an eigenstate of the observable (dispersion {dispersion:.3e})"
         )
-    perp_vec = residual / dispersion
-    return Decomposition(
-        mean=mean,
-        dispersion=dispersion,
-        perp=QuantumState.exact(perp_vec, tol=1e-9),
-    )
+    perp = QuantumState.exact((m @ v - mean * v) / dispersion, tol=1e-9)
+    return Decomposition(mean=mean, dispersion=dispersion, perp=perp)
 
 
 def overlap_rate_bound(delta_e, overlap, hbar: float = 1.0):

@@ -42,7 +42,6 @@ from .hamiltonian import (
     Hamiltonian,
     PAULI_X,
     PAULI_Z,
-    apply_samples,
     energy_statistics,
     hamiltonian_from_json,
     hamiltonian_to_json,
@@ -181,16 +180,15 @@ def _magnus4_nodes(
     propagator; otherwise the chunk takes one stacked :func:`expm_unitary_step`.
     The steps go in chunks of STACK_CHUNK, one stacked ``sample`` each, after
     one of the initial node.  The node samples also give the statistics, by
-    :func:`~qgeo.hamiltonian.apply_samples`.
+    :func:`~qgeo.hamiltonian.energy_statistics`, chunk by chunk.
     Raises IntegrationError when ``M`` overflows or a node's norm drifts
     beyond MAX_NORM_DRIFT.
     """
     psis = np.empty((times.size, psi0.size), dtype=complex)
-    hv = np.empty(psis.shape, dtype=complex)
-    scale = np.empty(times.size)
+    mean, disp = np.empty(times.size), np.empty(times.size)
     psis[0] = psi0
     start = h.sample(times[:1])
-    hv[:1], scale[:1] = apply_samples(start, psis[:1])
+    mean[:1], disp[:1] = energy_statistics(start[0], psis[:1])
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         a_end = start[0] * (dt / h.hbar)
     for first in range(0, times.size - 1, STACK_CHUNK):
@@ -221,17 +219,20 @@ def _magnus4_nodes(
         else:
             for k, u in enumerate(expm_unitary_step(phase, 1.0, 1.0), start=first):
                 psis[k + 1] = u @ psis[k]
-        hv[rows], scale[rows] = apply_samples(samples[1::2], psis[rows])
+        mean[rows], disp[rows] = np.squeeze(
+            energy_statistics(samples[1::2], psis[rows, np.newaxis]), -1
+        )
         a_end = a1[-1]
     _require_unit_rows(psis, IntegrationError)
-    return psis, *energy_statistics(psis, hv, scale)
+    return psis, mean, disp
 
 
 def _require_unit_rows(amps: np.ndarray, error: type[Exception]) -> None:
     """Raise ``error`` unless every state ``(..., d)`` has unit norm within MAX_NORM_DRIFT."""
+    v = np.ascontiguousarray(amps).view(float)  # (re, im) pairs: no complex temporaries
     # an infinite or huge amplitude gives an inf or nan drift, refused below
     with np.errstate(invalid="ignore", over="ignore"):
-        drift = np.abs(np.linalg.norm(amps, axis=-1) - 1.0).ravel()
+        drift = np.abs(np.sqrt(np.einsum("...i,...i->...", v, v)) - 1.0).ravel()
     worst = int(np.argmax(drift))  # a NaN row wins argmax and fails the test
     if not drift[worst] <= MAX_NORM_DRIFT:
         raise error(
@@ -310,12 +311,12 @@ class EvolutionTrace:
     def final_state(self) -> QuantumState:
         return QuantumState(self.amplitudes[-1])
 
-    def grid_spacing(self, rel_tol: float = 1e-9) -> float:
-        """The common node spacing; raises GridError unless every spacing agrees to ``rel_tol``."""
+    def grid_spacing(self) -> float:
+        """The common node spacing; raises GridError unless every spacing agrees to 1e-9."""
         if self.n_nodes < 2:
             raise GridError("a single-node trace has no spacing")
         dt = self.duration / (self.n_nodes - 1)
-        if not np.max(np.abs(np.diff(self.times) - dt)) <= rel_tol * dt:
+        if not np.max(np.abs(np.diff(self.times) - dt)) <= 1e-9 * dt:
             raise GridError("trace grid is not uniform")
         return dt
 
@@ -460,8 +461,7 @@ def evolve(
         # phi moves under K - (hbar*rate/2) sigma_z, and psi = R(t) phi
         step = expm_unitary_step(k - (0.5 * h.hbar * rate) * PAULI_Z if rate else k, dt, h.hbar)
         psis = fill_by_doubling(step, psi0.amplitudes, n_nodes)
-        # R^dagger sample(t) R = K; no name holds K phi, so it is freed before the phases
-        mean, disp = energy_statistics(psis, psis @ k.T, max(float(np.abs(k).max()), 1.0))
+        mean, disp = energy_statistics(k, psis)  # R^dagger sample(t) R = K
         if rate:
             phase = np.exp(-0.5j * rate * times)
             psis[:, 0] *= phase
@@ -502,10 +502,14 @@ def dispersion_driven_closed(
 
         dE^2 = eps^2 + b*(hbar*w0 - b),   b = (eps^2*hbar*w/kappa^2) * sin^2(kappa*t/hbar).
 
+    At the end of a resonant transfer b -> hbar*w0, so ``hbar*w0 - b`` is
+    taken without cancellation, with x = kappa*t/hbar, as
+
+        hbar*w0 - b = hbar*w0*cos^2(x) - D*sin^2(x) + hbar*w*(D/(2*kappa))^2*sin^2(x).
+
     Accepts scalar or array ``t``.
     """
-    kappa = math.hypot(epsilon, 0.5 * hbar * (omega - omega0))
-    return _driven_dispersion(epsilon, omega, omega0, t, hbar, kappa)
+    return _driven_dispersion(epsilon, omega, omega0, t, hbar, near_resonance=False)
 
 
 def dispersion_driven_near_resonance(
@@ -517,20 +521,28 @@ def dispersion_driven_near_resonance(
 ):
     """Near-resonance (|detuning| << eps) limit of the driven dispersion.
 
-    :func:`dispersion_driven_closed` with kappa replaced by eps, so
-    b = hbar*w * sin^2(eps*t/hbar); the two coincide exactly at zero detuning.
+    :func:`dispersion_driven_closed` with kappa replaced by eps: then
+    b = hbar*w * sin^2(eps*t/hbar), and the last term of ``hbar*w0 - b`` is 0.
+    The two coincide exactly at zero detuning.
     """
-    return _driven_dispersion(epsilon, omega, omega0, t, hbar, epsilon)
+    return _driven_dispersion(epsilon, omega, omega0, t, hbar, near_resonance=True)
 
 
-def _driven_dispersion(epsilon, omega, omega0, t, hbar, kappa):
-    """sqrt(eps^2 + b*(hbar*w0 - b)), b = (eps^2*hbar*w/kappa^2) * sin^2(kappa*t/hbar)."""
+def _driven_dispersion(epsilon, omega, omega0, t, hbar, near_resonance):
+    """sqrt(eps^2 + b*(hbar*w0 - b)) for the exact kappa, or for kappa = eps ``near_resonance``."""
     require_positive_finite(epsilon=epsilon, omega=omega, omega0=omega0, hbar=hbar)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("t must be nonnegative")
-    b = (epsilon * epsilon * hbar * omega / (kappa * kappa)) * np.sin(kappa * t_arr / hbar) ** 2
-    val = epsilon * epsilon + b * (hbar * omega0 - b)
+    detuning = hbar * (omega - omega0)
+    kappa = epsilon if near_resonance else math.hypot(epsilon, 0.5 * detuning)
+    tilt = 0.0 if near_resonance else (0.5 * detuning / kappa) ** 2  # 1 - eps^2/kappa^2
+    x = kappa * t_arr / hbar
+    sin2, cos2 = np.sin(x) ** 2, np.cos(x) ** 2
+    b = (epsilon * epsilon * hbar * omega / (kappa * kappa)) * sin2
+    # hbar*w0 - b, with no difference of the two as b -> hbar*w0
+    gap = hbar * omega0 * cos2 - detuning * sin2 + hbar * omega * tilt * sin2
+    val = epsilon * epsilon + b * gap
     # a variance for the exact kappa; with kappa = eps far from resonance b can pass hbar*w0
     if np.any(val < -1e-10 * (epsilon * epsilon + 0.25 * (hbar * omega0) ** 2)):
         raise FormulaError("driven dispersion went negative beyond round-off")

@@ -248,11 +248,10 @@ def _group_metrics(
     )
     psi0 = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
     spectral_norm = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
-    scale = np.abs(h).max(axis=(-2, -1), initial=1.0)
-    _, d0 = energy_statistics(psi0, (h @ psi0[..., np.newaxis])[..., 0], scale)
+    d0 = energy_statistics(h, psi0[:, np.newaxis])[1][:, 0]
     d0 = np.maximum(np.maximum(d0, 1e-6 * spectral_norm), 1e-12)
     t_final, amps = _propagate(h, psi0, u * 0.5 * math.pi * hbar / d0, steps, hbar)
-    _, disp = energy_statistics(amps, amps @ np.swapaxes(h, -1, -2), scale[:, np.newaxis])
+    disp = energy_statistics(h, amps)[1]
     dt = t_final / steps
     overlaps = np.abs((amps @ amps[:, 0, :, np.newaxis].conj())[..., 0])
     report = geometry.speed_limit_report(overlaps[:, -1], disp, t_final, hbar)
@@ -307,7 +306,7 @@ def run_sweep(
 
     Args:
         samples: number of random (H, psi0, T) draws, >= 1.
-        seed: master seed (spawned per sample).
+        seed: master seed (spawned per sample), a non-negative integer.
         dims: inclusive dimension range to draw from.
         steps: integrator steps per sample, an integer >= 2 (even keeps
             node counts odd).
@@ -315,6 +314,8 @@ def run_sweep(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not (2 <= dims[0] <= dims[1]):
         raise ValueError(f"invalid dimension range {dims!r}")
     if not isinstance(steps, numbers.Integral) or steps < 2:

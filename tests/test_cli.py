@@ -166,7 +166,7 @@ class TestRunScenario:
     def test_driven_si_path_length_matches_the_closed_law(self, steps, rel_tol):
         # The SI dispersion sqrt(eps^2 + b (hbar w0 - b)) has no w0 oscillation,
         # so s converges on report-grade grids.  Measured relative deviations
-        # from the closed law's integral: 5.6e-9, 5.1e-10, 6.2e-11.  The error
+        # from the closed law's integral: 5.6e-9, 5.2e-10, 4.5e-11.  The error
         # falls only as 1/steps, because dE turns a corner of width about
         # eps/(hbar w0) at each end, and it stays below the report's own
         # quadrature error estimate.
@@ -187,6 +187,23 @@ class TestRunScenario:
         assert abs(report.s / s_closed - 1.0) <= rel_tol
         assert abs(report.s - s_closed) <= report.quadrature_error
         assert report.eta == pytest.approx(math.pi / 2e6, rel=1e-8)
+
+    @pytest.mark.parametrize("steps, rel_tol", [(200, 1e-12), (2000, 1e-10), (20000, 1e-8)])
+    def test_driven_si_node_dispersions_match_the_closed_law(self, steps, rel_tol):
+        # |<H>| reaches about 1e6 * dE at the ends, where sqrt(<H^2> - <H>^2)
+        # lost the node dE to 1.1e-2, 2.5e-2 and 0.5 relative; the residual
+        # norm measures 1.0e-13, 4.6e-11 and 2.3e-9, the states' phase error
+        run = run_scenario(
+            ScenarioConfig(
+                scenario="driven",
+                steps=steps,
+                unit_system="si",
+                parameters={"b_perp_tesla": 1e-6, "b_parallel_tesla": 1.0},
+            )
+        )
+        h, trace = run.hamiltonian, run.trace
+        law = dispersion_driven_closed(h.epsilon, h.omega, h.omega0, trace.times, h.hbar)
+        assert np.max(np.abs(trace.energy_dispersion / law - 1.0)) <= rel_tol
 
     def test_driven_si_larmor_frequency(self):
         cfg = ScenarioConfig(
@@ -897,6 +914,23 @@ class TestCliSweep:
         code, out, _ = run_cli(capsys, "sweep", "--samples", "4", "--steps", "32")
         assert code == 0
         assert json.loads(out)["seed"] == 777
+
+    def test_malformed_env_seed_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("QGEO_SEED", "abc")
+        code, _, err = run_cli(capsys, "sweep", "--samples", "4", "--steps", "32")
+        assert code == 1
+        assert err == "error: QGEO_SEED must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_is_named(self, capsys, monkeypatch, source):
+        argv = ["sweep", "--samples", "4", "--steps", "32"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("QGEO_SEED", "-1")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_flag_overrides_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("QGEO_SEED", "777")

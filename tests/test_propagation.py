@@ -42,6 +42,7 @@ from qgeo.propagation import (
     short_time_coefficient,
     trace_hamiltonian_from_json,
 )
+from qgeo.si import HBAR_SI, larmor_angular_frequency, rabi_angular_frequency
 from qgeo.states import QuantumState, overlap_modulus
 
 UP = QuantumState.exact([1.0, 0.0])
@@ -741,6 +742,27 @@ class TestDispersionDrivenClosed:
         tr = evolve(h, UP, h.orthogonality_time, steps=1000)
         closed = dispersion_driven_closed(EPS, OMEGA, OMEGA0, tr.times)
         np.testing.assert_allclose(tr.energy_dispersion, closed, atol=1e-7)
+
+    @pytest.mark.parametrize("detuning", [0.0, 1e-3], ids=["resonant", "off-resonance"])
+    @pytest.mark.parametrize("fraction", [0.5, 0.999, 1.0])
+    def test_si_transfer_matches_a_60_digit_evaluation(self, detuning, fraction):
+        # b -> hbar*w0 ~ 2e6*eps at the end of a resonant SI transfer, where
+        # hbar*w0 - b taken as a difference was off by 3.2e-4 relative
+        mp = pytest.importorskip("mpmath")
+        eps = HBAR_SI * rabi_angular_frequency(1e-6)
+        omega0 = larmor_angular_frequency(1.0)
+        omega = omega0 * (1.0 + detuning)
+        kappa = math.hypot(eps, 0.5 * HBAR_SI * (omega - omega0))
+        t = fraction * math.pi * HBAR_SI / (2.0 * kappa)
+        with mp.workdps(60):
+            e, w, w0, tt, hb = map(mp.mpf, (eps, omega, omega0, t, HBAR_SI))
+            k = mp.sqrt(e**2 + (hb * (w - w0)) ** 2 / 4)
+            b = e**2 * hb * w / k**2 * mp.sin(k * tt / hb) ** 2
+            exact = mp.sqrt(e**2 + b * (hb * w0 - b))
+        got = dispersion_driven_closed(eps, omega, omega0, t, HBAR_SI)
+        assert abs(got / exact - 1) <= 1e-14
+        if not detuning:
+            assert dispersion_driven_near_resonance(eps, omega, omega0, t, HBAR_SI) == got
 
     def test_scalar_and_array_agree(self):
         arr = dispersion_driven_closed(EPS, OMEGA, OMEGA0, np.array([0.3, 0.9]))
