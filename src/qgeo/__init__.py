@@ -65,7 +65,6 @@ from .propagation import (
 from .speedlimit import (
     BoundQuery,
     SweepResult,
-    avg_dispersion,
     min_time,
     run_sweep,
     solve_implicit_time,
@@ -101,7 +100,6 @@ __all__ = [
     "TimeDependent",
     "TwoLevelDriven",
     "TwoLevelStatic",
-    "avg_dispersion",
     "dispersion_driven_closed",
     "dispersion_driven_near_resonance",
     "efficiency",

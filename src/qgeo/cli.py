@@ -25,6 +25,7 @@ result does not depend on the chunking.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -454,8 +455,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0 if all(r.bound_satisfied for r in reports) else 2
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: built on its first call, not at import."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -9,6 +9,8 @@ import math
 import numbers
 from typing import Any, Mapping
 
+import numpy as np
+
 
 class QGeoError(ValueError):
     """Base class for all domain errors raised by this package."""
@@ -74,3 +76,14 @@ def json_number(data: Mapping[str, Any], name: str, default: float | None = None
         return float(value)
     except OverflowError:  # an integer literal beyond the float range
         raise ValueError(f"{name} must be a JSON number within the float range") from None
+
+
+def json_floats(value: Any, name: str) -> np.ndarray:
+    """``value`` as a float array; ValueError naming ``name`` unless numpy reads only numbers."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # a ragged nesting
+        raise ValueError(f"{name} must be an array of JSON numbers: {exc}") from None
+    if arr.dtype.kind not in "iuf":  # bools, strings, nulls, objects; numpy makes [true, 0.5] float
+        raise ValueError(f"{name} must be an array of JSON numbers, got {arr.dtype.name} entries")
+    return arr.astype(float, copy=False)

@@ -29,6 +29,11 @@ from .states import CLAMP_WINDOW, wootters_distance
 #: Endpoints closer than this (in overlap) have no defined path ratio.
 DEGENERACY_TOL = 1e-12
 
+#: Relative gap between a stored ``eta`` and its ``s0/s`` that round-off can
+#: explain: a report computes eta as exactly s0/s, and a hand-made one such
+#: as ``s = s0/eta`` is off by a few ulps.
+ETA_ROUNDOFF = 8.0 * float(np.finfo(float).eps)
+
 
 def length_quadrature(
     dispersion: np.ndarray, dt: float | np.ndarray, hbar: float
@@ -39,7 +44,9 @@ def length_quadrature(
     per row.  An even node count integrates the final interval by trapezoid
     and warns.
     """
-    result = simpson_uniform(2.0 * dispersion / hbar, dt)
+    y = np.multiply(dispersion, 2.0)
+    y /= hbar  # 2*dispersion/hbar in one buffer
+    result = simpson_uniform(y, dt)
     if result.trapezoid_tail:
         warnings.warn(
             "even node count: last interval integrated by trapezoid rule",
@@ -100,7 +107,12 @@ class SpeedLimitReport:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "SpeedLimitReport":
-        """Inverse of :meth:`to_json`: JSON types checked by field, ``s`` positive and finite."""
+        """Inverse of :meth:`to_json`, refusing a report that contradicts itself.
+
+        JSON types are checked by field and ``s`` must be positive and finite.
+        ``eta`` must equal ``s0/s`` to within round-off, and ``bound_satisfied``
+        must equal ``eta <= 1 + 1e-9``; a mismatch is refused by field name.
+        """
         if not isinstance(data, Mapping):
             raise ValueError(f"a report must be a JSON object, got {type(data).__name__}")
         floats = [f.name for f in fields(cls) if f.name != "bound_satisfied"]
@@ -109,6 +121,11 @@ class SpeedLimitReport:
         flag = data["bound_satisfied"]
         if not isinstance(flag, bool):
             raise ValueError(f"bound_satisfied must be a JSON boolean, got {flag!r}")
+        eta, ratio = values["eta"], values["s0"] / values["s"]
+        if not abs(eta - ratio) <= ETA_ROUNDOFF * abs(ratio):
+            raise ValueError(f"eta = {eta!r} contradicts s0/s = {ratio!r}")
+        if flag != (eta <= 1.0 + 1e-9):
+            raise ValueError(f"bound_satisfied = {str(flag).lower()} contradicts eta = {eta!r}")
         return cls(bound_satisfied=flag, **values)
 
 

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     HermiticityError,
     StationaryStateError,
+    json_floats,
     json_number,
     require_positive_finite,
 )
@@ -403,8 +404,10 @@ def hamiltonian_from_json(data: Mapping[str, Any], hbar: float = 1.0) -> Hamilto
     """
     kind = data.get("kind")
     if kind is None:
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
+        for name in ("re", "im"):
+            if name not in data:
+                raise ValueError(f"{name} is missing: a bare-matrix Hamiltonian needs re and im")
+        re, im = json_floats(data["re"], "re"), json_floats(data["im"], "im")
         if re.shape != im.shape:
             raise DimensionMismatchError(
                 f"re/im shape mismatch: {re.shape} vs {im.shape}"

@@ -5,18 +5,24 @@ a stack: the exact Pauli form at 2x2, the spectral form from ``eigh`` above.
 With a ``constant_generator`` K, the step of ``K - (hbar*frame_rate/2)*sigma_z``
 is exponentiated once, its powers are filled by doubling
 (:func:`fill_by_doubling`, which also serves the stacked sweep), and the
-nodes ``R(t) U^k psi0`` carry K's statistics of ``U^k psi0``.  Without a K,
-``sample`` is integrated by the fourth-order
-Magnus step with Simpson nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
-151 (2009)): each time is sampled once, one stacked ``sample`` per chunk of
-steps, and a step's end sample is the next step's start sample and gives
-its node's statistics.  Above 2x2 the step applies the exponential's Taylor
+nodes ``R(t) U^k psi0`` carry K's statistics of ``U^k psi0``, taken block by
+block of :data:`NODE_BLOCK_BYTES`.  Without a K, ``sample`` is integrated by
+the fourth-order Magnus step with Simpson nodes (Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470, 151 (2009)): each time is sampled once, one stacked
+``sample`` per chunk of steps, and a step's end sample is the next step's
+start sample and gives its node's statistics.  Above 2x2 the step applies the exponential's Taylor
 polynomial to the state, with no propagator formed (Al-Mohy & Higham, SIAM
 J. Sci. Comput. 33, 488 (2011)), unless a phase of its chunk exceeds 1 in
 the inf-norm; then, and at 2x2, it takes :func:`expm_unitary_step`.
 Every step is unitary to round-off, so norm drift is a genuine error
 signal, checked at every node.
 A trace holds its node states as one ``(n_nodes, dim)`` amplitude array.
+
+Working set: :func:`evolve` allocates the trace's four arrays once, writes
+them in place (the fill, then each block's statistics and frame phases
+with temporaries of one block), norm-checks the nodes once after their last
+write, and the trace adopts the arrays without a copy.  Arrays a caller
+passes to :class:`EvolutionTrace` are copied and every norm is checked.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .errors import (
     GridError,
     IntegrationError,
     NormalizationError,
+    json_floats,
     json_number,
     require_positive_finite,
 )
@@ -60,6 +67,10 @@ _ID2 = np.eye(2, dtype=complex)
 #: ``_TAYLOR_THETA[m]``: the largest ``|M|`` whose Taylor degree ``m`` truncates
 #: ``exp(-i M)`` below ``2^-53``, ``((m+1)! 2^-53)^(1/(m+1))``; above 1 at m = 18.
 _TAYLOR_THETA = np.array([(math.factorial(m + 1) * 2.0**-53) ** (1.0 / (m + 1)) for m in range(19)])
+#: Bytes of node states per block of the constant-generator statistics and
+#: frame phases in :func:`evolve`: the block's temporaries stay small and are
+#: reused from block to block, while the trace's own arrays are written once.
+NODE_BLOCK_BYTES = 1 << 18
 #: Rows or nodes per ``write`` call of the trace writers.
 _WRITE_BLOCK = 1024
 
@@ -134,18 +145,19 @@ def expm_unitary_step(h_matrix: np.ndarray, dt: float | np.ndarray, hbar: float)
 def fill_by_doubling(step: np.ndarray, psi0: np.ndarray, n_nodes: int) -> np.ndarray:
     """Nodes ``step^k psi0``, ``k < n_nodes``, of states ``(..., d)``: ``(..., n_nodes, d)``.
 
-    ``step`` is one matrix or a matching ``(..., d, d)`` stack.  Raises
-    IntegrationError when a node's norm drifts beyond MAX_NORM_DRIFT.
+    ``step`` is one matrix or a matching ``(..., d, d)`` stack.  Each doubling
+    product is written straight into its slice of the result.  The nodes are
+    not norm-checked here: the caller checks them with
+    :func:`_require_unit_rows` after its last write to them.
     """
     psis = np.empty((*psi0.shape[:-1], n_nodes, psi0.shape[-1]), dtype=complex)
     psis[..., 0, :] = psi0
     power_t, filled = np.swapaxes(step, -1, -2), 1
     while filled < n_nodes:  # invariant: power_t = (step^filled)^T
         block = min(filled, n_nodes - filled)
-        psis[..., filled : filled + block, :] = psis[..., :block, :] @ power_t
+        np.matmul(psis[..., :block, :], power_t, out=psis[..., filled : filled + block, :])
         filled += block
         power_t = power_t @ power_t
-    _require_unit_rows(psis, IntegrationError)
     return psis
 
 
@@ -230,14 +242,26 @@ def _magnus4_nodes(
 def _require_unit_rows(amps: np.ndarray, error: type[Exception]) -> None:
     """Raise ``error`` unless every state ``(..., d)`` has unit norm within MAX_NORM_DRIFT."""
     v = np.ascontiguousarray(amps).view(float)  # (re, im) pairs: no complex temporaries
+    drift = np.einsum("...i,...i->...", v, v).ravel()  # the one buffer of the drifts
     # an infinite or huge amplitude gives an inf or nan drift, refused below
     with np.errstate(invalid="ignore", over="ignore"):
-        drift = np.abs(np.sqrt(np.einsum("...i,...i->...", v, v)) - 1.0).ravel()
+        np.sqrt(drift, out=drift)
+        drift -= 1.0
+        np.abs(drift, out=drift)
     worst = int(np.argmax(drift))  # a NaN row wins argmax and fails the test
     if not drift[worst] <= MAX_NORM_DRIFT:
         raise error(
             f"norm drift {drift[worst]:.3e} at node {worst} exceeds {MAX_NORM_DRIFT:.1e}"
         )
+
+
+class _Owned:
+    """Amplitudes that :func:`evolve` hands to its trace, norm-checked after their last write."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,6 +273,12 @@ class EvolutionTrace:
     ``energy_mean[i]`` and ``energy_dispersion[i]`` are always statistics of
     the energy *observable* at ``times[i]`` in that state, so they can be
     recomputed from the Hamiltonian spec that produced the trace.
+
+    A trace built from the caller's arrays copies them and checks every
+    norm, so later writes to those arrays leave it unchanged.  A trace that
+    :func:`evolve` builds adopts evolve's four arrays as they are: evolve
+    wrote them once and norm-checked the amplitudes after its last write, so
+    only the shape, finiteness and monotonicity checks run again.
     """
 
     times: np.ndarray
@@ -258,10 +288,12 @@ class EvolutionTrace:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float)
-        amps = np.array(self.amplitudes, dtype=complex)
-        mean = np.array(self.energy_mean, dtype=float)
-        disp = np.array(self.energy_dispersion, dtype=float)
+        owned = isinstance(self.amplitudes, _Owned)
+        take = np.asarray if owned else np.array  # np.array copies
+        times = take(self.times, dtype=float)
+        amps = self.amplitudes.array if owned else np.array(self.amplitudes, dtype=complex)
+        mean = take(self.energy_mean, dtype=float)
+        disp = take(self.energy_dispersion, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise GridError(f"times must be a nonempty 1-D array, got {times.shape}")
         if amps.ndim != 2 or amps.shape[1] < 2:
@@ -278,12 +310,13 @@ class EvolutionTrace:
             finite = np.isfinite(arr)
             if not np.all(finite):
                 raise ValueError(f"{name} must be finite, got {float(arr[~finite].flat[0])!r}")
-        if n > 1 and not np.all(np.diff(times) > 0.0):
+        if not np.all(times[1:] > times[:-1]):
             raise GridError("times must be strictly increasing")
         if np.any(disp < 0.0):
             raise ValueError("energy dispersion samples must be nonnegative")
         require_positive_finite(hbar=self.hbar)
-        _require_unit_rows(amps, NormalizationError)
+        if not owned:
+            _require_unit_rows(amps, NormalizationError)
         for arr in (times, amps, mean, disp):
             arr.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -316,7 +349,9 @@ class EvolutionTrace:
         if self.n_nodes < 2:
             raise GridError("a single-node trace has no spacing")
         dt = self.duration / (self.n_nodes - 1)
-        if not np.max(np.abs(np.diff(self.times) - dt)) <= 1e-9 * dt:
+        gaps = np.diff(self.times)
+        gaps -= dt
+        if not np.abs(gaps, out=gaps).max() <= 1e-9 * dt:
             raise GridError("trace grid is not uniform")
         return dt
 
@@ -342,16 +377,16 @@ class EvolutionTrace:
             im = np.asarray([s["im"] for s in data["states"]])
         except (TypeError, ValueError) as exc:  # ragged vectors, or a state that is not an object
             raise DimensionMismatchError(f"states are not an (n, dim) array: {exc}")
-        re, im = _json_floats(re, "states"), _json_floats(im, "states")
+        re, im = json_floats(re, "states"), json_floats(im, "states")
         if re.shape != im.shape:
             raise DimensionMismatchError(f"re/im shapes differ: {re.shape}, {im.shape}")
         amps = np.empty(re.shape, dtype=complex)
         amps.real, amps.imag = re, im  # re + 1j*im would compute 0*inf for an infinite im
         return cls(
-            times=_json_floats(data["times"], "times"),
+            times=json_floats(data["times"], "times"),
             amplitudes=amps,
-            energy_mean=_json_floats(data["energy_mean"], "energy_mean"),
-            energy_dispersion=_json_floats(data["energy_dispersion"], "energy_dispersion"),
+            energy_mean=json_floats(data["energy_mean"], "energy_mean"),
+            energy_dispersion=json_floats(data["energy_dispersion"], "energy_dispersion"),
             hbar=json_number(data, "hbar"),
         )
 
@@ -375,17 +410,6 @@ class EvolutionTrace:
         target.write(",".join(["t", *amp_cols, "energy_mean", "energy_dispersion"]) + "\r\n")
         write_joined(target, map(",".join, zip(*(columns or self.float_columns()))), "\r\n")
         target.write("\r\n")
-
-
-def _json_floats(value: Any, name: str) -> np.ndarray:
-    """``value`` as a float array; ValueError naming the field unless numpy reads only numbers."""
-    try:
-        arr = np.asarray(value)
-    except ValueError as exc:  # a ragged nesting
-        raise ValueError(f"{name} must be an array of JSON numbers: {exc}") from None
-    if arr.dtype.kind not in "iuf":  # bools, strings, nulls, objects; numpy makes [true, 0.5] float
-        raise ValueError(f"{name} must be an array of JSON numbers, got {arr.dtype.name} entries")
-    return arr.astype(float, copy=False)
 
 
 def write_joined(fh: io.TextIOBase, pieces: Iterable[str], sep: str) -> None:
@@ -427,6 +451,11 @@ def evolve(
     steps samples ``2 * steps + 1`` times; the node samples give the
     statistics, and the global error falls as ``dt^4``.
 
+    The returned trace adopts the arrays built here, with no copy: the
+    constant path fills the nodes, then takes their statistics and applies
+    the frame phases block by block of :data:`NODE_BLOCK_BYTES`, and either
+    path norm-checks every node once, after its last write.
+
     Args:
         h: Hamiltonian spec.
         psi0: initial state, same dimension as ``h``.
@@ -461,15 +490,21 @@ def evolve(
         # phi moves under K - (hbar*rate/2) sigma_z, and psi = R(t) phi
         step = expm_unitary_step(k - (0.5 * h.hbar * rate) * PAULI_Z if rate else k, dt, h.hbar)
         psis = fill_by_doubling(step, psi0.amplitudes, n_nodes)
-        mean, disp = energy_statistics(k, psis)  # R^dagger sample(t) R = K
-        if rate:
-            phase = np.exp(-0.5j * rate * times)
-            psis[:, 0] *= phase
-            psis[:, 1] *= np.conjugate(phase, out=phase)
-            del phase  # freed before the trace copies its arrays
+        mean, disp = np.empty(n_nodes), np.empty(n_nodes)
+        block = max(NODE_BLOCK_BYTES // psis[0].nbytes, 2)
+        # no block of one row: numpy multiplies one row as a matrix-vector
+        # product, whose rounding differs from a row of a matrix product
+        bounds = [0, *range(block, n_nodes - 1, block), n_nodes]
+        for rows in map(slice, bounds, bounds[1:]):
+            mean[rows], disp[rows] = energy_statistics(k, psis[rows])  # R^dagger sample(t) R = K
+            if rate:
+                phase = np.exp(-0.5j * rate * times[rows])
+                psis[rows, 0] *= phase
+                psis[rows, 1] *= np.conjugate(phase, out=phase)
+        _require_unit_rows(psis, IntegrationError)
     else:
         psis, mean, disp = _magnus4_nodes(h, psi0.amplitudes, times, dt)
-    return EvolutionTrace(times, psis, mean, disp, hbar=h.hbar)
+    return EvolutionTrace(times, _Owned(psis), mean, disp, hbar=h.hbar)
 
 
 def short_time_coefficient(omega: float, omega0: float) -> float:

@@ -54,16 +54,15 @@ def simpson_uniform(y: np.ndarray, dx: float | np.ndarray) -> QuadratureResult:
         raise GridError(f"sample spacing must be positive and finite, got {dx}")
 
     n = y.shape[-1]
-    trapezoid_full = _trapezoid(y, dx=dx[..., np.newaxis], axis=-1)
     if n % 2 == 1:
         value = _simpson_odd(y, dx)
-        if (n - 1) % 4 == 0 and n >= 5:
-            estimate = np.abs(value - _simpson_odd(y[..., ::2], 2.0 * dx))
-        else:
-            estimate = np.abs(value - trapezoid_full)
     else:
         value = _simpson_odd(y[..., :-1], dx) + 0.5 * dx * (y[..., -2] + y[..., -1])
-        estimate = np.abs(value - trapezoid_full)
+    if n % 4 == 1 and n >= 5:  # the half-resolution grid exists
+        reference = _simpson_odd(y[..., ::2], 2.0 * dx)
+    else:
+        reference = _trapezoid(y, dx=dx[..., np.newaxis], axis=-1)
+    estimate = np.abs(value - reference)
     if y.ndim == 1:
         value, estimate = float(value), float(estimate)
     return QuadratureResult(value, estimate, trapezoid_tail=n % 2 == 0)

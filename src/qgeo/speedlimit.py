@@ -21,10 +21,16 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import geometry
-from .errors import FormulaError, StationaryStateError, require_positive_finite
+from .errors import FormulaError, IntegrationError, StationaryStateError, require_positive_finite
 from .geometry import _require_arc_routes_agree
 from .hamiltonian import energy_statistics, overlap_rate_bound, require_hermitian
-from .propagation import EvolutionTrace, expm_unitary_step, fill_by_doubling, short_time_coefficient
+from .propagation import (
+    EvolutionTrace,
+    _require_unit_rows,
+    expm_unitary_step,
+    fill_by_doubling,
+    short_time_coefficient,
+)
 
 
 @dataclass(frozen=True)
@@ -74,18 +80,6 @@ def min_time(query: BoundQuery) -> float:
     theta_cos = math.acos(min(ov, 1.0))
     _require_arc_routes_agree(theta_cos, math.asin(min(comp, 1.0)), ov, comp)
     return query.hbar * theta_cos / d
-
-
-def avg_dispersion(trace: EvolutionTrace) -> float:
-    """Time-averaged energy dispersion (1/T) * integral of dE(t) dt = hbar*s/(2T).
-
-    An even node count integrates the final interval by trapezoid and warns,
-    as :func:`~qgeo.geometry.path_length` does.
-    """
-    if trace.duration <= 0.0:
-        raise ValueError("average dispersion undefined on a zero-duration trace")
-    quad = geometry.length_quadrature(trace.energy_dispersion, trace.grid_spacing(), trace.hbar)
-    return 0.5 * trace.hbar * quad.value / trace.duration
 
 
 def _bound_margin(avg_dispersion, duration, s0, hbar: float):
@@ -217,7 +211,7 @@ def _propagate(
     endpoints land on a revival (overlap >= 1 - 1e-9) has its duration
     stretched by 1.3737 and is propagated again, at most four times; the
     others are left alone.  Returns the final durations and the amplitudes.
-    Raises IntegrationError when a node's norm drifts beyond MAX_NORM_DRIFT.
+    Raises IntegrationError when a final node's norm drifts beyond MAX_NORM_DRIFT.
     """
     t_final = np.array(t_final, dtype=float)
 
@@ -233,6 +227,7 @@ def _propagate(
             break
         t_final[stuck] *= 1.3737  # deterministic nudge away from a revival
         amps[stuck] = nodes(stuck)
+    _require_unit_rows(amps, IntegrationError)  # after the last write to the nodes
     return t_final, amps
 
 

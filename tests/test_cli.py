@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -634,6 +636,71 @@ class TestBoundViolation:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {field} must be ")
+
+
+class TestSelfContradictoryReport:
+    """``table`` refuses a report whose fields contradict each other."""
+
+    def write(self, tmp_path, **fields):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**synthetic_report(eta=0.9).to_json(), **fields}))
+        return path
+
+    def test_violating_eta_flagged_as_satisfied_is_refused(self, capsys, tmp_path):
+        # eta 2 with s0 = pi and s = pi/2 used to print "suboptimal (eta < 1)" and exit 0
+        path = self.write(tmp_path, eta=2.0, s0=math.pi, s=0.5 * math.pi, bound_satisfied=True)
+        code, out, err = run_cli(capsys, "table", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: bound_satisfied = true contradicts eta = 2.0\n"
+
+    def test_eta_that_is_not_s0_over_s_is_refused(self, capsys, tmp_path):
+        path = self.write(tmp_path, eta=0.5, s0=math.pi, s=0.5 * math.pi, bound_satisfied=True)
+        code, out, err = run_cli(capsys, "table", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: eta = 0.5 contradicts s0/s = 2.0\n"
+
+    @pytest.mark.parametrize("eta", [0.9, 1.024])
+    def test_bound_flag_that_contradicts_eta_is_refused(self, capsys, tmp_path, eta):
+        doc = synthetic_report(eta=eta).to_json()
+        path = self.write(tmp_path, **{**doc, "bound_satisfied": not doc["bound_satisfied"]})
+        code, out, err = run_cli(capsys, "table", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bound_satisfied = ")
+
+    def test_eta_within_round_off_of_s0_over_s_is_accepted(self):
+        doc = synthetic_report(eta=0.9).to_json()
+        assert doc["eta"] != doc["s0"] / doc["s"]  # s = s0/eta is off by an ulp
+        assert SpeedLimitReport.from_json(doc).eta == 0.9
+
+    def test_eta_beyond_round_off_is_refused(self):
+        doc = synthetic_report(eta=0.9).to_json()
+        with pytest.raises(ValueError, match="^eta = "):
+            SpeedLimitReport.from_json({**doc, "eta": doc["eta"] * (1.0 + 1e-12)})
+
+
+class TestParserReuse:
+    def test_main_builds_one_parser_for_many_calls(self, capsys, monkeypatch):
+        import qgeo.cli as cli_module
+
+        built = []
+        monkeypatch.setattr(cli_module, "build_parser", lambda: built.append(1) or build_parser())
+        cli_module._shared_parser.cache_clear()
+        try:
+            code, out, _ = run_cli(capsys, "scenario1", "--steps", "200", "--epsilon", "2.0")
+            assert (code, json.loads(out)["report"]["t_effective"]) == (0, 0.25 * math.pi)
+            # a flag of the first call does not carry over to the next
+            code, out, _ = run_cli(capsys, "scenario1", "--steps", "200")
+            assert (code, json.loads(out)["report"]["t_effective"]) == (0, 0.5 * math.pi)
+            assert run_cli(capsys, "scenario1", "--steps", "not-a-number")[0] == 1
+        finally:
+            cli_module._shared_parser.cache_clear()
+        assert built == [1]
+
+    def test_import_builds_no_parser(self):
+        code = "import qgeo.cli as c; print(c._shared_parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.stdout == "0\n", out.stderr
 
 
 class TestNonFiniteInput:

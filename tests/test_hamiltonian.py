@@ -444,6 +444,31 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{field} must be a JSON number"):
             hamiltonian_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "field, value, got",
+        [
+            ("re", [["0", "1"], ["1", "0"]], "str"),
+            ("re", [[False, True], [True, False]], "bool"),
+            ("re", [[None, 1.0], [1.0, 0.0]], "object"),
+            ("im", [[0.0, "0"], ["0", 0.0]], "str"),
+            ("im", [[False, False], [False, False]], "bool"),
+            ("im", [[0.0, None], [None, 0.0]], "object"),
+        ],
+        ids=["re-strings", "re-bools", "re-null", "im-strings", "im-bools", "im-null"],
+    )
+    def test_bare_matrix_entry_of_wrong_json_type_is_named(self, field, value, got):
+        # numpy reads "1" and true as 1.0, so both specs used to give sigma_x
+        doc = {**hamiltonian_to_json(ConstantMatrix(PAULI_X)), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an array of JSON numbers, got {got}"):
+            hamiltonian_from_json(doc)
+
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_bare_matrix_missing_part_is_named(self, field):
+        doc = hamiltonian_to_json(ConstantMatrix(PAULI_X))
+        del doc[field]
+        with pytest.raises(ValueError, match=f"^{field} is missing"):
+            hamiltonian_from_json(doc)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             hamiltonian_from_json({"kind": "three_level_magic"})

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,8 @@ from scipy.linalg import expm as scipy_expm
 
 import qgeo.hamiltonian as hamiltonian
 import qgeo.propagation as propagation
+import qgeo.speedlimit as speedlimit
+from qgeo.cli import ScenarioConfig, run_scenario
 from qgeo.errors import (
     DimensionMismatchError,
     FormulaError,
@@ -715,6 +718,85 @@ class TestConstantGeneratorFill:
         h = TimeDependent(func, dimension=2)
         with pytest.raises(HermiticityError, match="H\\(t=0.6"):
             evolve(h, UP, 1.0, steps=10)
+
+
+def whole_array_nodes(h, psi0, t_final, steps):
+    """The constant-generator nodes and statistics as one whole-array pass over all nodes."""
+    k, rate, times = h.constant_generator, h.frame_rate, np.linspace(0.0, t_final, steps + 1)
+    step = expm_unitary_step(k - (0.5 * h.hbar * rate) * PAULI_Z if rate else k, t_final / steps, h.hbar)
+    psis = propagation.fill_by_doubling(step, psi0.amplitudes, steps + 1)
+    mean, disp = hamiltonian.energy_statistics(k, psis)
+    if rate:
+        phase = np.exp(-0.5j * rate * times)
+        psis[:, 0] *= phase
+        psis[:, 1] *= np.conjugate(phase)
+    return psis, mean, disp
+
+
+def random_constant(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    psi0 = QuantumState.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    return ConstantMatrix(0.5 * (g + g.conj().T)), psi0
+
+
+class TestWorkingSet:
+    """evolve fills the trace's own arrays block by block, and the trace adopts them."""
+
+    @pytest.mark.parametrize("nodes", ["block", "block+1", 100_001])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: (TwoLevelStatic(epsilon=1.3), UP), id="static"),
+            pytest.param(lambda: (TwoLevelDriven(epsilon=EPS, omega=OMEGA, omega0=OMEGA0), UP), id="driven"),
+            pytest.param(lambda: random_constant(5, 5), id="matrix-dim5"),
+            pytest.param(lambda: random_constant(32, 32), id="matrix-dim32"),
+        ],
+    )
+    def test_blocks_equal_the_whole_array_bit_for_bit(self, make, nodes):
+        h, psi0 = make()
+        block = propagation.NODE_BLOCK_BYTES // (16 * h.dim)
+        n = {"block": block, "block+1": block + 1}.get(nodes, nodes)
+        tr = evolve(h, psi0, 1.7, steps=n - 1)
+        psis, mean, disp = whole_array_nodes(h, psi0, 1.7, n - 1)
+        assert tr.amplitudes.tobytes() == psis.tobytes()
+        assert tr.energy_mean.tobytes() == mean.tobytes()
+        assert tr.energy_dispersion.tobytes() == disp.tobytes()
+
+    @pytest.mark.parametrize("scenario", ["static", "driven"])
+    def test_peak_allocation_stays_near_the_trace(self, scenario):
+        cfg = ScenarioConfig(scenario, steps=100_000)
+        tracemalloc.start()
+        try:
+            run = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tr = run.trace
+        held = sum(a.nbytes for a in (tr.times, tr.amplitudes, tr.energy_mean, tr.energy_dispersion))
+        assert peak <= 1.25 * held  # 2.30x while the statistics ran on the whole array at once
+
+    def test_public_constructor_copies_the_callers_arrays(self):
+        times, amps = np.array([0.0, 0.5, 1.0]), np.array([UP.amplitudes] * 3)
+        mean, disp = np.zeros(3), np.ones(3)
+        tr = EvolutionTrace(times, amps, mean, disp)
+        for arr in (times, amps, mean, disp):
+            arr[...] = 0.5
+        assert tr.times.tolist() == [0.0, 0.5, 1.0]
+        assert tr.amplitudes.tolist() == [[1.0, 0.0]] * 3
+        assert tr.energy_mean.tolist() == [0.0] * 3
+        assert tr.energy_dispersion.tolist() == [1.0] * 3
+
+    def test_evolve_trace_is_read_only(self):
+        tr = evolve(TwoLevelDriven(epsilon=EPS, omega=OMEGA, omega0=OMEGA0), UP, 1.0, steps=10)
+        for arr in (tr.times, tr.amplitudes, tr.energy_mean, tr.energy_dispersion):
+            assert not arr.flags.writeable
+
+    def test_sweep_nodes_are_norm_checked(self):
+        h = np.array([PAULI_X, PAULI_Z])
+        psi0 = np.array([[1.0, 0.0], [1.0 + 1e-7, 0.0]], dtype=complex)
+        with pytest.raises(IntegrationError, match="norm drift"):
+            speedlimit._propagate(h, psi0, np.array([0.7, 0.7]), 16, 1.0)
 
 
 class TestOverlapDecay:

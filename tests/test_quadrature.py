@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qgeo.errors import GridError
-from qgeo.quadrature import simpson_uniform
+from qgeo.quadrature import _simpson_odd, _trapezoid, simpson_uniform
 
 
 def test_exact_on_cubics():
@@ -58,3 +58,23 @@ def test_too_few_samples():
 def test_bad_spacing():
     with pytest.raises(GridError):
         simpson_uniform(np.ones(5), 0.0)
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 100_001])
+def test_error_estimate_matches_the_always_trapezoid_rule_bit_for_bit(n):
+    # the trapezoid is now taken only where the estimate reads it; the
+    # estimate must be the bits of the rule that always took it
+    rng = np.random.default_rng(n)
+    y, dx = rng.uniform(0.5, 2.0, size=(3, n)), np.array([0.1, 0.25, 1.0 / (n - 1)])
+    trapezoid = _trapezoid(y, dx=dx[:, np.newaxis], axis=-1)
+    if n % 2 == 0:
+        value = _simpson_odd(y[:, :-1], dx) + 0.5 * dx * (y[:, -2] + y[:, -1])
+        expected = np.abs(value - trapezoid)
+    elif n % 4 == 1:
+        expected = np.abs(_simpson_odd(y, dx) - _simpson_odd(y[:, ::2], 2.0 * dx))
+    else:
+        expected = np.abs(_simpson_odd(y, dx) - trapezoid)
+    assert simpson_uniform(y, dx).error_estimate.tobytes() == expected.tobytes()
+    for row in range(3):
+        one = simpson_uniform(y[row], dx[row]).error_estimate
+        assert one == float(expected[row])

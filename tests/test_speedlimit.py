@@ -26,7 +26,6 @@ from qgeo.si import (
 from qgeo.speedlimit import (
     BoundQuery,
     SweepResult,
-    avg_dispersion,
     min_time,
     run_sweep,
     solve_implicit_time,
@@ -109,15 +108,17 @@ class TestMinTime:
 
 
 class TestAvgDispersion:
+    """The report's time-averaged dispersion (1/T) * integral of dE dt."""
+
     def test_constant_dispersion_trace(self):
         h = TwoLevelStatic(epsilon=0.7)
         tr = evolve(h, UP, 2.0, steps=100)
-        assert avg_dispersion(tr) == pytest.approx(0.7, rel=1e-12)
+        assert efficiency(tr).avg_dispersion == pytest.approx(0.7, rel=1e-12)
 
     def test_static_scenario(self):
         h = TwoLevelStatic(epsilon=1.0)
         tr = evolve(h, UP, h.orthogonality_time, steps=400)
-        assert avg_dispersion(tr) == pytest.approx(1.0, rel=1e-12)
+        assert efficiency(tr).avg_dispersion == pytest.approx(1.0, rel=1e-12)
 
     def test_short_time_driven_average(self):
         # <dE> over [0,T] of eps*(1 + a t^2) is eps*(1 + a T^2/3) + O(T^4)
@@ -126,26 +127,13 @@ class TestAvgDispersion:
         tr = evolve(h, UP, t_final, steps=200)
         a = short_time_coefficient(OMEGA, OMEGA0)
         expected = EPS * (1.0 + a * t_final * t_final / 3.0)
-        assert avg_dispersion(tr) == pytest.approx(expected, abs=EPS * t_final**4)
+        assert efficiency(tr).avg_dispersion == pytest.approx(expected, abs=EPS * t_final**4)
 
-    def test_zero_duration_rejected(self):
-        h = TwoLevelStatic(epsilon=1.0)
-        tr = evolve(h, UP, 0.0, steps=10)
-        with pytest.raises(ValueError):
-            avg_dispersion(tr)
-
-    @pytest.mark.parametrize("quantity", [avg_dispersion, path_length, efficiency])
+    @pytest.mark.parametrize("quantity", [path_length, efficiency])
     def test_even_node_count_warns(self, quantity):
         tr = evolve(TwoLevelStatic(epsilon=1.0), UP, 1.0, steps=5)  # 6 nodes
         with pytest.warns(UserWarning, match="even node count"):
             quantity(tr)
-
-    def test_is_the_path_length_average(self):
-        h = TwoLevelDriven(epsilon=EPS, omega=OMEGA, omega0=OMEGA0, hbar=1.7)
-        tr = evolve(h, UP, 3.0, steps=200)
-        assert avg_dispersion(tr) == pytest.approx(
-            1.7 * path_length(tr) / (2.0 * 3.0), rel=1e-15
-        )
 
 
 class TestVerifyBound:
@@ -174,8 +162,7 @@ class TestVerifyBound:
         tr = evolve(h, UP, 0.8 * h.orthogonality_time, steps=600)
         rep = verify_bound(tr)
         ov = overlap_modulus(tr.initial_state, tr.final_state)
-        d = avg_dispersion(tr)
-        eta_indirect = math.acos(ov) / (d * tr.duration)
+        eta_indirect = math.acos(ov) / (rep.avg_dispersion * tr.duration)
         assert rep.eta == pytest.approx(eta_indirect, abs=1e-9)
 
     def test_random_mini_ensemble(self):
