@@ -15,9 +15,10 @@ geodesics.  Modules:
   integrator (Simpson nodes, each time sampled once, the exponential applied
   as a Taylor action above 2x2), closed-form two-level propagators and
   dispersion laws, evolution traces.
-* :mod:`qgeo.geometry`     -- path lengths, geodesic efficiency.
-* :mod:`qgeo.speedlimit`   -- minimum-time queries, bound verification,
-  the short-time implicit solver, randomized sweeps.
+* :mod:`qgeo.geometry`     -- path lengths, geodesic efficiency, and with
+  it the time-energy bound along a trace (eta <= 1).
+* :mod:`qgeo.speedlimit`   -- minimum-time queries, the short-time implicit
+  solver, randomized sweeps.
 * :mod:`qgeo.cli`          -- the ``qgeo`` command; it renders only the trace
   files itself, and every other document with the stdlib's ``json``.
 """
@@ -68,7 +69,6 @@ from .speedlimit import (
     min_time,
     run_sweep,
     solve_implicit_time,
-    verify_bound,
 )
 from .states import (
     QuantumState,
@@ -120,6 +120,5 @@ __all__ = [
     "short_time_coefficient",
     "solve_implicit_time",
     "vaidman_decompose",
-    "verify_bound",
     "wootters_distance",
 ]

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .errors import QGeoError, json_number
-from .geometry import SpeedLimitReport
+from .geometry import BOUND_TOL, SpeedLimitReport, efficiency
 from .hamiltonian import (
     Hamiltonian,
     TwoLevelDriven,
@@ -52,13 +52,7 @@ from .si import (
     larmor_frequency_hz,
     rabi_angular_frequency,
 )
-from .speedlimit import (
-    BoundQuery,
-    min_time,
-    run_sweep,
-    solve_implicit_time,
-    verify_bound,
-)
+from .speedlimit import BoundQuery, min_time, run_sweep, solve_implicit_time
 from .states import QuantumState
 
 _DEFAULT_SEED = 12345
@@ -141,7 +135,7 @@ def run_scenario(
             [1.0] + [0.0] * (hamiltonian.dim - 1)
         )
         trace = evolve(hamiltonian, start, cfg.parameters["t_final"], cfg.steps)
-        return ScenarioRun(cfg, hamiltonian, trace, verify_bound(trace), {})
+        return ScenarioRun(cfg, hamiltonian, trace, efficiency(trace), {})
 
     params = dict(_SCENARIO_DEFAULTS[cfg.scenario])
     params.update(cfg.parameters)
@@ -186,7 +180,7 @@ def run_scenario(
         )
     psi0 = QuantumState.exact([1.0, 0.0])
     trace = evolve(h, psi0, t_final, cfg.steps)
-    report = verify_bound(trace)
+    report = efficiency(trace)
     if cfg.unit_system == "si":
         extras["t_effective_seconds"] = t_final
     return ScenarioRun(cfg, h, trace, report, extras)
@@ -217,12 +211,12 @@ def emit_table(reports: Sequence[SpeedLimitReport]) -> str:
         # whatever units the report carries.
         rhs = lhs * report.s0 / report.s
         # lhs/rhs = 1/eta, so lhs < rhs beyond round-off is exactly a report
-        # whose eta exceeds 1 by more than the bound's 1e-9 tolerance
+        # whose eta exceeds 1 by more than BOUND_TOL
         relation = ">=" if report.bound_satisfied else "<"
         ineq = f"<dE>*T = {lhs:.9e} {relation} {rhs:.9e} = {rhs_label}"
         if not report.bound_satisfied:
             flag = "violation (eta > 1)"
-        elif abs(report.eta - 1.0) <= 1e-9:
+        elif abs(report.eta - 1.0) <= BOUND_TOL:
             flag = "geodesic (eta = 1)"
         else:
             flag = "suboptimal (eta < 1)"
@@ -420,7 +414,7 @@ def _cmd_implicit(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     trace = EvolutionTrace.from_json(json.loads(Path(args.trace).read_text()))
-    report = verify_bound(trace)
+    report = efficiency(trace)
     print(_dump_json(report.to_json()))
     return 0 if report.bound_satisfied else 2
 

@@ -62,14 +62,23 @@ def require_positive_finite(**params: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def json_field(data: Mapping[str, Any], key: str, name: str | None = None) -> Any:
+    """``data[key]``, or ValueError ``"<name> is missing"``; ``name`` defaults to ``key``."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{name or key} is missing") from None
+
+
 def json_number(data: Mapping[str, Any], name: str, default: float | None = None) -> float:
     """``data[name]`` as a float; ValueError naming it unless it is a JSON number (not a bool).
 
-    ``default``, when given, stands for an absent field.
+    ``default``, when given, stands for an absent field; without one an
+    absent field is refused as missing.
     """
     if default is not None and name not in data:
         return default
-    value = data[name]
+    value = json_field(data, name)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a JSON number, got {value!r}")
     try:

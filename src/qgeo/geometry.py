@@ -20,6 +20,7 @@ from .errors import (
     DegenerateEndpointsError,
     FormulaError,
     NormalizationError,
+    json_field,
     json_number,
     require_positive_finite,
 )
@@ -28,6 +29,10 @@ from .states import CLAMP_WINDOW, wootters_distance
 
 #: Endpoints closer than this (in overlap) have no defined path ratio.
 DEGENERACY_TOL = 1e-12
+
+#: How far eta may exceed 1 with the bound still satisfied; eta within it of
+#: 1 is a geodesic.
+BOUND_TOL = 1e-9
 
 #: Relative gap between a stored ``eta`` and its ``s0/s`` that round-off can
 #: explain: a report computes eta as exactly s0/s, and a hand-made one such
@@ -80,7 +85,7 @@ class SpeedLimitReport:
         t_effective: wall duration of the trace.
         t_ideal: minimum time allowed by the time-averaged dispersion.
         avg_dispersion: time-averaged energy dispersion along the trace.
-        bound_satisfied: whether eta <= 1 within 1e-9.
+        bound_satisfied: whether eta <= 1 within BOUND_TOL.
         quadrature_error: half-resolution Simpson error estimate on s.
     """
 
@@ -111,20 +116,21 @@ class SpeedLimitReport:
 
         JSON types are checked by field and ``s`` must be positive and finite.
         ``eta`` must equal ``s0/s`` to within round-off, and ``bound_satisfied``
-        must equal ``eta <= 1 + 1e-9``; a mismatch is refused by field name.
+        must equal ``eta <= 1 + BOUND_TOL``; a mismatch or a missing field is
+        refused by field name.
         """
         if not isinstance(data, Mapping):
             raise ValueError(f"a report must be a JSON object, got {type(data).__name__}")
         floats = [f.name for f in fields(cls) if f.name != "bound_satisfied"]
         values = {name: json_number(data, name) for name in floats}
         require_positive_finite(s=values["s"])
-        flag = data["bound_satisfied"]
+        flag = json_field(data, "bound_satisfied")
         if not isinstance(flag, bool):
             raise ValueError(f"bound_satisfied must be a JSON boolean, got {flag!r}")
         eta, ratio = values["eta"], values["s0"] / values["s"]
         if not abs(eta - ratio) <= ETA_ROUNDOFF * abs(ratio):
             raise ValueError(f"eta = {eta!r} contradicts s0/s = {ratio!r}")
-        if flag != (eta <= 1.0 + 1e-9):
+        if flag != (eta <= 1.0 + BOUND_TOL):
             raise ValueError(f"bound_satisfied = {str(flag).lower()} contradicts eta = {eta!r}")
         return cls(bound_satisfied=flag, **values)
 
@@ -174,7 +180,7 @@ def speed_limit_report(
         t_effective=duration,
         t_ideal=hbar * theta / avg_disp,
         avg_dispersion=avg_disp,
-        bound_satisfied=eta <= 1.0 + 1e-9,
+        bound_satisfied=eta <= 1.0 + BOUND_TOL,
         quadrature_error=quad.error_estimate,
     )
 
@@ -204,6 +210,9 @@ def _require_arc_routes_agree(theta_cos, theta_sin, ov, comp) -> None:
 
 def efficiency(trace) -> SpeedLimitReport:
     """Geodesic efficiency of a trace, with the full speed-limit report.
+
+    ``<dE>*T = hbar*s/2``, so the time-energy bound along the trace is exactly
+    ``eta <= 1``; ``bound_satisfied`` is the one check of it.
 
     Raises:
         GridError: fewer than 3 nodes or a non-uniform grid.

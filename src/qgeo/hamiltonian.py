@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     HermiticityError,
     StationaryStateError,
+    json_field,
     json_floats,
     json_number,
     require_positive_finite,
@@ -404,10 +405,8 @@ def hamiltonian_from_json(data: Mapping[str, Any], hbar: float = 1.0) -> Hamilto
     """
     kind = data.get("kind")
     if kind is None:
-        for name in ("re", "im"):
-            if name not in data:
-                raise ValueError(f"{name} is missing: a bare-matrix Hamiltonian needs re and im")
-        re, im = json_floats(data["re"], "re"), json_floats(data["im"], "im")
+        re = json_floats(json_field(data, "re"), "re")
+        im = json_floats(json_field(data, "im"), "im")
         if re.shape != im.shape:
             raise DimensionMismatchError(
                 f"re/im shape mismatch: {re.shape} vs {im.shape}"

@@ -41,6 +41,7 @@ from .errors import (
     GridError,
     IntegrationError,
     NormalizationError,
+    json_field,
     json_floats,
     json_number,
     require_positive_finite,
@@ -369,12 +370,18 @@ class EvolutionTrace:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "EvolutionTrace":
-        """Inverse of :meth:`to_json`; names a field of the wrong JSON type or shape."""
+        """Inverse of :meth:`to_json`; names a missing field, or one of the wrong type or shape."""
         if not isinstance(data, Mapping):
             raise ValueError(f"a trace must be a JSON object, got {type(data).__name__}")
+        states = json_field(data, "states")
         try:
-            re = np.asarray([s["re"] for s in data["states"]])
-            im = np.asarray([s["im"] for s in data["states"]])
+            re = np.asarray([s["re"] for s in states])
+            im = np.asarray([s["im"] for s in states])
+        except KeyError:  # a second pass names the first state that lacks a part
+            for i, s in enumerate(states):
+                for part in ("re", "im"):
+                    json_field(s, part, f"states[{i}].{part}")
+            raise
         except (TypeError, ValueError) as exc:  # ragged vectors, or a state that is not an object
             raise DimensionMismatchError(f"states are not an (n, dim) array: {exc}")
         re, im = json_floats(re, "states"), json_floats(im, "states")
@@ -383,10 +390,12 @@ class EvolutionTrace:
         amps = np.empty(re.shape, dtype=complex)
         amps.real, amps.imag = re, im  # re + 1j*im would compute 0*inf for an infinite im
         return cls(
-            times=json_floats(data["times"], "times"),
+            times=json_floats(json_field(data, "times"), "times"),
             amplitudes=amps,
-            energy_mean=json_floats(data["energy_mean"], "energy_mean"),
-            energy_dispersion=json_floats(data["energy_dispersion"], "energy_dispersion"),
+            energy_mean=json_floats(json_field(data, "energy_mean"), "energy_mean"),
+            energy_dispersion=json_floats(
+                json_field(data, "energy_dispersion"), "energy_dispersion"
+            ),
             hbar=json_number(data, "hbar"),
         )
 

@@ -518,6 +518,28 @@ class TestCliScenarios:
         assert err.startswith(f"error: {named}")
 
     @pytest.mark.parametrize(
+        "command, tamper, named",
+        [
+            pytest.param("verify", lambda doc: doc.pop("times"), "times", id="verify-times"),
+            pytest.param("verify", lambda doc: doc["states"][3].pop("im"), "states[3].im",
+                         id="verify-state-3-im"),
+            pytest.param("table", lambda doc: doc.pop("eta"), "eta", id="table-eta"),
+            pytest.param("table", lambda doc: doc.pop("bound_satisfied"), "bound_satisfied",
+                         id="table-bound-satisfied"),
+        ],
+    )
+    def test_missing_field_is_named(self, capsys, tmp_path, command, tamper, named):
+        # each used to exit 1 with the bare key, as in "error: 'times'"
+        run_cli(capsys, "scenario1", "--steps", "200", "--out", str(tmp_path))
+        path = tmp_path / ("report.json" if command == "table" else "trace.json")
+        doc = json.loads(path.read_text())
+        tamper(doc)
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {named} is missing\n"
+
+    @pytest.mark.parametrize(
         "cfg, named",
         [
             ({"epsilon": [1]}, "epsilon must be a JSON number"),
@@ -636,6 +658,38 @@ class TestBoundViolation:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {field} must be ")
+
+
+def band_trace():
+    """The geodesic cos t|0> - i sin t|1>, t in [0, pi/2], with a dispersion that overshoots.
+
+    201 nodes, mean energy 0 and dispersion lam*(1 + 0.3 t^5), with lam chosen
+    so that s - s0 = 10*quadrature_error + 0.5e-12*s: between the two
+    tolerances of a second bound check that once refused such valid traces.
+    """
+    t = np.linspace(0.0, 0.5 * math.pi, 201)
+    amps = np.column_stack([np.cos(t), -1j * np.sin(t)])
+    shape = 1.0 + 0.3 * t**5
+    unit = efficiency(EvolutionTrace(t, amps, np.zeros_like(t), shape))
+    lam = unit.s0 / (unit.s - 10.0 * unit.quadrature_error - 0.5e-12 * unit.s)
+    return EvolutionTrace(t, amps, np.zeros_like(t), lam * shape)
+
+
+class TestOneBoundCheck:
+    """``efficiency`` alone decides the bound; ``verify`` prints what it reports."""
+
+    def test_band_trace_verifies(self, capsys, tmp_path):
+        report = efficiency(band_trace())
+        excess = report.s - report.s0
+        assert 10.0 * report.quadrature_error < excess
+        assert excess <= 10.0 * report.quadrature_error + 1e-12 * report.s
+        assert report.bound_satisfied and report.eta < 1.0
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps(band_trace().to_json()))
+        # this used to exit 1: "bound saturated but the trace is not geodesic ..."
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == report.to_json()
 
 
 class TestSelfContradictoryReport:

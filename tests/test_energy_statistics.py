@@ -21,7 +21,7 @@ from qgeo.hamiltonian import (
     vaidman_decompose,
 )
 from qgeo.propagation import evolve
-from qgeo.speedlimit import verify_bound
+from qgeo.geometry import efficiency
 from qgeo.states import QuantumState
 
 EPS = float(np.finfo(float).eps)
@@ -112,7 +112,7 @@ class TestEnergyOffset:
         # sigma_x + c I from |0> over pi/2 is scenario1's geodesic; the cancelling
         # sqrt(<H^2> - <H>^2) gave eta - 1 = -1.5e-8, +2.4e-4 and +23.2 here
         h = ConstantMatrix(PAULI_X + offset * np.eye(2))
-        report = verify_bound(evolve(h, QuantumState.exact([1.0, 0.0]), math.pi / 2.0, 2000))
+        report = efficiency(evolve(h, QuantumState.exact([1.0, 0.0]), math.pi / 2.0, 2000))
         assert abs(report.eta - 1.0) <= 1e-9
         assert report.bound_satisfied
 
