@@ -114,20 +114,25 @@ class SpeedLimitReport:
     def from_json(cls, data: Mapping[str, Any]) -> "SpeedLimitReport":
         """Inverse of :meth:`to_json`, refusing a report that contradicts itself.
 
-        JSON types are checked by field and ``s`` must be positive and finite.
-        ``eta`` must equal ``s0/s`` to within round-off, and ``bound_satisfied``
-        must equal ``eta <= 1 + BOUND_TOL``; a mismatch or a missing field is
-        refused by field name.
+        JSON types are checked by field, ``s0`` must lie in [0, pi] and ``s``
+        must be positive and finite, with a finite ``s0/s``.  ``eta`` must
+        equal ``s0/s`` to within round-off, and ``bound_satisfied`` must equal
+        ``eta <= 1 + BOUND_TOL``; a mismatch or a missing field is refused by
+        field name.
         """
         if not isinstance(data, Mapping):
             raise ValueError(f"a report must be a JSON object, got {type(data).__name__}")
         floats = [f.name for f in fields(cls) if f.name != "bound_satisfied"]
         values = {name: json_number(data, name) for name in floats}
         require_positive_finite(s=values["s"])
+        if not 0.0 <= values["s0"] <= math.pi:
+            raise ValueError(f"s0 must lie in [0, pi], got {values['s0']!r}")
         flag = json_field(data, "bound_satisfied")
         if not isinstance(flag, bool):
             raise ValueError(f"bound_satisfied must be a JSON boolean, got {flag!r}")
         eta, ratio = values["eta"], values["s0"] / values["s"]
+        if not math.isfinite(ratio):
+            raise ValueError(f"s0/s = {ratio!r} is not finite, with s = {values['s']!r}")
         if not abs(eta - ratio) <= ETA_ROUNDOFF * abs(ratio):
             raise ValueError(f"eta = {eta!r} contradicts s0/s = {ratio!r}")
         if flag != (eta <= 1.0 + BOUND_TOL):

@@ -721,6 +721,33 @@ class TestSelfContradictoryReport:
         assert (code, out) == (1, "")
         assert err.startswith("error: bound_satisfied = ")
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            # each used to exit 0: s0/s overflows to inf, and |eta - inf| <= ETA_ROUNDOFF*inf
+            pytest.param({"s0": 1e308, "s": 1e-308}, "s0 must lie in [0, pi]", id="huge-s0"),
+            pytest.param(
+                {"s": 1e-308, "eta": 1e308, "bound_satisfied": False},
+                "s0/s = inf is not finite",
+                id="overflowing-ratio",
+            ),
+            pytest.param({"s0": 4.0, "s": 4.0, "eta": 1.0}, "s0 must lie in [0, pi]", id="s0-past-pi"),
+            pytest.param({"s0": -1.0, "eta": -1.0 / 3.0}, "s0 must lie in [0, pi]", id="negative-s0"),
+        ],
+    )
+    def test_s0_off_the_geodesic_range_is_refused(self, capsys, tmp_path, fields, named):
+        path = self.write(tmp_path, **{"s": 3.0, "eta": 1.0, "bound_satisfied": True, **fields})
+        code, out, err = run_cli(capsys, "table", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {named}")
+
+    @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+    def test_scenario_reports_still_load(self, capsys, tmp_path, scenario):
+        run_cli(capsys, scenario, "--steps", "2000", "--out", str(tmp_path))
+        code, out, err = run_cli(capsys, "table", str(tmp_path / "report.json"))
+        assert (code, err) == (0, "")
+        assert "eta = " in out
+
     def test_eta_within_round_off_of_s0_over_s_is_accepted(self):
         doc = synthetic_report(eta=0.9).to_json()
         assert doc["eta"] != doc["s0"] / doc["s"]  # s = s0/eta is off by an ulp

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,13 +315,56 @@ class TestSweep:
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         children = np.random.SeedSequence(7).spawn(300)
         per_sample, results = [], []
-        for chunk in (1, 7, 128):
-            monkeypatch.setattr(speedlimit, "SWEEP_CHUNK", chunk)
-            per_sample.append(speedlimit._sample_metrics(children, (2, 8), 32, 1.0))
-            results.append(run_sweep(samples=300, seed=7, steps=32))
+        # a one-byte cap evaluates one sample per batch; 1 GiB never splits a group
+        for chunk in (1, 7, 512):
+            for cap in (1, speedlimit.SWEEP_BLOCK_BYTES, 1 << 30):
+                monkeypatch.setattr(speedlimit, "SWEEP_CHUNK", chunk)
+                monkeypatch.setattr(speedlimit, "SWEEP_BLOCK_BYTES", cap)
+                per_sample.append(speedlimit._sample_metrics(children, (2, 8), 32, 1.0))
+                results.append(run_sweep(samples=300, seed=7, steps=32))
         for got in per_sample[1:]:
             np.testing.assert_array_equal(got, per_sample[0])
-        assert results[0] == results[1] == results[2]
+        assert all(res == results[0] for res in results[1:])
+
+    def test_one_normal_draw_is_the_four_call_draw(self):
+        def four_call_draw(seed_seq, dims):
+            rng = np.random.default_rng(seed_seq)
+            dim = int(rng.integers(dims[0], dims[1] + 1))
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            return g, psi, float(rng.uniform(0.3, 2.5))
+
+        seen = set()
+        for child in np.random.SeedSequence(20240817).spawn(240):
+            dim, raw, u = speedlimit._draw(child, (2, 8))
+            g, psi = speedlimit._complex_draws(raw[np.newaxis], dim)
+            want_g, want_psi, want_u = four_call_draw(child, (2, 8))
+            assert g[0].tobytes() == want_g.tobytes()
+            assert psi[0].tobytes() == want_psi.tobytes()
+            assert u == want_u
+            seen.add(dim)
+        assert seen == set(range(2, 9))
+
+    def test_default_sweep_makes_one_pass_per_dimension_and_chunk(self, monkeypatch):
+        calls, real = [], speedlimit._group_metrics
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(speedlimit, "_group_metrics", counting)
+        run_sweep(samples=1000, seed=12345, dims=(2, 8), steps=64)
+        assert sum(calls) == 1000
+        assert len(calls) <= 14  # 56 passes with 128-sample chunks
+
+    def test_long_sweep_peak_allocation_is_capped(self):
+        tracemalloc.start()
+        try:
+            run_sweep(samples=32, seed=1, steps=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20  # 38 MiB with each dimension group of the chunk held whole
 
     def test_sweep_hamiltonians_are_exactly_hermitian(self, monkeypatch):
         # the sweep does not check the stacks it builds as (g + g^dagger)/2;
