@@ -17,8 +17,8 @@ geodesics.  Modules:
   dispersion laws, evolution traces.
 * :mod:`qgeo.geometry`     -- path lengths, geodesic efficiency, and with
   it the time-energy bound along a trace (eta <= 1).
-* :mod:`qgeo.speedlimit`   -- minimum-time queries, the short-time implicit
-  solver, randomized sweeps.
+* :mod:`qgeo.speedlimit`   -- the minimum time hbar*arccos|<A|B>|/dE, the
+  short-time implicit solver, randomized sweeps.
 * :mod:`qgeo.cli`          -- the ``qgeo`` command; it renders only the trace
   files itself, and every other document with the stdlib's ``json``.
 """
@@ -64,7 +64,6 @@ from .propagation import (
     short_time_coefficient,
 )
 from .speedlimit import (
-    BoundQuery,
     SweepResult,
     min_time,
     run_sweep,
@@ -80,7 +79,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundQuery",
     "ConstantMatrix",
     "Decomposition",
     "DegenerateEndpointsError",

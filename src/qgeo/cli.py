@@ -14,12 +14,14 @@ Subcommands::
 Scenario commands propagate the corresponding two-level preset over its
 closed-form transfer time and report path length, efficiency, and the
 time-energy bound.  ``--config FILE`` supplies a flat JSON dict of the same
-names (flags win).  Exit status: 0 on success, 2 when a scenario, ``verify``
-or ``table`` report or a sweep shows a bound violation (eta > 1), 1 on usage
-or validation errors, including any non-finite value bound for the JSON
-output.  ``QGEO_SEED`` seeds sweeps when ``--seed`` is absent; a sweep
-runs in one process, one vectorized pass per chunk and dimension, and its
-result does not depend on the chunking.
+names (flags win); a preset refuses any parameter its unit system does not
+read.  ``bound`` prints ``min_time = hbar*arccos(overlap)/dispersion``.  Exit
+status: 0 on success, 2 when a scenario, ``verify`` or ``table`` report or a
+sweep shows a bound violation (eta > 1), 1 on usage or validation errors
+(each printed as ``error: <cause>``), including any non-finite value bound
+for the JSON output.  ``QGEO_SEED`` seeds sweeps when ``--seed`` is absent; a
+sweep runs in one process at hbar = 1, one vectorized pass per chunk and
+dimension, and its result does not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .si import (
     larmor_frequency_hz,
     rabi_angular_frequency,
 )
-from .speedlimit import BoundQuery, min_time, run_sweep, solve_implicit_time
+from .speedlimit import min_time, run_sweep, solve_implicit_time
 from .states import QuantumState
 
 _DEFAULT_SEED = 12345
@@ -60,6 +62,13 @@ _DEFAULT_SEED = 12345
 _SCENARIO_DEFAULTS = {
     "static": {"epsilon": 1.0, "hbar": 1.0},
     "driven": {"epsilon": 1.0, "omega": 0.25, "omega0": 0.2, "hbar": 1.0},
+}
+
+#: The parameters each preset reads in SI units; in natural units it reads
+#: those of _SCENARIO_DEFAULTS.  A preset refuses any other.
+_SI_PARAMETERS = {
+    "static": ("b_perp_tesla",),
+    "driven": ("b_perp_tesla", "b_parallel_tesla", "omega"),
 }
 
 
@@ -84,6 +93,15 @@ class ScenarioConfig:
             raise ValueError(f"unknown unit system {self.unit_system!r}")
         if self.output not in ("json", "csv", "table"):
             raise ValueError(f"unknown output mode {self.output!r}")
+        if self.scenario != "custom":
+            by_unit = _SI_PARAMETERS if self.unit_system == "si" else _SCENARIO_DEFAULTS
+            read = by_unit[self.scenario]
+            for name in self.parameters:
+                if name not in read:
+                    raise ValueError(
+                        f"{name} is not read by the {self.scenario} scenario "
+                        f"in {self.unit_system} units"
+                    )
         if self.unit_system == "si":
             if "b_perp_tesla" not in self.parameters:
                 raise ValueError("si mode requires b_perp_tesla")
@@ -256,9 +274,10 @@ def _write_trace(out_dir: Path, trace: EvolutionTrace, hamiltonian: Hamiltonian 
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit status 1 (2 is reserved)."""
+    """argparse with usage errors printed as ``error: <cause>`` and exit status 1 (2 is reserved)."""
 
     def error(self, message: str):  # noqa: D102 - argparse hook
+        print(f"error: {message}", file=sys.stderr)
         self.print_usage(sys.stderr)
         raise SystemExit(1)
 
@@ -292,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bound", help="minimum-time query")
     pb.add_argument("--overlap", type=float, required=True)
-    pb.add_argument("--dispersion", type=float)
-    pb.add_argument("--avg-dispersion", type=float)
+    pb.add_argument("--dispersion", type=float, required=True)
     pb.add_argument("--hbar", type=float, default=1.0)
     pb.set_defaults(func=_cmd_bound)
 
@@ -374,18 +392,12 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    query = BoundQuery(
-        overlap=args.overlap,
-        dispersion=args.dispersion,
-        avg_dispersion=args.avg_dispersion,
-        hbar=args.hbar,
-    )
-    t_min = min_time(query)
+    t_min = min_time(args.overlap, args.dispersion, args.hbar)
     print(
         _dump_json(
             {
                 "overlap": args.overlap,
-                "dispersion": query.effective_dispersion,
+                "dispersion": args.dispersion,
                 "hbar": args.hbar,
                 "min_time": t_min,
             }

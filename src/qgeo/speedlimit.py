@@ -3,13 +3,14 @@
 For unit vectors A and B and an evolution with energy dispersion dE, the
 transfer time obeys  <dE> * T >= hbar * arccos|<A|B>|,  with equality exactly
 on geodesics; for orthogonal targets the right side is hbar*pi/2 = h/4.
-Along a stored trace the bound is the efficiency inequality eta <= 1, which
+:func:`min_time` is that bound solved for T, on plain numbers.  Along a
+stored trace the bound is the efficiency inequality eta <= 1, which
 :func:`~qgeo.geometry.efficiency` reports.
 
-:func:`run_sweep` tests the bound on random constant Hamiltonians, in fixed
-chunks of SWEEP_CHUNK samples and one pass per dimension group (split only
-where its node states would pass SWEEP_BLOCK_BYTES) that calls the per-trace
-code on stacks: the step exponential and doubling fill of
+:func:`run_sweep` tests the bound on random constant Hamiltonians, at
+hbar = 1, in fixed chunks of SWEEP_CHUNK samples and one pass per dimension
+group (split only where its node states would pass SWEEP_BLOCK_BYTES) that
+calls the per-trace code on stacks: the step exponential and doubling fill of
 :func:`~qgeo.propagation.evolve`, the efficiency kernel of
 :func:`~qgeo.geometry.efficiency`, and :func:`~qgeo.hamiltonian.overlap_rate_bound`.
 """
@@ -35,61 +36,41 @@ from .propagation import (
 )
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    """Inputs of a minimum-time query.
-
-    Exactly one of ``dispersion`` (constant spread) or ``avg_dispersion``
-    (time-averaged spread) must be given; the bound formula is the same.
-    A zero spread is accepted here and refused by :func:`min_time`.
-    """
-
-    overlap: float
-    dispersion: float | None = None
-    avg_dispersion: float | None = None
-    hbar: float = 1.0
-
-    def __post_init__(self) -> None:
-        if (self.dispersion is None) == (self.avg_dispersion is None):
-            raise ValueError(
-                "exactly one of dispersion / avg_dispersion must be provided"
-            )
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError(f"overlap must lie in [0, 1], got {self.overlap!r}")
-        require_positive_finite(hbar=self.hbar)
-        if self.effective_dispersion != 0.0:
-            name = "dispersion" if self.dispersion is not None else "avg_dispersion"
-            require_positive_finite(**{name: self.effective_dispersion})
-
-    @property
-    def effective_dispersion(self) -> float:
-        return self.dispersion if self.dispersion is not None else self.avg_dispersion
-
-
-def min_time(query: BoundQuery) -> float:
+def min_time(overlap: float, dispersion: float, hbar: float = 1.0) -> float:
     """Minimum transfer time hbar*arccos(overlap)/dispersion.
 
     Computed both through arccos of the overlap and through arcsin of the
     complementary amplitude; the two routes must agree to 1e-12 (widened only
     by their intrinsic conditioning near overlap 0 and 1), otherwise the
-    inputs are inconsistent.
+    inputs are inconsistent.  Raises ``ValueError`` naming an overlap outside
+    [0, 1], a ``hbar`` or ``dispersion`` that is not positive and finite, or a
+    ``dispersion`` so small that the time overflows; a zero dispersion raises
+    :class:`~qgeo.errors.StationaryStateError`.
     """
-    d = query.effective_dispersion
-    if d == 0.0:
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError(f"overlap must lie in [0, 1], got {overlap!r}")
+    require_positive_finite(hbar=hbar)
+    if dispersion == 0.0:
         raise StationaryStateError("minimum time undefined at zero dispersion")
-    ov = query.overlap
-    comp = math.sqrt(max(1.0 - ov * ov, 0.0))
-    theta_cos = math.acos(min(ov, 1.0))
-    _require_arc_routes_agree(theta_cos, math.asin(min(comp, 1.0)), ov, comp)
-    return query.hbar * theta_cos / d
+    require_positive_finite(dispersion=dispersion)
+    comp = math.sqrt(max(1.0 - overlap * overlap, 0.0))
+    theta_cos = math.acos(min(overlap, 1.0))
+    _require_arc_routes_agree(theta_cos, math.asin(min(comp, 1.0)), overlap, comp)
+    t_min = hbar * theta_cos / dispersion
+    if not math.isfinite(t_min):
+        raise ValueError(
+            f"dispersion = {dispersion!r} is too small: the minimum time "
+            "hbar*arccos(overlap)/dispersion overflows"
+        )
+    return t_min
 
 
-def _bound_margin(avg_dispersion, duration, s0, hbar: float):
-    """Slack  <dE>*T - hbar*arccos|<A|B>|  of the time-energy bound (an action).
+def _bound_margin(avg_dispersion, duration, s0):
+    """Slack  <dE>*T - arccos|<A|B>|  of the time-energy bound (an action, hbar = 1).
 
     Elementwise on arrays; ``s0`` is the geodesic distance 2*arccos|<A|B>|.
     """
-    return avg_dispersion * duration - 0.5 * hbar * s0
+    return avg_dispersion * duration - 0.5 * s0
 
 
 def solve_implicit_time(
@@ -102,10 +83,12 @@ def solve_implicit_time(
     cubic is strictly increasing, so its one real root lies strictly inside
     (0, t0); in closed form
 
-        T = (2/sqrt(a)) * sinh(asinh(x)/3),   x = 1.5*t0*sqrt(a),
+        T = (2/sqrt(a)) * sinh(asinh(x)/3),   x = 1.5*t0*sqrt(a).
 
-    which leaves a relative residual below 1e-14; the result is capped at t0,
-    which rounding could otherwise pass by an ulp when a*t0^2 is negligible.
+    At large x the closed form loses a few hundred ulps, so one Newton step on
+    the cubic follows it; that leaves a relative residual below 1e-14.  The
+    result is capped at t0, which rounding could otherwise pass by an ulp when
+    a*t0^2 is negligible.
     Raises ``ValueError`` naming any input, or ``a`` or ``x``, that is not
     positive and finite.
     """
@@ -115,7 +98,10 @@ def solve_implicit_time(
     root_a = math.sqrt(a)
     x = 1.5 * t0 * root_a
     require_positive_finite(**{"1.5*t0*sqrt(a)": x})
-    return min(2.0 / root_a * math.sinh(math.asinh(x) / 3.0), t0)
+    t = 2.0 / root_a * math.sinh(math.asinh(x) / 3.0)
+    # a*T first: T**3 alone can overflow where a*T^3 <= t0
+    t -= (t + a * t * t * t / 3.0 - t0) / (1.0 + a * t * t)
+    return min(t, t0)
 
 
 @dataclass(frozen=True)
@@ -123,9 +109,9 @@ class SweepResult:
     """Aggregate outcome of a randomized bound sweep.
 
     ``eta_violations`` counts eta > 1 + 1e-6; ``bound_violations`` counts
-    <dE>*T < hbar*arccos|<A|B>| - 1e-6; ``rate_violations`` counts nodes where
-    the finite-difference overlap rate beats its bound by more than the
-    rigorous O(dt^2) central-difference remainder.  All must be zero.
+    <dE>*T < arccos|<A|B>| - 1e-6 (hbar = 1); ``rate_violations`` counts
+    nodes where the finite-difference overlap rate beats its bound by more
+    than the rigorous O(dt^2) central-difference remainder.  All must be zero.
     """
 
     samples: int
@@ -192,7 +178,7 @@ def _complex_draws(raw: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _propagate(
-    h: np.ndarray, psi0: np.ndarray, t_final: np.ndarray, steps: int, hbar: float
+    h: np.ndarray, psi0: np.ndarray, t_final: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of each sample ``psi0`` under its ``h`` on ``steps`` uniform steps: ``(B, n, d)``.
 
@@ -206,7 +192,7 @@ def _propagate(
     t_final = np.array(t_final, dtype=float)
 
     def nodes(rows):
-        step = expm_unitary_step(h[rows], t_final[rows] / steps, hbar)
+        step = expm_unitary_step(h[rows], t_final[rows] / steps, 1.0)
         return fill_by_doubling(step, psi0[rows], steps + 1)
 
     amps = nodes(slice(None))
@@ -222,7 +208,7 @@ def _propagate(
 
 
 def _group_metrics(
-    g: np.ndarray, psi: np.ndarray, u: np.ndarray, steps: int, hbar: float
+    g: np.ndarray, psi: np.ndarray, u: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Eta, bound margin, rate violations and max rate excess of each sample.
 
@@ -235,30 +221,27 @@ def _group_metrics(
     spectral_norm = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
     d0 = energy_statistics(h, psi0[:, np.newaxis])[1][:, 0]
     d0 = np.maximum(np.maximum(d0, 1e-6 * spectral_norm), 1e-12)
-    t_final, amps = _propagate(h, psi0, u * 0.5 * math.pi * hbar / d0, steps, hbar)
+    t_final, amps = _propagate(h, psi0, u * 0.5 * math.pi / d0, steps)
     disp = energy_statistics(h, amps)[1]
     dt = t_final / steps
     overlaps = np.abs((amps @ amps[:, 0, :, np.newaxis].conj())[..., 0])
-    report = geometry.speed_limit_report(overlaps[:, -1], disp, t_final, hbar)
-    margin = _bound_margin(report.avg_dispersion, t_final, report.s0, hbar)
+    report = geometry.speed_limit_report(overlaps[:, -1], disp, t_final, 1.0)
+    margin = _bound_margin(report.avg_dispersion, t_final, report.s0)
 
     # central-difference overlap rate against its bound; the third derivative
-    # of |<psi(t)|A>|^2 is at most (2*||H||/hbar)^3, so the difference errs by
+    # of |<psi(t)|A>|^2 is at most (2*||H||)^3, so the difference errs by
     # at most that times dt^2/6, plus a float-noise term
     ov2 = overlaps * overlaps
     rate = np.abs(ov2[:, 2:] - ov2[:, :-2]) / (2.0 * dt[:, np.newaxis])
-    bound = overlap_rate_bound(disp[:, 1:-1], np.sqrt(np.clip(ov2[:, 1:-1], 0.0, 1.0)), hbar)
-    tol = ((2.0 * spectral_norm / hbar) ** 3) * dt * dt / 6.0 + 1e-12 / dt
+    bound = overlap_rate_bound(disp[:, 1:-1], np.sqrt(np.clip(ov2[:, 1:-1], 0.0, 1.0)))
+    tol = ((2.0 * spectral_norm) ** 3) * dt * dt / 6.0 + 1e-12 / dt
     excess = rate - bound
     rate_bad = np.sum(excess - tol[:, np.newaxis] > 0.0, axis=-1)
     return report.eta, margin, rate_bad, np.max(excess, axis=-1)
 
 
 def _sample_metrics(
-    children: Sequence[np.random.SeedSequence],
-    dims: tuple[int, int],
-    steps: int,
-    hbar: float,
+    children: Sequence[np.random.SeedSequence], dims: tuple[int, int], steps: int
 ) -> np.ndarray:
     """Per-sample (eta, bound margin, rate violations, max rate excess).
 
@@ -277,7 +260,7 @@ def _sample_metrics(
                 raw = np.array([draws[i][1] for i in part])
                 u = np.array([draws[i][2] for i in part])
                 g, psi = _complex_draws(raw, dim)
-                out[start + part] = np.column_stack(_group_metrics(g, psi, u, steps, hbar))
+                out[start + part] = np.column_stack(_group_metrics(g, psi, u, steps))
     return out
 
 
@@ -286,13 +269,13 @@ def run_sweep(
     seed: int = 12345,
     dims: tuple[int, int] = (2, 8),
     steps: int = 64,
-    hbar: float = 1.0,
 ) -> SweepResult:
     """Randomized verification sweep over constant Hermitian generators.
 
     Each sample draws its own child seed from ``seed``, so results are
     reproducible and independent of chunking.  A sample propagates ``psi0``
-    under ``H`` for ``u * pi*hbar/(2*dE0)``, with ``u`` uniform in [0.3, 2.5].
+    under ``H`` for ``u * pi/(2*dE0)``, with ``u`` uniform in [0.3, 2.5]; the
+    sweep runs in units with hbar = 1.
 
     Args:
         samples: number of random (H, psi0, T) draws, >= 1.
@@ -300,7 +283,6 @@ def run_sweep(
         dims: inclusive dimension range to draw from.
         steps: integrator steps per sample, an integer >= 2 (even keeps
             node counts odd).
-        hbar: value of hbar used throughout the sweep.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
@@ -310,11 +292,8 @@ def run_sweep(
         raise ValueError(f"invalid dimension range {dims!r}")
     if not isinstance(steps, numbers.Integral) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
-    require_positive_finite(hbar=hbar)
     children = np.random.SeedSequence(seed).spawn(samples)
-    etas, margins, rate_bad, rate_excess = _sample_metrics(
-        children, dims, int(steps), hbar
-    ).T
+    etas, margins, rate_bad, rate_excess = _sample_metrics(children, dims, int(steps)).T
     return SweepResult(
         samples=samples,
         seed=seed,

@@ -7,11 +7,13 @@ import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import qgeo
 from qgeo.cli import (
     ScenarioConfig,
     _write_trace,
@@ -66,6 +68,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """``python -m qgeo.cli *argv`` in a child process that imports this tree's qgeo."""
+    path = [str(Path(qgeo.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", "qgeo.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+
+
 class TestScenarioConfig:
     def test_defaults(self):
         cfg = ScenarioConfig(scenario="static")
@@ -116,6 +130,50 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="custom")
         ScenarioConfig(scenario="custom", parameters={"t_final": 1.0})
+
+    @pytest.mark.parametrize(
+        "scenario, unit_system, parameters, named",
+        [
+            # SI units fix hbar and derive epsilon from the field
+            ("static", "si", {"b_perp_tesla": 1e-6, "epsilon": 5.0, "hbar": 2.0}, "epsilon"),
+            ("static", "si", {"b_perp_tesla": 1e-6, "hbar": 2.0}, "hbar"),
+            ("static", "si", {"b_perp_tesla": 1e-6, "omega": 0.3}, "omega"),
+            ("static", "natural", {"b_perp_tesla": 1e-6}, "b_perp_tesla"),
+            ("static", "natural", {"omega": 0.3}, "omega"),
+            ("static", "natural", {"omega0": 0.3}, "omega0"),
+            ("driven", "natural", {"b_parallel_tesla": 1.0}, "b_parallel_tesla"),
+            (
+                "driven",
+                "si",
+                {"b_perp_tesla": 1e-6, "b_parallel_tesla": 1.0, "omega0": 3.0},
+                "omega0",
+            ),
+            (
+                "driven",
+                "si",
+                {"b_perp_tesla": 1e-6, "b_parallel_tesla": 1.0, "epsilon": 1.0},
+                "epsilon",
+            ),
+        ],
+    )
+    def test_presets_refuse_parameters_they_do_not_read(
+        self, scenario, unit_system, parameters, named
+    ):
+        with pytest.raises(ValueError, match=f"^{named} is not read by the {scenario} scenario"):
+            ScenarioConfig(scenario=scenario, unit_system=unit_system, parameters=parameters)
+
+    @pytest.mark.parametrize(
+        "scenario, unit_system, parameters",
+        [
+            ("static", "natural", {"epsilon": 2.0, "hbar": 0.5}),
+            ("driven", "natural", {"epsilon": 2.0, "omega": 0.3, "omega0": 0.1, "hbar": 0.5}),
+            ("static", "si", {"b_perp_tesla": 1e-6}),
+            ("driven", "si", {"b_perp_tesla": 1e-6, "b_parallel_tesla": 1.0, "omega": 1e11}),
+            ("custom", "natural", {"t_final": 1.0, "hbar": 2.0}),
+        ],
+    )
+    def test_presets_accept_every_parameter_they_read(self, scenario, unit_system, parameters):
+        ScenarioConfig(scenario=scenario, unit_system=unit_system, parameters=parameters)
 
     def test_to_json_sorts_parameters(self):
         cfg = ScenarioConfig(
@@ -370,6 +428,29 @@ class TestCliScenarios:
         doc = json.loads(out)
         assert 27.5e9 < doc["extras"]["nu_larmor_hz"] < 28.5e9
         assert 1.7e-5 < doc["extras"]["t_effective_seconds"] < 1.9e-5
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (
+                ["scenario1", "--unit-system", "si", "--b-perp-tesla", "1e-6"]
+                + ["--epsilon", "5", "--hbar", "2"],
+                "epsilon",
+            ),
+            (["scenario1", "--b-perp-tesla", "1e-6"], "b_perp_tesla"),
+        ],
+    )
+    def test_ignored_scenario_flag_is_refused_by_name(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv, "--steps", "200")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {named} is not read by the static scenario")
+
+    def test_ignored_config_value_is_refused_by_name(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"epsilon": 2.0, "omega": 0.3}))
+        code, out, err = run_cli(capsys, "scenario1", "--config", str(cfg_path), "--steps", "200")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: omega is not read by the static scenario in natural units")
 
     def test_scenario2_si_missing_fields(self, capsys):
         code, _, err = run_cli(
@@ -806,6 +887,8 @@ class TestNonFiniteInput:
                 "coefficient_a",
             ),
             (["scenario2", "--omega0", "1e308"], "(hbar*omega0/2)^2"),
+            # a finite dispersion whose minimum time overflows
+            (["bound", "--overlap", "0.5", "--dispersion", "1e-320"], "dispersion"),
             (
                 ["scenario1", "--unit-system", "si", "--b-perp-tesla", "inf"],
                 "b_perp_tesla",
@@ -852,7 +935,7 @@ class TestNonFiniteInput:
     def test_non_finite_output_is_an_error_not_json_infinity(self, capsys, monkeypatch):
         import qgeo.cli as cli_module
 
-        monkeypatch.setattr(cli_module, "min_time", lambda query: math.inf)
+        monkeypatch.setattr(cli_module, "min_time", lambda *args: math.inf)
         code, out, err = run_cli(
             capsys, "bound", "--overlap", "0.5", "--dispersion", "1"
         )
@@ -1006,6 +1089,12 @@ class TestCliQueries:
         )
         assert code == 1
 
+    def test_bound_help_offers_one_dispersion(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--help")
+        assert code == 0
+        assert "--dispersion" in out
+        assert "--avg-dispersion" not in out
+
     def test_implicit_reference_values(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -1125,6 +1214,26 @@ class TestCliPlumbing:
         args = parser.parse_args(["scenario1", "--steps", "500"])
         assert args.scenario == "static"
         assert args.steps == 500
+
+    def test_module_bound_exits_0(self):
+        proc = run_module("bound", "--overlap", "0", "--dispersion", "1")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["min_time"] == math.pi / 2.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--overlap", "0.5", "--avg-dispersion", "1"],
+            ["scenario1", "--steps", "ten"],
+            ["scenario2", "--omega"],
+            ["scenario1", "--b-perp-tesla", "1e-6"],
+        ],
+        ids=["removed-flag", "bad-value", "missing-value", "ignored-parameter"],
+    )
+    def test_module_usage_errors_exit_1(self, argv):
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: ")
 
     @pytest.mark.skipif(shutil.which("qgeo") is None, reason="script not on PATH")
     def test_installed_entry_point(self):

@@ -796,7 +796,7 @@ class TestWorkingSet:
         h = np.array([PAULI_X, PAULI_Z])
         psi0 = np.array([[1.0, 0.0], [1.0 + 1e-7, 0.0]], dtype=complex)
         with pytest.raises(IntegrationError, match="norm drift"):
-            speedlimit._propagate(h, psi0, np.array([0.7, 0.7]), 16, 1.0)
+            speedlimit._propagate(h, psi0, np.array([0.7, 0.7]), 16)
 
 
 class TestOverlapDecay:

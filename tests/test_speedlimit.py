@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -25,7 +26,6 @@ from qgeo.si import (
     rabi_angular_frequency,
 )
 from qgeo.speedlimit import (
-    BoundQuery,
     SweepResult,
     min_time,
     run_sweep,
@@ -37,73 +37,62 @@ UP = QuantumState.exact([1.0, 0.0])
 EPS, OMEGA, OMEGA0 = 1.0, 0.25, 0.2
 
 
-class TestBoundQuery:
-    def test_exactly_one_dispersion_kind(self):
-        BoundQuery(overlap=0.5, dispersion=1.0)
-        BoundQuery(overlap=0.5, avg_dispersion=1.0)
-        with pytest.raises(ValueError):
-            BoundQuery(overlap=0.5)
-        with pytest.raises(ValueError):
-            BoundQuery(overlap=0.5, dispersion=1.0, avg_dispersion=1.0)
+class TestMinTime:
+    def test_signature_is_the_formula_on_plain_numbers(self):
+        assert list(inspect.signature(min_time).parameters) == ["overlap", "dispersion", "hbar"]
+        assert inspect.signature(min_time).parameters["hbar"].default == 1.0
+        assert not hasattr(speedlimit, "BoundQuery")
 
     def test_overlap_range(self):
-        with pytest.raises(ValueError):
-            BoundQuery(overlap=1.1, dispersion=1.0)
-        with pytest.raises(ValueError):
-            BoundQuery(overlap=-0.1, dispersion=1.0)
+        for ov in (1.1, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"^overlap must lie in \[0, 1\]"):
+                min_time(ov, 1.0)
 
-    def test_effective_dispersion(self):
-        assert BoundQuery(overlap=0.0, dispersion=2.0).effective_dispersion == 2.0
-        assert BoundQuery(overlap=0.0, avg_dispersion=3.0).effective_dispersion == 3.0
-
-
-class TestMinTime:
     def test_orthogonal_target(self):
-        t = min_time(BoundQuery(overlap=0.0, dispersion=1.0))
+        t = min_time(0.0, 1.0)
         assert t == pytest.approx(math.pi / 2.0)
         # dispersion * time equals a quarter of Planck's constant (h/4)
         assert 1.0 * t == pytest.approx(2.0 * math.pi / 4.0)
 
     def test_coincident_target(self):
-        assert min_time(BoundQuery(overlap=1.0, dispersion=1.0)) == 0.0
+        assert min_time(1.0, 1.0) == 0.0
 
     def test_eighth_turn(self):
-        q = BoundQuery(overlap=1.0 / math.sqrt(2.0), dispersion=2.0)
-        assert min_time(q) == pytest.approx(math.pi / 8.0)
+        assert min_time(1.0 / math.sqrt(2.0), 2.0) == pytest.approx(math.pi / 8.0)
 
     def test_zero_dispersion_raises(self):
         with pytest.raises(StationaryStateError):
-            min_time(BoundQuery(overlap=0.5, dispersion=0.0))
+            min_time(0.5, 0.0)
+
+    def test_overflowing_time_names_the_dispersion(self):
+        # hbar*arccos(overlap)/dispersion overflows to inf, which JSON cannot carry
+        for ov, d, hbar in [(0.5, 1e-320, 1.0), (0.0, 1e-300, 1e10)]:
+            with pytest.raises(ValueError, match=f"^dispersion = {d!r} is too small"):
+                min_time(ov, d, hbar)
+        assert min_time(0.5, 1e-308) == math.acos(0.5) / 1e-308  # finite, so kept
 
     def test_arccos_arcsin_agreement(self):
         for ov in np.linspace(0.0, 1.0, 101):
-            q = BoundQuery(overlap=float(ov), dispersion=1.0)
-            t = min_time(q)
+            t = min_time(float(ov), 1.0)
             t_sin = math.asin(math.sqrt(1.0 - ov * ov))
             assert abs(t - t_sin) <= 1e-12 * max(t, 1.0)
 
     def test_near_orthogonal_overlaps_are_accepted(self):
         # a 1e5 cap on the conditioning refused 335 of these, between 1.4e-9 and 5.4e-8
         for ov in np.logspace(-12.0, -5.0, 2000):
-            assert min_time(BoundQuery(overlap=float(ov), dispersion=1.0)) == math.acos(ov)
+            assert min_time(float(ov), 1.0) == math.acos(ov)
 
     def test_monotone_in_overlap(self):
-        times = [
-            min_time(BoundQuery(overlap=float(ov), dispersion=1.0))
-            for ov in np.linspace(0.0, 1.0, 50)
-        ]
+        times = [min_time(float(ov), 1.0) for ov in np.linspace(0.0, 1.0, 50)]
         assert all(b <= a for a, b in zip(times, times[1:]))
 
     def test_strictly_decreasing_in_dispersion(self):
-        times = [
-            min_time(BoundQuery(overlap=0.3, dispersion=float(d)))
-            for d in np.linspace(0.5, 5.0, 30)
-        ]
+        times = [min_time(0.3, float(d)) for d in np.linspace(0.5, 5.0, 30)]
         assert all(b < a for a, b in zip(times, times[1:]))
 
     def test_hbar_scaling(self):
-        t1 = min_time(BoundQuery(overlap=0.2, dispersion=1.0, hbar=1.0))
-        t2 = min_time(BoundQuery(overlap=0.2, dispersion=1.0, hbar=3.0))
+        t1 = min_time(0.2, 1.0, hbar=1.0)
+        t2 = min_time(0.2, 1.0, hbar=3.0)
         assert t2 == pytest.approx(3.0 * t1)
 
 
@@ -227,7 +216,9 @@ class TestSolveImplicitTime:
 
     def test_closed_form_residual_over_wide_range(self):
         # log-uniform draws spanning twelve decades of epsilon, fifteen of the
-        # frequencies and six of hbar, plus a point where T^3 alone overflows
+        # frequencies and six of hbar, a point where T^3 alone overflows, and
+        # a grid out to x = 1.5*t0*sqrt(a) ~ 1e303, where the closed form alone
+        # left residuals up to 1.3e-13 (365 ulps at epsilon = 1e-280, omega = 1)
         rng = np.random.default_rng(4242)
         n = 20000
         draws = zip(
@@ -236,8 +227,13 @@ class TestSolveImplicitTime:
             (10.0 ** rng.uniform(-9.0, 6.0, n)).tolist(),
             (10.0 ** rng.uniform(-3.0, 3.0, n)).tolist(),
         )
+        grid = [
+            (float(eps), omega, 0.2, 1.0)
+            for eps in np.logspace(-300.0, 300.0, 61)
+            for omega in (1e-3, 0.25, 1.0, 1e3)
+        ]
         worst = 0.0
-        for eps, omega, omega0, hbar in [*draws, (1e-200, 1e-125, 1e-125, 1.0)]:
+        for eps, omega, omega0, hbar in [*draws, (1e-200, 1e-125, 1e-125, 1.0), *grid]:
             t = solve_implicit_time(eps, omega, omega0, hbar)
             a = short_time_coefficient(omega, omega0)
             target = 0.5 * math.pi * hbar / eps
@@ -246,6 +242,17 @@ class TestSolveImplicitTime:
             worst = max(worst, residual)
         assert worst <= 1e-14
 
+    def test_root_is_within_an_ulp_at_large_x(self):
+        # the closed form in 60-digit arithmetic is the root to well below an ulp
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for eps in (1e-280, 1e-200, 1e-100, 1.0):
+                t = solve_implicit_time(eps, 1.0, 0.2)
+                a = mpmath.mpf(short_time_coefficient(1.0, 0.2))
+                x = mpmath.mpf(1.5) * mpmath.mpf(0.5 * math.pi / eps) * mpmath.sqrt(a)
+                root = 2 / mpmath.sqrt(a) * mpmath.sinh(mpmath.asinh(x) / 3)
+                assert abs(mpmath.mpf(t) - root) <= math.ulp(t)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             solve_implicit_time(-1.0, 0.25, 0.2)
@@ -253,8 +260,8 @@ class TestSolveImplicitTime:
             solve_implicit_time(1.0, 0.0, 0.2)
 
 
-def reference_sample(seed_seq, dims, steps, hbar=1.0):
-    """One sweep sample through the per-trace path: evolve, efficiency, vdot.
+def reference_sample(seed_seq, dims, steps):
+    """One sweep sample through the per-trace path (hbar = 1): evolve, efficiency, vdot.
 
     Returns (eta, bound margin, rate violations, max rate excess); the batched
     sweep must reproduce these.
@@ -263,41 +270,42 @@ def reference_sample(seed_seq, dims, steps, hbar=1.0):
     dim = int(rng.integers(dims[0], dims[1] + 1))
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h_matrix = 0.5 * (g + g.conj().T)
-    h = ConstantMatrix(h_matrix, hbar=hbar)
+    h = ConstantMatrix(h_matrix)
     psi0 = QuantumState.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     spectral_norm = float(np.max(np.abs(np.linalg.eigvalsh(h_matrix))))
     d0 = max(energy_dispersion(h, psi0), 1e-6 * spectral_norm, 1e-12)
-    t_final = float(rng.uniform(0.3, 2.5)) * 0.5 * math.pi * hbar / d0
+    t_final = float(rng.uniform(0.3, 2.5)) * 0.5 * math.pi / d0
     for _ in range(5):
         trace = evolve(h, psi0, t_final, steps)
         if overlap_modulus(trace.initial_state, trace.final_state) < 1.0 - 1e-9:
             break
         t_final *= 1.3737
     report = efficiency(trace)
-    margin = speedlimit._bound_margin(
-        report.avg_dispersion, report.t_effective, report.s0, hbar
-    )
+    margin = speedlimit._bound_margin(report.avg_dispersion, report.t_effective, report.s0)
     a = trace.amplitudes[0]
     overlaps_sq = np.abs(np.array([np.vdot(row, a) for row in trace.amplitudes])) ** 2
     dt = trace.grid_spacing()
     rate = np.abs(overlaps_sq[2:] - overlaps_sq[:-2]) / (2.0 * dt)
     ov = np.sqrt(np.clip(overlaps_sq[1:-1], 0.0, 1.0))
     disp = trace.energy_dispersion[1:-1]
-    bound = (2.0 * disp / hbar) * ov * np.sqrt(np.clip(1.0 - ov * ov, 0.0, None))
-    tol = ((2.0 * spectral_norm / hbar) ** 3) * dt * dt / 6.0 + 1e-12 / dt
+    bound = (2.0 * disp) * ov * np.sqrt(np.clip(1.0 - ov * ov, 0.0, None))
+    tol = ((2.0 * spectral_norm) ** 3) * dt * dt / 6.0 + 1e-12 / dt
     rate_bad = int(np.sum(rate - bound - tol > 0.0))
     return report.eta, margin, rate_bad, float(np.max(rate - bound))
 
 
-def test_bound_margin_is_action_minus_hbar_arccos():
-    # <dE>*T - hbar*arccos|<A|B>| with s0 = 2*arccos|<A|B>|, elementwise
+def test_bound_margin_is_action_minus_arccos():
+    # <dE>*T - arccos|<A|B>| (hbar = 1) with s0 = 2*arccos|<A|B>|, elementwise
     s0 = 2.0 * np.arccos(np.array([0.6, 0.0, 0.999]))
-    got = speedlimit._bound_margin(np.array([0.5, 2.0, 0.1]), np.array([2.0, 1.0, 3.0]), s0, 1.3)
-    want = [1.0 - 1.3 * math.acos(0.6), 2.0 - 1.3 * math.pi / 2.0, 0.3 - 1.3 * math.acos(0.999)]
+    got = speedlimit._bound_margin(np.array([0.5, 2.0, 0.1]), np.array([2.0, 1.0, 3.0]), s0)
+    want = [1.0 - math.acos(0.6), 2.0 - math.pi / 2.0, 0.3 - math.acos(0.999)]
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
 
 
 class TestSweep:
+    def test_runs_at_hbar_one(self):
+        assert "hbar" not in inspect.signature(run_sweep).parameters
+
     def test_small_sweep_is_clean(self):
         res = run_sweep(samples=40, seed=4242, steps=48)
         assert res.total_violations == 0
@@ -320,7 +328,7 @@ class TestSweep:
             for cap in (1, speedlimit.SWEEP_BLOCK_BYTES, 1 << 30):
                 monkeypatch.setattr(speedlimit, "SWEEP_CHUNK", chunk)
                 monkeypatch.setattr(speedlimit, "SWEEP_BLOCK_BYTES", cap)
-                per_sample.append(speedlimit._sample_metrics(children, (2, 8), 32, 1.0))
+                per_sample.append(speedlimit._sample_metrics(children, (2, 8), 32))
                 results.append(run_sweep(samples=300, seed=7, steps=32))
         for got in per_sample[1:]:
             np.testing.assert_array_equal(got, per_sample[0])
@@ -384,7 +392,7 @@ class TestSweep:
 
     def test_batched_samples_match_the_per_trace_path(self):
         children = np.random.SeedSequence(20240817).spawn(50)
-        got = speedlimit._sample_metrics(children, (2, 8), 64, 1.0)
+        got = speedlimit._sample_metrics(children, (2, 8), 64)
         want = np.array([reference_sample(c, (2, 8), 64) for c in children])
         assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-11
         assert np.max(np.abs(got[:, 1] - want[:, 1])) <= 1e-9
@@ -394,7 +402,7 @@ class TestSweep:
     def test_odd_steps_match_the_per_trace_path_and_warn(self):
         children = np.random.SeedSequence(31).spawn(20)
         with pytest.warns(UserWarning, match="even node count"):
-            got = speedlimit._sample_metrics(children, (2, 5), 33, 1.0)
+            got = speedlimit._sample_metrics(children, (2, 5), 33)
         with pytest.warns(UserWarning, match="even node count"):
             want = np.array([reference_sample(c, (2, 5), 33) for c in children])
         assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-11
@@ -410,18 +418,18 @@ class TestSweep:
         )
         psi0 = np.array([[1.0, 0.0], [0.6, 0.8j], [0.8, -0.6]], dtype=complex)
         t0 = np.array([math.pi, 1.1, 2.3])
-        t_final, amps = speedlimit._propagate(h, psi0, t0, 64, 1.0)
+        t_final, amps = speedlimit._propagate(h, psi0, t0, 64)
         assert t_final[0] == math.pi * 1.3737
         assert abs(np.vdot(amps[0, 0], amps[0, -1])) < 1.0 - 1e-9
-        _, alone = speedlimit._propagate(h[1:], psi0[1:], t0[1:], 64, 1.0)
+        _, alone = speedlimit._propagate(h[1:], psi0[1:], t0[1:], 64)
         np.testing.assert_array_equal(t_final[1:], t0[1:])
         np.testing.assert_array_equal(amps[1:], alone)
         for k in (1, 2):  # the batched nodes are the evolve nodes
             want = evolve(ConstantMatrix(h[k]), QuantumState(psi0[k]), t0[k], 64)
             np.testing.assert_allclose(amps[k], want.amplitudes, rtol=0.0, atol=1e-12)
-        # the same draw through the group pass: u = 2 gives t = pi*hbar/dE0 = pi
-        metrics = speedlimit._group_metrics(h, psi0, np.array([2.0, 1.0, 1.0]), 64, 1.0)
-        alone = speedlimit._group_metrics(h[1:], psi0[1:], np.array([1.0, 1.0]), 64, 1.0)
+        # the same draw through the group pass: u = 2 gives t = pi/dE0 = pi
+        metrics = speedlimit._group_metrics(h, psi0, np.array([2.0, 1.0, 1.0]), 64)
+        alone = speedlimit._group_metrics(h[1:], psi0[1:], np.array([1.0, 1.0]), 64)
         assert 0.0 < metrics[0][0] <= 1.0
         for got, want in zip(metrics, alone):
             np.testing.assert_array_equal(got[1:], want)
@@ -432,7 +440,7 @@ class TestSweep:
         # the bound 2*dE*|cos t||sin t| with dE = 1.  The central difference
         # reads |sin(2t)|*sin(2dt)/(2dt), so the excess is largest at t = dt.
         metrics = speedlimit._group_metrics(
-            np.array([PAULI_X]), np.array([[1.0, 0.0]], dtype=complex), np.array([u]), steps, 1.0
+            np.array([PAULI_X]), np.array([[1.0, 0.0]], dtype=complex), np.array([u]), steps
         )
         dt = u * 0.5 * math.pi / steps
         assert metrics[2][0] == 0

@@ -28,12 +28,7 @@ from qgeo.si import (
     larmor_frequency_hz,
     rabi_angular_frequency,
 )
-from qgeo.speedlimit import (
-    BoundQuery,
-    min_time,
-    run_sweep,
-    solve_implicit_time,
-)
+from qgeo.speedlimit import min_time, solve_implicit_time
 
 DRIVE = {"epsilon": 1.0, "omega": 0.25, "omega0": 0.2, "hbar": 1.0}
 
@@ -83,17 +78,11 @@ CASES = [
     ),
     ("EvolutionTrace", "hbar", _trace),
     *_cases(
-        "BoundQuery",
-        lambda **kw: min_time(BoundQuery(overlap=0.5, **kw)),
+        "min_time",
+        lambda **kw: min_time(overlap=0.5, **kw),
         {"dispersion": 1.0, "hbar": 1.0},
     ),
-    (
-        "BoundQuery",
-        "avg_dispersion",
-        lambda v: min_time(BoundQuery(overlap=0.5, avg_dispersion=v)),
-    ),
     *_cases("solve_implicit_time", solve_implicit_time, DRIVE),
-    ("run_sweep", "hbar", lambda v: run_sweep(samples=1, steps=8, hbar=v)),
     ("larmor_angular_frequency", "b_parallel_tesla", larmor_angular_frequency),
     ("larmor_frequency_hz", "b_parallel_tesla", larmor_frequency_hz),
     ("rabi_angular_frequency", "b_perp_tesla", rabi_angular_frequency),
@@ -105,7 +94,7 @@ CASES = [
     "name, call", [c[1:] for c in CASES], ids=[f"{c[0]}-{c[1]}" for c in CASES]
 )
 def test_positive_parameter_rejects(name, call, value):
-    if value == 0.0 and name in ("dispersion", "avg_dispersion"):
+    if value == 0.0 and name == "dispersion":
         # a zero spread is a stationary state, which has its own error type
         with pytest.raises(StationaryStateError, match="zero dispersion"):
             call(value)
