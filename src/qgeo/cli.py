@@ -64,8 +64,8 @@ _SCENARIO_DEFAULTS = {
     "driven": {"epsilon": 1.0, "omega": 0.25, "omega0": 0.2, "hbar": 1.0},
 }
 
-#: The parameters each preset reads in SI units; in natural units it reads
-#: those of _SCENARIO_DEFAULTS.  A preset refuses any other.
+#: The parameters each preset reads in SI units, all from cfg.parameters; in
+#: natural units it reads those of _SCENARIO_DEFAULTS.  A preset refuses any other.
 _SI_PARAMETERS = {
     "static": ("b_perp_tesla",),
     "driven": ("b_perp_tesla", "b_parallel_tesla", "omega"),
@@ -155,13 +155,11 @@ def run_scenario(
         trace = evolve(hamiltonian, start, cfg.parameters["t_final"], cfg.steps)
         return ScenarioRun(cfg, hamiltonian, trace, efficiency(trace), {})
 
-    params = dict(_SCENARIO_DEFAULTS[cfg.scenario])
-    params.update(cfg.parameters)
     extras: dict[str, Any] = {}
 
     if cfg.unit_system == "si":
         hbar = HBAR_SI
-        rabi = rabi_angular_frequency(params["b_perp_tesla"])
+        rabi = rabi_angular_frequency(cfg.parameters["b_perp_tesla"])
         epsilon = hbar * rabi
         extras["rabi_rad_per_s"] = rabi
         extras["constants"] = {
@@ -170,12 +168,14 @@ def run_scenario(
             "hbar_j_s": HBAR_SI,
         }
         if cfg.scenario == "driven":
-            omega0 = larmor_angular_frequency(params["b_parallel_tesla"])
+            b_parallel = cfg.parameters["b_parallel_tesla"]
+            omega0 = larmor_angular_frequency(b_parallel)
             # resonant drive unless the caller explicitly set omega (the
             # natural-units default would be nonsense in rad/s)
             omega = cfg.parameters.get("omega", omega0)
-            extras["nu_larmor_hz"] = larmor_frequency_hz(params["b_parallel_tesla"])
+            extras["nu_larmor_hz"] = larmor_frequency_hz(b_parallel)
     else:
+        params = {**_SCENARIO_DEFAULTS[cfg.scenario], **cfg.parameters}
         hbar = params["hbar"]
         epsilon = params["epsilon"]
         if cfg.scenario == "driven":

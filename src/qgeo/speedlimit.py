@@ -44,8 +44,8 @@ def min_time(overlap: float, dispersion: float, hbar: float = 1.0) -> float:
     by their intrinsic conditioning near overlap 0 and 1), otherwise the
     inputs are inconsistent.  Raises ``ValueError`` naming an overlap outside
     [0, 1], a ``hbar`` or ``dispersion`` that is not positive and finite, or a
-    ``dispersion`` so small that the time overflows; a zero dispersion raises
-    :class:`~qgeo.errors.StationaryStateError`.
+    ratio ``hbar/dispersion`` so large that the time overflows; a zero
+    dispersion raises :class:`~qgeo.errors.StationaryStateError`.
     """
     if not 0.0 <= overlap <= 1.0:
         raise ValueError(f"overlap must lie in [0, 1], got {overlap!r}")
@@ -59,8 +59,8 @@ def min_time(overlap: float, dispersion: float, hbar: float = 1.0) -> float:
     t_min = hbar * theta_cos / dispersion
     if not math.isfinite(t_min):
         raise ValueError(
-            f"dispersion = {dispersion!r} is too small: the minimum time "
-            "hbar*arccos(overlap)/dispersion overflows"
+            f"hbar/dispersion = {hbar!r}/{dispersion!r} is too large: the minimum "
+            "time hbar*arccos(overlap)/dispersion overflows"
         )
     return t_min
 
@@ -99,8 +99,9 @@ def solve_implicit_time(
     x = 1.5 * t0 * root_a
     require_positive_finite(**{"1.5*t0*sqrt(a)": x})
     t = 2.0 / root_a * math.sinh(math.asinh(x) / 3.0)
-    # a*T first: T**3 alone can overflow where a*T^3 <= t0
-    t -= (t + a * t * t * t / 3.0 - t0) / (1.0 + a * t * t)
+    # a*T first and /3 before the last factor: the cubic term is about t0,
+    # which may lie above a third of the float max
+    t -= (t + a * t * t / 3.0 * t - t0) / (1.0 + a * t * t)
     return min(t, t0)
 
 

@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 
 import qgeo
 from qgeo.cli import (
+    _SI_PARAMETERS,
     ScenarioConfig,
     _write_trace,
     build_parser,
@@ -174,6 +175,35 @@ class TestScenarioConfig:
     )
     def test_presets_accept_every_parameter_they_read(self, scenario, unit_system, parameters):
         ScenarioConfig(scenario=scenario, unit_system=unit_system, parameters=parameters)
+
+    @pytest.mark.parametrize(
+        "scenario, parameters",
+        [
+            ("static", {"b_perp_tesla": 1e-6}),
+            ("driven", {"b_perp_tesla": 1e-6, "b_parallel_tesla": 1.0, "omega": 1.7e11}),
+        ],
+    )
+    def test_si_presets_read_exactly_the_parameters_they_accept(self, scenario, parameters):
+        # the SI branch of run_scenario and _SI_PARAMETERS must name the same keys:
+        # a key read but not accepted is refused, one accepted but unread is ignored
+        class Reads(dict):
+            def __init__(self, items):
+                super().__init__(items)
+                self.seen = set()
+
+            def __getitem__(self, key):
+                self.seen.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.seen.add(key)
+                return super().get(key, default)
+
+        given = Reads(parameters)
+        run_scenario(
+            ScenarioConfig(scenario=scenario, steps=100, unit_system="si", parameters=given)
+        )
+        assert given.seen == set(_SI_PARAMETERS[scenario]) == set(parameters)
 
     def test_to_json_sorts_parameters(self):
         cfg = ScenarioConfig(
@@ -887,8 +917,12 @@ class TestNonFiniteInput:
                 "coefficient_a",
             ),
             (["scenario2", "--omega0", "1e308"], "(hbar*omega0/2)^2"),
-            # a finite dispersion whose minimum time overflows
-            (["bound", "--overlap", "0.5", "--dispersion", "1e-320"], "dispersion"),
+            # a finite hbar/dispersion whose minimum time overflows
+            (["bound", "--overlap", "0.5", "--dispersion", "1e-320"], "hbar/dispersion"),
+            (
+                ["bound", "--overlap", "0", "--dispersion", "1", "--hbar", "1.5e308"],
+                "hbar/dispersion",
+            ),
             (
                 ["scenario1", "--unit-system", "si", "--b-perp-tesla", "inf"],
                 "b_perp_tesla",

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,10 +65,12 @@ class TestMinTime:
         with pytest.raises(StationaryStateError):
             min_time(0.5, 0.0)
 
-    def test_overflowing_time_names_the_dispersion(self):
-        # hbar*arccos(overlap)/dispersion overflows to inf, which JSON cannot carry
-        for ov, d, hbar in [(0.5, 1e-320, 1.0), (0.0, 1e-300, 1e10)]:
-            with pytest.raises(ValueError, match=f"^dispersion = {d!r} is too small"):
+    def test_overflowing_time_names_hbar_over_dispersion(self):
+        # hbar*arccos(overlap)/dispersion overflows to inf, which JSON cannot carry:
+        # through a small dispersion, a large hbar, or both
+        for ov, d, hbar in [(0.5, 1e-320, 1.0), (0.0, 1.0, 1.5e308), (0.0, 1e-300, 1e10)]:
+            prefix = re.escape(f"hbar/dispersion = {hbar!r}/{d!r} is too large")
+            with pytest.raises(ValueError, match=f"^{prefix}"):
                 min_time(ov, d, hbar)
         assert min_time(0.5, 1e-308) == math.acos(0.5) / 1e-308  # finite, so kept
 
@@ -218,7 +221,8 @@ class TestSolveImplicitTime:
         # log-uniform draws spanning twelve decades of epsilon, fifteen of the
         # frequencies and six of hbar, a point where T^3 alone overflows, and
         # a grid out to x = 1.5*t0*sqrt(a) ~ 1e303, where the closed form alone
-        # left residuals up to 1.3e-13 (365 ulps at epsilon = 1e-280, omega = 1)
+        # left residuals up to 1.3e-13 (365 ulps at epsilon = 1e-280, omega = 1);
+        # last, t0 above a third of the float max, where a*T^3 itself overflows
         rng = np.random.default_rng(4242)
         n = 20000
         draws = zip(
@@ -232,13 +236,16 @@ class TestSolveImplicitTime:
             for eps in np.logspace(-300.0, 300.0, 61)
             for omega in (1e-3, 0.25, 1.0, 1e3)
         ]
+        huge_t0 = [(1.0, 1.0, 0.2, 5e307), (1.0, 1e3, 1e-3, 7e307)]
         worst = 0.0
-        for eps, omega, omega0, hbar in [*draws, (1e-200, 1e-125, 1e-125, 1.0), *grid]:
+        for eps, omega, omega0, hbar in [
+            *draws, (1e-200, 1e-125, 1e-125, 1.0), *grid, *huge_t0
+        ]:
             t = solve_implicit_time(eps, omega, omega0, hbar)
             a = short_time_coefficient(omega, omega0)
             target = 0.5 * math.pi * hbar / eps
             assert 0.0 < t <= target  # equal once a*t0^2 is below rounding
-            residual = abs(t + a * t * t * t / 3.0 - target) / target
+            residual = abs(t + a * t * t / 3.0 * t - target) / target
             worst = max(worst, residual)
         assert worst <= 1e-14
 
