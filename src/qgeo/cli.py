@@ -416,8 +416,9 @@ def _cmd_implicit(args: argparse.Namespace) -> int:
                 "coefficient_a": a,
                 "t_ideal_short_time": t_short,
                 "t_effective_orthogonal": target,
-                # a*T first: T**3 alone can overflow where a*T^3 <= target
-                "residual": t_short + a * t_short * t_short * t_short / 3.0 - target,
+                # the cubic term is about target, which may exceed a third of
+                # the float max: a*T*T/3 first, then the last factor T
+                "residual": t_short + a * t_short * t_short / 3.0 * t_short - target,
             }
         )
     )

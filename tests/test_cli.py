@@ -1146,6 +1146,17 @@ class TestCliQueries:
         assert doc["t_ideal_short_time"] < math.pi / 2.0
         assert abs(doc["residual"]) <= 1e-14 * (math.pi / 2.0)
 
+    def test_implicit_residual_is_finite_near_the_float_max(self, capsys):
+        # t0 ~ 7.9e307 is above a third of the float max, so a*T^3 alone overflows
+        code, out, _ = run_cli(
+            capsys, "implicit", "--epsilon", "1", "--omega", "1", "--omega0", "0.2",
+            "--hbar", "5e307",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert 0.0 < doc["t_ideal_short_time"] < doc["t_effective_orthogonal"]
+        assert abs(doc["residual"]) <= 1e-14 * doc["t_effective_orthogonal"]
+
     def test_verify_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 1
