@@ -14,12 +14,13 @@ Subcommands::
 Scenario commands propagate the corresponding two-level preset over its
 closed-form transfer time and report path length, efficiency, and the
 time-energy bound.  ``--config FILE`` supplies a flat JSON dict of the same
-names (flags win); a preset refuses any parameter its unit system does not
-read.  ``bound`` prints ``min_time = hbar*arccos(overlap)/dispersion``.  Exit
-status: 0 on success, 2 when a scenario, ``verify`` or ``table`` report or a
-sweep shows a bound violation (eta > 1), 1 on usage or validation errors
-(each printed as ``error: <cause>``), including any non-finite value bound
-for the JSON output.  ``QGEO_SEED`` seeds sweeps when ``--seed`` is absent; a
+names (flags win) and refuses any other key; a preset refuses any parameter
+its unit system does not read.  ``bound`` prints
+``min_time = hbar*arccos(overlap)/dispersion``.  Exit status: 0 on success,
+2 when a scenario, ``verify`` or ``table`` report or a sweep shows a bound
+violation (eta > 1), 1 on usage or validation errors (each printed as
+``error: <cause>``), including any non-finite value bound for the JSON
+output.  ``QGEO_SEED`` seeds sweeps when ``--seed`` is absent; a
 sweep runs in one process at hbar = 1, one vectorized pass per chunk and
 dimension, and its result does not depend on the chunking.
 """
@@ -33,6 +34,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -247,16 +249,25 @@ def _dump_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
 
-def _write_trace(out_dir: Path, trace: EvolutionTrace, hamiltonian: Hamiltonian | None) -> None:
+def _write_trace(
+    out_dir: Path, trace: EvolutionTrace, hamiltonian: Hamiltonian | None
+) -> list[list[str]]:
     """Write trace.json and trace.csv from one ``float.__repr__`` pass over the trace.
 
     trace.json is ``_dump_json(trace.to_json(hamiltonian)) + "\\n"``, streamed key
-    by key, one template per state.
+    by key.  Each state record joins the literal pieces of one state template
+    with the node's amplitude strings.  Returns the columns
+    (:meth:`EvolutionTrace.float_columns`), so a caller can print the CSV again.
     """
     columns = trace.float_columns()
     times, *amps, mean, dispersion = columns
     vector = "[\n        " + ",\n        ".join(["%s"] * trace.dim) + "\n      ]"
     state = '{\n      "im": ' + vector + ',\n      "re": ' + vector + "\n    }"
+    # literal, im_0, literal, ..., re_{dim-1}, literal: the template's pieces in turn
+    literals = state.split("%s")
+    fields = [repeat(literals[0])]
+    for column, literal in zip((*amps[1::2], *amps[0::2]), literals[1:]):
+        fields += (column, repeat(literal))
     # JSON escapes every newline inside a string, so this only re-indents the layout
     h_json = _dump_json(trace_hamiltonian_to_json(hamiltonian)).replace("\n", "\n  ")
     with open(out_dir / "trace.json", "w") as fh:
@@ -264,13 +275,14 @@ def _write_trace(out_dir: Path, trace: EvolutionTrace, hamiltonian: Hamiltonian 
             ('{\n  "energy_dispersion": [', dispersion),
             ('\n  ],\n  "energy_mean": [', mean),
             (f'\n  ],\n  "hamiltonian": {h_json},\n  "hbar": {float(trace.hbar)!r},\n  "states": [',
-             map(state.__mod__, zip(*amps[1::2], *amps[0::2]))),
+             map("".join, zip(*fields))),
             ('\n  ],\n  "times": [', times),
         ):
             fh.write(head + "\n    ")
             write_joined(fh, pieces, ",\n    ")
         fh.write("\n  ]\n}\n")
     trace.to_csv(out_dir / "trace.csv", columns)
+    return columns
 
 
 class _Parser(argparse.ArgumentParser):
@@ -341,18 +353,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The names a ``--config`` file may set: the scenario parameters, then the run settings.
+_PARAMETER_KEYS = ("epsilon", "omega", "omega0", "hbar", "b_perp_tesla", "b_parallel_tesla")
+_CONFIG_KEYS = (*_PARAMETER_KEYS, "steps", "unit_system", "output")
+
+
 def _merged_config(args: argparse.Namespace) -> ScenarioConfig:
     file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(file_cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    for key in file_cfg:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(
+                f"unknown config key {key!r}; a config file may set {', '.join(_CONFIG_KEYS)}"
+            )
 
     # flags win over the file
     merged = {**file_cfg, **{k: v for k, v in vars(args).items() if v is not None}}
-    params = {
-        name: json_number(merged, name)
-        for name in ("epsilon", "omega", "omega0", "hbar", "b_perp_tesla", "b_parallel_tesla")
-        if name in merged
-    }
+    params = {name: json_number(merged, name) for name in _PARAMETER_KEYS if name in merged}
     steps = merged.get("steps", 2000)
     if isinstance(steps, bool) or not isinstance(steps, int):
         raise ValueError(f"steps must be a JSON integer, got {steps!r}")
@@ -369,10 +387,11 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     run = run_scenario(cfg)
 
+    columns = None
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_trace(out_dir, run.trace, run.hamiltonian)
+        columns = _write_trace(out_dir, run.trace, run.hamiltonian)
         (out_dir / "report.json").write_text(
             _dump_json(run.report.to_json()) + "\n"
         )
@@ -385,7 +404,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         }
         print(_dump_json(envelope))
     elif cfg.output == "csv":
-        run.trace.to_csv(sys.stdout)
+        run.trace.to_csv(sys.stdout, columns)
     else:
         print(emit_table([run.report]))
     return 0 if run.report.bound_satisfied else 2

@@ -400,11 +400,16 @@ class EvolutionTrace:
         )
 
     def float_columns(self) -> list[list[str]]:
-        """The CSV columns as ``float.__repr__`` text, which is JSON's float format too."""
+        """The CSV columns as ``float.__repr__`` text, which is JSON's float format too.
+
+        A column whose entries share one bit pattern (the zero parts of a
+        two-level transfer, say) is formatted once and holds one ``str`` object
+        repeated; ``0.0`` and ``-0.0`` differ in their bits, so stay distinct.
+        """
         amps = self.amplitudes
         parts = [part[:, k] for k in range(self.dim) for part in (amps.real, amps.imag)]
         columns = (self.times, *parts, self.energy_mean, self.energy_dispersion)
-        return [list(map(float.__repr__, col.tolist())) for col in columns]
+        return [_repr_column(col) for col in columns]
 
     def to_csv(self, target: Any, columns: list[list[str]] | None = None) -> None:
         """Write one row per node: t, amplitudes (re/im interleaved), stats.
@@ -419,6 +424,14 @@ class EvolutionTrace:
         target.write(",".join(["t", *amp_cols, "energy_mean", "energy_dispersion"]) + "\r\n")
         write_joined(target, map(",".join, zip(*(columns or self.float_columns()))), "\r\n")
         target.write("\r\n")
+
+
+def _repr_column(col: np.ndarray) -> list[str]:
+    """``float.__repr__`` of every entry of a float64 column, once if all share their bits."""
+    bits = col.view(np.int64)
+    if (bits == bits[0]).all():
+        return [float.__repr__(col[0])] * col.size
+    return list(map(float.__repr__, col.tolist()))
 
 
 def write_joined(fh: io.TextIOBase, pieces: Iterable[str], sep: str) -> None:

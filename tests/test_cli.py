@@ -683,6 +683,18 @@ class TestCliScenarios:
         )
         assert json.loads(out)["config"]["steps"] == 300  # flags win
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [("scenario1", "epsilom"), ("scenario2", "omega_0"), ("scenario1", "out")],
+    )
+    def test_unknown_config_key_is_refused_by_name(self, capsys, tmp_path, command, key):
+        # a misspelt key used to be dropped: exit 0 at the default epsilon = 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: 2.0}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg_path), "--steps", "200")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: unknown config key {key!r}")
+
 
 def synthetic_report(eta=1.024):
     """A report with s0/s = eta (hbar = 1); eta > 1 violates the bound."""
@@ -1059,6 +1071,24 @@ def writer_hamiltonians(dim):
     return cases
 
 
+def zero_column_trace(n_nodes, zeros):
+    """A trace on the geodesic cos t|0> - i sin t|1>: im_0, re_1 and energy_mean are ``zeros``."""
+    t = np.linspace(0.0, 1.0, n_nodes)
+    amps = np.empty((n_nodes, 2), dtype=complex)
+    amps.real[:, 0], amps.imag[:, 0] = np.cos(t), zeros
+    amps.real[:, 1], amps.imag[:, 1] = zeros, -np.sin(t)
+    return EvolutionTrace(t, amps, zeros, np.ones(n_nodes), hbar=1.0)
+
+
+def assert_stdlib_renderings(out_dir, tr, h):
+    """_write_trace writes json.dumps of to_json() and the csv.writer rendering."""
+    _write_trace(out_dir, tr, h)
+    want = json.dumps(tr.to_json(h), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert first_difference((out_dir / "trace.json").read_text(), want) is None
+    with open(out_dir / "trace.csv", newline="") as fh:
+        assert first_difference(fh.read(), csv_writer_rendering(tr)) is None
+
+
 class TestTraceWriter:
     """trace.json and trace.csv from one formatting pass equal the stdlib renderings."""
 
@@ -1091,6 +1121,47 @@ class TestTraceWriter:
         assert code == 0
         run = run_scenario(ScenarioConfig(scenario="driven", steps=300))
         assert first_difference(out, csv_writer_rendering(run.trace)) is None
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [
+            lambda n: np.zeros(n),
+            lambda n: np.full(n, -0.0),
+            lambda n: np.where(np.arange(n) % 3 == 1, -0.0, 0.0),
+            lambda n: np.where(np.arange(n) % 3 == 0, -0.0, 0.0),
+        ],
+        ids=["all-zero", "all-negative-zero", "mixed-zero-first", "mixed-negative-zero-first"],
+    )
+    def test_signed_zero_columns_keep_their_signs(self, tmp_path, zeros):
+        # 0.0 == -0.0, so only the bits tell a mixed column from a constant one
+        n_nodes = 2 * _WRITE_BLOCK + 1
+        assert_stdlib_renderings(tmp_path, zero_column_trace(n_nodes, zeros(n_nodes)), None)
+
+    @pytest.mark.parametrize("dim", [3, 32])
+    def test_constant_matrix_trace_files(self, tmp_path, dim):
+        h = writer_hamiltonians(dim)["constant-matrix"]
+        tr = evolve(h, QuantumState.exact([1.0] + [0.0] * (dim - 1)), 2.0, 300)
+        assert_stdlib_renderings(tmp_path, tr, h)
+
+    def test_constant_columns_are_formatted_once(self):
+        # t, re_0, im_0, re_1, im_1, energy_mean, energy_dispersion of cos t|0> - i sin t|1>
+        columns = run_scenario(ScenarioConfig(scenario="static", steps=20000)).trace.float_columns()
+        assert [len({id(text) for text in col}) for col in columns] == [20001, 20001, 1, 1, 20001, 1, 20001]
+        assert [len(col) for col in columns] == [20001] * 7
+        assert columns[2][0] == columns[3][0] == columns[5][0] == "0.0"
+
+    @pytest.mark.parametrize("command", ["scenario1", "scenario2"])
+    def test_out_with_csv_output_formats_once(self, capsys, tmp_path, monkeypatch, command):
+        calls = []
+        float_columns = EvolutionTrace.float_columns
+        monkeypatch.setattr(
+            EvolutionTrace, "float_columns", lambda tr: calls.append(1) or float_columns(tr)
+        )
+        code, out, _ = run_cli(
+            capsys, command, "--steps", "300", "--output", "csv", "--out", str(tmp_path)
+        )
+        assert (code, len(calls)) == (0, 1)
+        assert out.encode() == (tmp_path / "trace.csv").read_bytes()
 
 
 class TestCliQueries:
