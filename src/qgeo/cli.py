@@ -20,7 +20,10 @@ its unit system does not read.  ``bound`` prints
 2 when a scenario, ``verify`` or ``table`` report or a sweep shows a bound
 violation (eta > 1), 1 on usage or validation errors (each printed as
 ``error: <cause>``), including any non-finite value bound for the JSON
-output.  ``QGEO_SEED`` seeds sweeps when ``--seed`` is absent; a
+output.  Every file qgeo reads is parsed by orjson, and by :mod:`json` when
+orjson refuses it (``NaN``, ``Infinity``, a number beyond the float range,
+a malformed file), so a refusal names the field or prints ``json``'s error.
+``QGEO_SEED`` seeds sweeps when ``--seed`` is absent; a
 sweep runs in one process at hbar = 1, one vectorized pass per chunk and
 dimension, and its result does not depend on the chunking.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
@@ -37,6 +41,8 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Any, Mapping, Sequence
+
+import orjson
 
 from .errors import QGeoError, json_number
 from .geometry import BOUND_TOL, SpeedLimitReport, efficiency
@@ -244,6 +250,22 @@ def emit_table(reports: Sequence[SpeedLimitReport]) -> str:
     return "\n".join(lines)
 
 
+def _read_json(path: str | Path) -> Any:
+    """Parse the JSON file at ``path``, the one reading of every file qgeo reads.
+
+    orjson parses the bytes.  What it refuses goes to :func:`json.loads`,
+    decoded as :meth:`Path.read_text` decodes: the standard library also reads
+    ``NaN``/``Infinity`` and numbers beyond the float range, so the caller's
+    checks name the field, and prints its own message for a malformed file.
+    Under orjson an integer literal beyond 64 bits reads as the nearest float.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return json.loads(io.TextIOWrapper(io.BytesIO(raw)).read())
+
+
 def _dump_json(obj: Any) -> str:
     """The one rendering of every document qgeo prints or writes, apart from the trace."""
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
@@ -359,7 +381,7 @@ _CONFIG_KEYS = (*_PARAMETER_KEYS, "steps", "unit_system", "output")
 
 
 def _merged_config(args: argparse.Namespace) -> ScenarioConfig:
-    file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    file_cfg = _read_json(args.config) if args.config else {}
     if not isinstance(file_cfg, dict):
         raise ValueError("config file must hold a JSON object")
     for key in file_cfg:
@@ -445,7 +467,7 @@ def _cmd_implicit(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    trace = EvolutionTrace.from_json(json.loads(Path(args.trace).read_text()))
+    trace = EvolutionTrace.from_json(_read_json(args.trace))
     report = efficiency(trace)
     print(_dump_json(report.to_json()))
     return 0 if report.bound_satisfied else 2
@@ -472,7 +494,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     reports = []
     for path in args.reports:
-        data = json.loads(Path(path).read_text())
+        data = _read_json(path)
         # a scenario envelope holds its report; from_json refuses a non-object
         if isinstance(data, Mapping) and isinstance(data.get("report"), Mapping):
             data = data["report"]

@@ -62,7 +62,10 @@ def require_hermitian(
     scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
     if not math.isfinite(scale.max()):  # a nan or inf entry, refused before m - m^dagger
         raise HermiticityError(f"{name(int(np.isfinite(scale).argmin()))} has a non-finite entry")
-    dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    # M - M^dagger against a contiguous copy of M^T: numpy iterates a swapped-axes operand slowly
+    diff = m.swapaxes(-1, -2).copy()
+    np.conjugate(diff, out=diff)
+    dev = np.abs(np.subtract(m, diff, out=diff)).max(axis=(-2, -1), initial=0.0)
     bad = dev > HERMITICITY_TOL * scale
     if bad.any():
         i = int(bad.argmax())

@@ -346,13 +346,19 @@ class EvolutionTrace:
         return QuantumState(self.amplitudes[-1])
 
     def grid_spacing(self) -> float:
-        """The common node spacing; raises GridError unless every spacing agrees to 1e-9."""
+        """The common node spacing ``dt``; GridError unless every gap is within ``1e-9*dt`` of it.
+
+        A stored time carries up to half an ulp of its magnitude, so a gap may
+        also be off by ``ulp(max|t|)``: the tolerance adds two spacings at the
+        larger end, which a uniform trace far from ``t = 0`` needs.
+        """
         if self.n_nodes < 2:
             raise GridError("a single-node trace has no spacing")
         dt = self.duration / (self.n_nodes - 1)
         gaps = np.diff(self.times)
         gaps -= dt
-        if not np.abs(gaps, out=gaps).max() <= 1e-9 * dt:
+        rounding = 2.0 * np.spacing(max(abs(self.times[0]), abs(self.times[-1])))
+        if not np.abs(gaps, out=gaps).max() <= 1e-9 * dt + rounding:
             raise GridError("trace grid is not uniform")
         return dt
 

@@ -10,13 +10,17 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import qgeo
 from qgeo.cli import (
     _SI_PARAMETERS,
     ScenarioConfig,
+    _read_json,
     _write_trace,
     build_parser,
     emit_table,
@@ -548,6 +552,12 @@ class TestCliScenarios:
                 id="nan-time",
             ),
             pytest.param(
+                # orjson refuses the literal 1e400; the string stands for it, as json.dumps cannot write it
+                lambda doc: doc["energy_dispersion"].__setitem__(57, "1e400"),
+                "energy_dispersion must be finite",
+                id="1e400-energy-dispersion",
+            ),
+            pytest.param(
                 lambda doc: doc["states"][2]["im"].__setitem__(1, math.inf),
                 "norm drift inf at node 2",
                 id="inf-imaginary-part",
@@ -565,7 +575,7 @@ class TestCliScenarios:
         path = out_dir / "trace.json"
         doc = json.loads(path.read_text())
         tamper(doc)
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 1
         assert out == ""
@@ -1162,6 +1172,125 @@ class TestTraceWriter:
         )
         assert (code, len(calls)) == (0, 1)
         assert out.encode() == (tmp_path / "trace.csv").read_bytes()
+
+
+#: Finite floats at the edges of the format: signed zeros, subnormals and the largest magnitudes.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+
+
+def float_bits(value):
+    """Every float in a parsed document as ``float.hex``, in order; the type of anything else."""
+    if isinstance(value, dict):
+        return [float_bits(value[k]) for k in sorted(value)]
+    if isinstance(value, list):
+        return [float_bits(v) for v in value]
+    return value.hex() if type(value) is float else type(value).__name__
+
+
+class TestReadJson:
+    """_read_json parses with orjson and falls back to json.loads for what orjson refuses."""
+
+    finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        doc=st.one_of(
+            st.lists(finite),
+            st.lists(st.fixed_dictionaries({"re": st.lists(finite), "im": st.lists(finite)})),
+        )
+    )
+    def test_finite_floats_read_as_json_loads_reads_them(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "floats.json"
+        text = json.dumps(doc)
+        path.write_text(text)
+        assert float_bits(_read_json(path)) == float_bits(json.loads(text)) == float_bits(doc)
+
+    def test_edge_floats_parse_under_orjson(self):
+        # the property above would pass through the fallback too; these take the fast path
+        text = json.dumps(EDGE_FLOATS).encode()
+        assert float_bits(orjson.loads(text)) == float_bits(EDGE_FLOATS)
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "infinity", "-infinity", "1e400", "int-1e400"],
+    )
+    def test_what_orjson_refuses_reads_as_json_loads_reads_it(self, tmp_path, literal):
+        path = tmp_path / "doc.json"
+        path.write_text(f"[0.5, {literal}]")
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(path.read_bytes())
+        assert repr(_read_json(path)) == repr(json.loads(path.read_text()))
+
+    def test_integer_beyond_64_bits_reads_as_the_nearest_float(self, tmp_path):
+        # json.loads keeps 2**64 an int, which json_floats refused as object entries
+        path = tmp_path / "doc.json"
+        path.write_text(f"[{2**64}, {-(2**63) - 1}, {2**64 - 1}]")
+        got = _read_json(path)
+        assert got == [2.0**64, -(2.0**63), 2**64 - 1]
+        assert [type(x) for x in got] == [float, float, int]
+
+    def test_integer_beyond_64_bits_verifies_as_its_float_literal(self, capsys, tmp_path):
+        run_cli(capsys, "scenario1", "--steps", "200", "--out", str(tmp_path))
+        path = tmp_path / "trace.json"
+        doc = json.loads(path.read_text())
+        outputs = []
+        for value in (2**64, 2.0**64):
+            doc["energy_mean"][57] = value
+            path.write_text(json.dumps(doc))
+            outputs.append(run_cli(capsys, "verify", str(path)))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw: raw[: len(raw) // 2],
+            lambda raw: raw.replace(b"\n", b"\r\n")[: len(raw) // 2],
+            lambda raw: b"\xef\xbb\xbf" + raw,
+            lambda raw: raw[:100] + b"\xff" + raw[100:],
+            lambda raw: b"",
+        ],
+        ids=["truncated", "truncated-crlf", "utf-8-bom", "invalid-utf-8", "empty"],
+    )
+    def test_malformed_trace_prints_the_json_loads_error(self, capsys, tmp_path, corrupt):
+        run_cli(capsys, "scenario1", "--steps", "200", "--out", str(tmp_path))
+        path = tmp_path / "trace.json"
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ValueError) as stdlib:  # how the file was read before orjson
+            json.loads(path.read_text())
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out, err) == (1, "", f"error: {stdlib.value}\n")
+
+
+class TestShiftedTrace:
+    """A uniform grid far from t = 0 is uniform: the tolerance allows the rounding of the stored times."""
+
+    @pytest.fixture
+    def trace_doc(self, capsys, tmp_path):
+        run_cli(capsys, "scenario2", "--steps", "2000", "--out", str(tmp_path))
+        return json.loads((tmp_path / "trace.json").read_text())
+
+    def verify(self, capsys, tmp_path, doc):
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(doc))
+        return run_cli(capsys, "verify", str(path))
+
+    @pytest.mark.parametrize("shift", [1e4, 1e5, 1e6])
+    def test_shifted_trace_verifies(self, capsys, tmp_path, trace_doc, shift):
+        eta = json.loads(self.verify(capsys, tmp_path, trace_doc)[1])["eta"]
+        shifted = {**trace_doc, "times": [t + shift for t in trace_doc["times"]]}
+        code, out, err = self.verify(capsys, tmp_path, shifted)
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)["eta"] - eta) <= 1e-9
+
+    @pytest.mark.parametrize("shift", [0.0, 1e5])
+    def test_one_moved_node_is_still_refused(self, capsys, tmp_path, trace_doc, shift):
+        times = [t + shift for t in trace_doc["times"]]
+        times[1000] += 1e-6 * (trace_doc["times"][1] - trace_doc["times"][0])
+        code, out, err = self.verify(capsys, tmp_path, {**trace_doc, "times": times})
+        assert (code, out, err) == (1, "", "error: trace grid is not uniform\n")
 
 
 class TestCliQueries:

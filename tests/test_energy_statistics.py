@@ -147,6 +147,19 @@ class TestStackedHermiticity:
         with pytest.raises(HermiticityError, match="1.000e-06"):
             require_hermitian(stack)
 
+    @pytest.mark.parametrize("view", [lambda s: s, lambda s: s.swapaxes(-1, -2)], ids=["c", "transposed"])
+    def test_deviation_is_max_of_m_minus_its_adjoint(self, view):
+        # the (32, 32, 32) sample stacks of a dim-32 drive, one entry off by 1e-9
+        rng = np.random.default_rng(9)
+        stack = random_hermitian_stack(rng, 32, 32)
+        stack[17, 3, 30] += 1e-9 * (1.0 + 1.0j)
+        stack = view(stack)
+        before = stack.copy()
+        dev = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        with pytest.raises(HermiticityError, match=rf"^H\[17\] .* = {dev[17]:.3e} "):
+            require_hermitian(stack, context=lambda i: f"H[{i}]")
+        assert np.array_equal(stack, before)
+
     def test_single_matrix_owners_reject_stacks(self):
         stack = np.array([PAULI_X, PAULI_Z])
         with pytest.raises(DimensionMismatchError):

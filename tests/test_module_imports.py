@@ -1,4 +1,4 @@
-"""Every import in the package sits at module level, is used, and every export resolves.
+"""Every import in the package sits at module level, is used, is declared, and every export resolves.
 
 An import inside a function body hides a dependency from the module header
 and is the usual way a module cycle (such as geometry -> speedlimit ->
@@ -7,6 +7,8 @@ its last caller goes.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,41 @@ def test_every_export_resolves_once_in_sorted_order():
     for name in qgeo.__all__:
         getattr(qgeo, name)
     assert qgeo.__all__ == sorted(set(qgeo.__all__))
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports outside the standard library."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found - set(sys.stdlib_module_names) - {"qgeo"}
+
+
+def declared_dependencies(pyproject: str) -> set[str]:
+    """Distribution names in ``[project].dependencies``, lower-cased, ``-`` read as ``_``."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    specs = tomllib.loads(pyproject)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower().replace("-", "_") for spec in specs}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    pyproject = Path(qgeo.__file__).parents[2] / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("qgeo is installed, not run from its source tree")
+    imported = set().union(*(third_party_imports(p.read_text()) for p in MODULES))
+    assert imported >= {"numpy", "orjson"}
+    assert imported <= declared_dependencies(pyproject.read_text())
+
+
+def test_detector_finds_third_party_imports():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport numpy.linalg as la\n"
+        "from orjson import loads\nfrom .errors import GridError\nfrom qgeo import cli\n"
+    )
+    assert third_party_imports(source) == {"numpy", "orjson"}
+    assert declared_dependencies(
+        '[project]\ndependencies = ["numpy>=1.24", "Py-Yaml ; python_version > \'3\'"]\n'
+    ) == {"numpy", "py_yaml"}
