@@ -5,7 +5,7 @@ the Fubini-Study speed of the state ray, so the time to connect two states is
 bounded below by hbar*arccos|<A|B>| / <dE>, with equality exactly on
 geodesics.  Modules:
 
-* :mod:`qgeo.states`       -- normalized states, overlaps, Wootters distance.
+* :mod:`qgeo.states`       -- normalized states, overlaps, the ray angle, Wootters distance.
 * :mod:`qgeo.hamiltonian`  -- Hamiltonian specs with one matrix, the
   observable ``sample(t)`` that both moves the state and is measured
   (``constant_generator`` and ``frame_rate`` give its constant form), energy

@@ -2,9 +2,10 @@
 
 The length of a curve of pure states, measured by the Fubini-Study metric,
 is s = (2/hbar) * integral of the energy dispersion over time; the shortest
-possible curve between the endpoints has length s0 = 2*arccos|<A|B>|.  Their
-ratio eta = s0/s <= 1 measures how geodesic the actual motion is, and equals
-1 exactly on geodesics.
+possible curve between the endpoints has length s0 = 2*arccos|<A|B>|, taken
+as twice the :func:`~qgeo.states.ray_angle` of the endpoints so that close
+endpoints keep every digit.  Their ratio eta = s0/s <= 1 measures how geodesic
+the actual motion is, and equals 1 exactly on geodesics.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import numpy as np
 from .errors import (
     DegenerateEndpointsError,
     FormulaError,
-    NormalizationError,
     json_field,
     json_number,
     require_positive_finite,
 )
 from .quadrature import QuadratureResult, simpson_uniform
-from .states import CLAMP_WINDOW, wootters_distance
+from .states import ray_angle, wootters_distance
 
 #: Endpoints closer than this (in overlap) have no defined path ratio.
 DEGENERACY_TOL = 1e-12
@@ -141,28 +141,23 @@ class SpeedLimitReport:
 
 
 def speed_limit_report(
-    overlap: float | np.ndarray, dispersion: np.ndarray, duration: float | np.ndarray, hbar: float
+    a: np.ndarray, b: np.ndarray, dispersion: np.ndarray, duration: float | np.ndarray, hbar: float
 ) -> SpeedLimitReport:
     """Speed-limit report of a trace from its statistics, elementwise over a stack.
 
-    ``overlap`` is ``|<A|B>|`` of each trace's endpoints, ``dispersion`` its
-    values at n >= 2 uniform nodes along the last axis, ``duration`` its span.
-    ``t_ideal = hbar*arccos(overlap)/<dE>`` at the average ``<dE> = hbar*s/(2T)``.
+    ``a`` and ``b`` are each trace's unit endpoint states ``(..., d)``,
+    ``dispersion`` its values at n >= 2 uniform nodes along the last axis,
+    ``duration`` its span.  ``s0 = 2*theta`` with ``theta = ray_angle(a, b)``,
+    and ``t_ideal = hbar*theta/<dE>`` at the average ``<dE> = hbar*s/(2T)``.
 
     Raises:
-        NormalizationError: an overlap exceeds 1 beyond CLAMP_WINDOW.
         DegenerateEndpointsError: endpoints phase-equivalent within 1e-12.
         GridError: two nodes only.
-        FormulaError: a nonpositive or infinite path length, or disagreeing
-            arccos and arcsin routes to s0.
+        FormulaError: a nonpositive or infinite path length, or an angle that
+            contradicts its legs (:func:`~qgeo.states.ray_angle`).
     """
-    overlap = np.asarray(overlap, dtype=float)
-    if np.any(overlap > 1.0 + CLAMP_WINDOW):
-        raise NormalizationError(
-            f"overlap modulus {float(np.max(overlap))!r} exceeds 1 beyond round-off; "
-            "inputs are not normalized"
-        )
-    overlap = np.minimum(overlap, 1.0)
+    theta = ray_angle(a, b)
+    overlap = np.cos(theta)
     if np.any(overlap >= 1.0 - DEGENERACY_TOL):
         raise DegenerateEndpointsError(
             f"endpoint overlap {float(np.max(overlap))!r} is within 1e-12 of 1; "
@@ -172,10 +167,6 @@ def speed_limit_report(
     s = quad.value
     if not np.all((0.0 < s) & (s < math.inf)):
         raise FormulaError(f"path length {s} is not positive and finite with distinct endpoints")
-    comp = np.sqrt(np.maximum(1.0 - overlap * overlap, 0.0))
-    theta = np.arccos(overlap)
-    _require_arc_routes_agree(theta, np.arcsin(comp), overlap, comp)
-    theta = theta if theta.ndim else float(theta)  # one trace reports floats
     avg_disp = 0.5 * hbar * s / duration
     eta = 2.0 * theta / s
     return SpeedLimitReport(
@@ -190,29 +181,6 @@ def speed_limit_report(
     )
 
 
-def _require_arc_routes_agree(theta_cos, theta_sin, ov, comp) -> None:
-    """Raise FormulaError where arccos(ov) and arcsin(comp) differ beyond noise.
-
-    Elementwise on arrays.  acos amplifies input rounding by 1/comp near
-    overlap 1; asin by 1/ov near overlap 0.  Budget exactly that much float
-    noise, capped at sqrt(64 eps) ~ 1.2e-7: the most either route can move
-    when its input is off by 32 eps, reached at the singular end, where
-    acos(1 - delta) = sqrt(2 delta) to leading order.  A transcription bug
-    that shifts the angle by 1e-6 or more still trips at every overlap.
-    """
-    machine = float(np.finfo(float).eps)
-    amplification = 1.0 / np.maximum(ov, machine) + 1.0 / np.maximum(comp, machine)
-    noise = np.minimum(64.0 * machine * amplification, math.sqrt(64.0 * machine))
-    tol = 1e-12 * np.maximum(theta_cos, 1.0) + noise
-    bad = np.flatnonzero(np.abs(theta_cos - theta_sin) > tol)
-    if bad.size:
-        i = bad[0]
-        raise FormulaError(
-            f"arccos and arcsin routes disagree: {float(np.ravel(theta_cos)[i])!r} "
-            f"vs {float(np.ravel(theta_sin)[i])!r} at overlap {float(np.ravel(ov)[i])!r}"
-        )
-
-
 def efficiency(trace) -> SpeedLimitReport:
     """Geodesic efficiency of a trace, with the full speed-limit report.
 
@@ -224,8 +192,8 @@ def efficiency(trace) -> SpeedLimitReport:
         DegenerateEndpointsError: endpoints phase-equivalent within 1e-12.
     """
     trace.grid_spacing()  # raises GridError on a single node or a non-uniform grid
-    overlap = abs(np.vdot(trace.amplitudes[0], trace.amplitudes[-1]))
-    return speed_limit_report(overlap, trace.energy_dispersion, trace.duration, trace.hbar)
+    a, b = trace.amplitudes[0], trace.amplitudes[-1]
+    return speed_limit_report(a, b, trace.energy_dispersion, trace.duration, trace.hbar)
 
 
 def is_geodesic(trace, tol: float = 1e-6) -> bool:

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import geometry
 from .errors import IntegrationError, StationaryStateError, require_positive_finite
-from .geometry import _require_arc_routes_agree
 from .hamiltonian import energy_statistics, overlap_rate_bound
 from .propagation import (
     _require_unit_rows,
@@ -39,10 +38,9 @@ from .propagation import (
 def min_time(overlap: float, dispersion: float, hbar: float = 1.0) -> float:
     """Minimum transfer time hbar*arccos(overlap)/dispersion.
 
-    Computed both through arccos of the overlap and through arcsin of the
-    complementary amplitude; the two routes must agree to 1e-12 (widened only
-    by their intrinsic conditioning near overlap 0 and 1), otherwise the
-    inputs are inconsistent.  Raises ``ValueError`` naming an overlap outside
+    The overlap is a plain number, so ``math.acos`` of it is the angle; a
+    trace's angle is :func:`~qgeo.states.ray_angle` of its endpoint states.
+    Raises ``ValueError`` naming an overlap outside
     [0, 1], a ``hbar`` or ``dispersion`` that is not positive and finite, or a
     ratio ``hbar/dispersion`` so large that the time overflows; a zero
     dispersion raises :class:`~qgeo.errors.StationaryStateError`.
@@ -53,10 +51,7 @@ def min_time(overlap: float, dispersion: float, hbar: float = 1.0) -> float:
     if dispersion == 0.0:
         raise StationaryStateError("minimum time undefined at zero dispersion")
     require_positive_finite(dispersion=dispersion)
-    comp = math.sqrt(max(1.0 - overlap * overlap, 0.0))
-    theta_cos = math.acos(min(overlap, 1.0))
-    _require_arc_routes_agree(theta_cos, math.asin(min(comp, 1.0)), overlap, comp)
-    t_min = hbar * theta_cos / dispersion
+    t_min = hbar * math.acos(overlap) / dispersion
     if not math.isfinite(t_min):
         raise ValueError(
             f"hbar/dispersion = {hbar!r}/{dispersion!r} is too large: the minimum "
@@ -226,7 +221,7 @@ def _group_metrics(
     disp = energy_statistics(h, amps)[1]
     dt = t_final / steps
     overlaps = np.abs((amps @ amps[:, 0, :, np.newaxis].conj())[..., 0])
-    report = geometry.speed_limit_report(overlaps[:, -1], disp, t_final, 1.0)
+    report = geometry.speed_limit_report(amps[:, 0], amps[:, -1], disp, t_final, 1.0)
     margin = _bound_margin(report.avg_dispersion, t_final, report.s0)
 
     # central-difference overlap rate against its bound; the third derivative

@@ -36,7 +36,7 @@ from qgeo.hamiltonian import (
     TwoLevelStatic,
 )
 from qgeo.propagation import _WRITE_BLOCK, EvolutionTrace, dispersion_driven_closed, evolve
-from qgeo.speedlimit import SweepResult
+from qgeo.speedlimit import SweepResult, min_time
 from qgeo.states import QuantumState
 
 
@@ -770,6 +770,15 @@ class TestBoundViolation:
         report = json.loads(out)
         assert report["bound_satisfied"] is False
         assert report["eta"] == pytest.approx(2.0, rel=1e-9)
+
+    def test_verify_accepts_a_close_endpoint_geodesic(self, capsys, tmp_path):
+        # arccos of an overlap 1e-10 below 1 read this geodesic as eta = 1.0000505, exit 2
+        h = ConstantMatrix(0.7 * np.array([[0.0, -1j], [1j, 0.0]]))
+        tr = evolve(h, QuantumState.exact([1.0, 0.0]), min_time(1.0 - 1e-10, 0.7), steps=200)
+        _write_trace(tmp_path, tr, h)
+        code, out, _ = run_cli(capsys, "verify", str(tmp_path / "trace.json"))
+        assert code == 0
+        assert abs(json.loads(out)["eta"] - 1.0) <= 1e-12
 
     def test_table_exits_2_on_violating_report(self, capsys, tmp_path):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"

@@ -3,7 +3,8 @@
 An import inside a function body hides a dependency from the module header
 and is the usual way a module cycle (such as geometry -> speedlimit ->
 geometry) creeps back in.  An import that nothing reads is left behind when
-its last caller goes.
+its last caller goes.  The angle between two states has one route,
+``states.ray_angle``, so no second one is called anywhere.
 """
 
 import ast
@@ -120,3 +121,38 @@ def test_detector_finds_third_party_imports():
     assert declared_dependencies(
         '[project]\ndependencies = ["numpy>=1.24", "Py-Yaml ; python_version > \'3\'"]\n'
     ) == {"numpy", "py_yaml"}
+
+
+INVERSE_TRIG = {"acos", "arccos", "asin", "arcsin"}
+
+
+def inverse_trig_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing top-level name, callee) of each acos/arccos/asin/arcsin call."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in INVERSE_TRIG:
+                    found.append((getattr(top, "name", "<module>"), name))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_angle_route(path):
+    # min_time's overlap is a plain number, not a pair of states
+    allowed = [("min_time", "acos")] if path.name == "speedlimit.py" else []
+    assert inverse_trig_calls(path.read_text()) == allowed
+
+
+def test_detector_finds_inverse_trig_calls():
+    source = (
+        "import math\nimport numpy as np\nfrom math import asin\n"
+        "x = np.arccos(0.5)\n"
+        "def f(c):\n    return math.acos(c) + asin(c) + math.asinh(c) + math.cos(c)\n"
+        "class K:\n    def g(self, c):\n        return np.arcsin(c)\n"
+    )
+    assert inverse_trig_calls(source) == [
+        ("<module>", "arccos"), ("f", "acos"), ("f", "asin"), ("K", "arcsin")
+    ]

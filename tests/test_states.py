@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgeo.errors import DimensionMismatchError, NormalizationError
+from qgeo.errors import DimensionMismatchError, FormulaError, NormalizationError
 from qgeo.states import (
     QuantumState,
     inner,
     overlap_modulus,
+    ray_angle,
     wootters_distance,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+EPS = float(np.finfo(float).eps)
 
 
 def random_state(rng, dim):
@@ -176,6 +178,71 @@ class TestWoottersDistance:
             a = random_state(rng, 3)
             b = random_state(rng, 3)
             assert 0.0 <= wootters_distance(a, b) <= math.pi
+
+    def test_rotated_pairs_keep_every_digit(self):
+        # a = U e0, b = U (cos phi e0 + e^{i alpha} sin phi e1); 2*arccos|<a|b>|
+        # was off by up to 2.7e8 eps at phi = 1e-10
+        rng = np.random.default_rng(2718)
+        phis = np.append(np.logspace(-10.0, math.log10(0.5 * math.pi), 60), 0.5 * math.pi)
+        for dim in range(2, 9):
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            u = np.linalg.qr(g)[0]
+            a = QuantumState(u[:, 0])
+            for phi in phis:
+                alpha = rng.uniform(-math.pi, math.pi)
+                b = QuantumState(
+                    math.cos(phi) * u[:, 0] + np.exp(1j * alpha) * math.sin(phi) * u[:, 1]
+                )
+                assert abs(wootters_distance(a, b) - 2.0 * phi) <= 16.0 * EPS, (dim, phi)
+
+
+class TestRayAngle:
+    def test_leg_guard_trips_at_every_angle(self, monkeypatch):
+        grid = np.concatenate(
+            ([0.0], np.logspace(-12.0, -5.0, 15), np.linspace(0.0, 0.5 * math.pi, 41))
+        )
+        arctan2 = np.arctan2
+        monkeypatch.setattr(np, "arctan2", lambda y, x: arctan2(y, x) + 1e-6)
+        for phi in grid:
+            a, b = np.array([1.0, 0.0]), np.array([math.cos(phi), math.sin(phi)])
+            with pytest.raises(FormulaError, match="contradicts its legs"):
+                ray_angle(a, b)
+
+    def test_one_pair_gives_a_float_and_a_stack_an_array(self):
+        a, b = np.eye(2, dtype=complex)
+        assert isinstance(ray_angle(a, b), float)
+        assert ray_angle(np.array([a, a]), np.array([b, a])).tolist() == [0.5 * math.pi, 0.0]
+
+
+def unit_pair(rng, dim, kind):
+    """One pair of unit vectors: random, exactly parallel, or exactly orthogonal."""
+    a = random_state(rng, dim).amplitudes
+    if kind == "random":
+        return a, random_state(rng, dim).amplitudes
+    if kind == "parallel":
+        return a, a * (1.0, -1.0, 1j, -1j)[rng.integers(4)]
+    # disjoint supports make <a|b> exactly zero
+    split = int(rng.integers(1, dim))
+    head, tail = np.zeros(dim, complex), np.zeros(dim, complex)
+    head[:split], tail[split:] = a[:split], a[split:]
+    return head / np.linalg.norm(head), tail / np.linalg.norm(tail)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.integers(min_value=2, max_value=8),
+    kind=st.sampled_from(["random", "parallel", "orthogonal"]),
+)
+def test_unit_pairs_never_trip_the_leg_guard(seed, dim, kind):
+    rng = np.random.default_rng(seed)
+    a, b = (np.array(rows) for rows in zip(*(unit_pair(rng, dim, kind) for _ in range(32))))
+    theta = ray_angle(a, b)
+    assert np.all((0.0 <= theta) & (theta <= 0.5 * math.pi))
+    if kind == "parallel":
+        assert np.all(theta <= 4.0 * EPS)
+    if kind == "orthogonal":
+        assert np.all(theta == 0.5 * math.pi)
 
 
 @settings(max_examples=60, deadline=None)
