@@ -9,7 +9,7 @@ geodesics.  Modules:
 * :mod:`qgeo.hamiltonian`  -- Hamiltonian specs with one matrix, the
   observable ``sample(t)`` that both moves the state and is measured
   (``constant_generator`` and ``frame_rate`` give its constant form), energy
-  statistics, the mean/dispersion decomposition, the overlap-rate bound.
+  statistics, the mean/dispersion decomposition.
 * :mod:`qgeo.propagation`  -- exact doubling fill for a constant generator
   (in the drive's frame for the driven preset), fourth-order Magnus
   integrator (Simpson nodes, each time sampled once, the exponential applied
@@ -51,7 +51,6 @@ from .hamiltonian import (
     energy_mean,
     hamiltonian_from_json,
     hamiltonian_to_json,
-    overlap_rate_bound,
     vaidman_decompose,
 )
 from .propagation import (
@@ -110,7 +109,6 @@ __all__ = [
     "is_geodesic",
     "min_time",
     "overlap_modulus",
-    "overlap_rate_bound",
     "path_length",
     "propagator_driven",
     "propagator_static",

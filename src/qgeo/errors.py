@@ -62,6 +62,11 @@ def require_positive_finite(**params: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def is_int_at_least(value: Any, minimum: int) -> bool:
+    """Whether ``value`` is an integer (numpy's too, but not a bool) of at least ``minimum``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
+
+
 def json_field(data: Mapping[str, Any], key: str, name: str | None = None) -> Any:
     """``data[key]``, or ValueError ``"<name> is missing"``; ``name`` defaults to ``key``."""
     try:

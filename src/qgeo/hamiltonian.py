@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     HermiticityError,
     StationaryStateError,
+    is_int_at_least,
     json_field,
     json_floats,
     json_number,
@@ -186,9 +187,9 @@ class TimeDependent(Hamiltonian):
 
     def __post_init__(self) -> None:
         require_positive_finite(hbar=self.hbar)
-        if self.dimension < 2:
+        if not is_int_at_least(self.dimension, 2):
             raise DimensionMismatchError(
-                f"Hamiltonian dimension must be >= 2, got {self.dimension}"
+                f"Hamiltonian dimension must be an integer >= 2, got {self.dimension!r}"
             )
 
     def sample(self, t: float | np.ndarray = 0.0) -> np.ndarray:
@@ -352,23 +353,6 @@ def vaidman_decompose(q: np.ndarray, psi: QuantumState) -> Decomposition:
         )
     perp = QuantumState.exact((m @ v - mean * v) / dispersion, tol=1e-9)
     return Decomposition(mean=mean, dispersion=dispersion, perp=perp)
-
-
-def overlap_rate_bound(delta_e, overlap, hbar: float = 1.0):
-    """Largest possible |d/dt |<psi(t)|A>|^2| at energy spread ``delta_e``.
-
-    Equals (2*delta_e/hbar) * overlap * sqrt(1 - overlap^2); vanishes both at
-    orthogonality and at coincidence, peaking at overlap = 1/sqrt(2).
-    Elementwise on arrays; a float for scalar inputs.
-    """
-    require_positive_finite(hbar=hbar)
-    delta_e, overlap = np.asarray(delta_e, dtype=float), np.asarray(overlap, dtype=float)
-    if np.any(delta_e < 0.0):
-        raise ValueError(f"dispersion must be nonnegative, got {float(np.min(delta_e))!r}")
-    if not np.all((0.0 <= overlap) & (overlap <= 1.0)):
-        raise ValueError(f"overlap modulus must lie in [0, 1], got {overlap}")
-    out = (2.0 * delta_e / hbar) * overlap * np.sqrt(np.maximum(1.0 - overlap * overlap, 0.0))
-    return float(out) if out.ndim == 0 else out
 
 
 def hamiltonian_to_json(h: Hamiltonian) -> dict[str, Any]:

@@ -12,21 +12,21 @@ hbar = 1, in fixed chunks of SWEEP_CHUNK samples and one pass per dimension
 group (split only where its node states would pass SWEEP_BLOCK_BYTES) that
 calls the per-trace code on stacks: the step exponential and doubling fill of
 :func:`~qgeo.propagation.evolve`, the efficiency kernel of
-:func:`~qgeo.geometry.efficiency`, and :func:`~qgeo.hamiltonian.overlap_rate_bound`.
+:func:`~qgeo.geometry.efficiency`, and an exact check of the overlap rate
+against its bound (2 dE/hbar)|c| sqrt(1 - |c|^2), c = <A|psi>, at every node.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
 from . import geometry
-from .errors import IntegrationError, StationaryStateError, require_positive_finite
-from .hamiltonian import energy_statistics, overlap_rate_bound
+from .errors import IntegrationError, StationaryStateError, is_int_at_least, require_positive_finite
+from .hamiltonian import energy_statistics
 from .propagation import (
     _require_unit_rows,
     expm_unitary_step,
@@ -106,8 +106,9 @@ class SweepResult:
 
     ``eta_violations`` counts eta > 1 + 1e-6; ``bound_violations`` counts
     <dE>*T < arccos|<A|B>| - 1e-6 (hbar = 1); ``rate_violations`` counts
-    nodes where the finite-difference overlap rate beats its bound by more
-    than the rigorous O(dt^2) central-difference remainder.  All must be zero.
+    nodes where the exact overlap rate beats its bound beyond round-off, and
+    ``max_rate_excess`` is the largest normalised squared excess
+    (:func:`_group_metrics`).  All counts must be zero.
     """
 
     samples: int
@@ -211,6 +212,18 @@ def _group_metrics(
     ``g``, ``psi`` and ``u`` stack the draws of samples of one dimension.
     ``h = (g + g^dagger)/2`` is Hermitian bit for bit (addition commutes and
     negation is exact) and finite, so it needs no Hermiticity check.
+
+    The rate check is exact at every node psi.  With A = psi(0) (unit),
+    c = <A|psi> and x = <HA|psi> = <A|H psi>,  d|c|^2/dt = 2q/hbar  with
+    q = Im(conj(c) x).  Write  H psi = m psi + r  with r orthogonal to psi:
+    then q = Im(conj(c) <A|r>), and r meets only the part of A orthogonal to
+    psi, of squared norm 1 - |c|^2/||psi||^2, so
+    q^2 <= ||r||^2 |c|^2 (||psi||^2 - |c|^2) / ||psi||^2.  The nodes are unit
+    only to round-off, which 1 - |c|^2 in place of that factor would flag.
+    The dE of :func:`~qgeo.hamiltonian.energy_statistics`,
+    ``||H psi - <psi|H|psi> psi||``, is never below ||r||, the least-squares
+    residual of H psi against psi.  A node violates when its squared excess
+    over the bound, in units of ``||H||_2^2``, passes 64 eps.
     """
     h = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
     psi0 = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
@@ -219,20 +232,16 @@ def _group_metrics(
     d0 = np.maximum(np.maximum(d0, 1e-6 * spectral_norm), 1e-12)
     t_final, amps = _propagate(h, psi0, u * 0.5 * math.pi / d0, steps)
     disp = energy_statistics(h, amps)[1]
-    dt = t_final / steps
-    overlaps = np.abs((amps @ amps[:, 0, :, np.newaxis].conj())[..., 0])
     report = geometry.speed_limit_report(amps[:, 0], amps[:, -1], disp, t_final, 1.0)
     margin = _bound_margin(report.avg_dispersion, t_final, report.s0)
 
-    # central-difference overlap rate against its bound; the third derivative
-    # of |<psi(t)|A>|^2 is at most (2*||H||)^3, so the difference errs by
-    # at most that times dt^2/6, plus a float-noise term
-    ov2 = overlaps * overlaps
-    rate = np.abs(ov2[:, 2:] - ov2[:, :-2]) / (2.0 * dt[:, np.newaxis])
-    bound = overlap_rate_bound(disp[:, 1:-1], np.sqrt(np.clip(ov2[:, 1:-1], 0.0, 1.0)))
-    tol = ((2.0 * spectral_norm) ** 3) * dt * dt / 6.0 + 1e-12 / dt
-    excess = rate - bound
-    rate_bad = np.sum(excess - tol[:, np.newaxis] > 0.0, axis=-1)
+    a = amps[:, 0]
+    cx = amps @ np.stack([a, np.einsum("bij,bj->bi", h, a)], axis=-1).conj()
+    c, x = cx[..., 0], cx[..., 1]
+    q, c2 = c.real * x.imag - c.imag * x.real, c.real * c.real + c.imag * c.imag
+    norm2 = np.einsum("...i,...i->...", amps.view(float), amps.view(float))
+    excess = (q * q - disp * disp * c2 * (norm2 - c2) / norm2) / spectral_norm[:, None] ** 2
+    rate_bad = np.sum(excess > 64.0 * np.finfo(float).eps, axis=-1)
     return report.eta, margin, rate_bad, np.max(excess, axis=-1)
 
 
@@ -274,19 +283,19 @@ def run_sweep(
     sweep runs in units with hbar = 1.
 
     Args:
-        samples: number of random (H, psi0, T) draws, >= 1.
+        samples: number of random (H, psi0, T) draws, an integer >= 1.
         seed: master seed (spawned per sample), a non-negative integer.
-        dims: inclusive dimension range to draw from.
+        dims: inclusive dimension range ``(low, high)``, integers 2 <= low <= high.
         steps: integrator steps per sample, an integer >= 2 (even keeps
             node counts odd).
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not is_int_at_least(samples, 1):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    if not is_int_at_least(seed, 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (2 <= dims[0] <= dims[1]):
-        raise ValueError(f"invalid dimension range {dims!r}")
-    if not isinstance(steps, numbers.Integral) or steps < 2:
+    if np.shape(dims) != (2,) or not all(map(is_int_at_least, dims, (2, dims[0]))):
+        raise ValueError(f"dims must be two integers 2 <= low <= high, got {dims!r}")
+    if not is_int_at_least(steps, 2):
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     children = np.random.SeedSequence(seed).spawn(samples)
     etas, margins, rate_bad, rate_excess = _sample_metrics(children, dims, int(steps)).T

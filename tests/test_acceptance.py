@@ -317,7 +317,7 @@ def test_overlap_rate_bound(ensemble):
         8,
         "overlap rate-bound property",
         ok,
-        f"0 rate violations beyond the O(dt^2) tolerance across "
-        f"{result.samples} traces; max raw excess over the bound "
-        f"{result.max_rate_excess:.2e}",
+        f"{result.rate_violations} nodes of {result.samples} traces where the exact "
+        f"overlap rate beats its bound beyond 64 eps; max squared excess "
+        f"{result.max_rate_excess:.2e} (in units of ||H||_2^2)",
     )

@@ -20,7 +20,6 @@ from qgeo.hamiltonian import (
     energy_mean,
     hamiltonian_from_json,
     hamiltonian_to_json,
-    overlap_rate_bound,
     require_hermitian,
     vaidman_decompose,
 )
@@ -132,6 +131,14 @@ class TestTimeDependent:
         h = TimeDependent(lambda t: np.eye(3), dimension=2)
         with pytest.raises(DimensionMismatchError):
             h.sample(0.0)
+
+    @pytest.mark.parametrize("dimension", [2.5, 3.0, True, 1, "3", None])
+    def test_dimension_must_be_an_integer_of_at_least_two(self, dimension):
+        with pytest.raises(ValueError, match=r"^Hamiltonian dimension must be an integer >= 2"):
+            TimeDependent(lambda t: np.eye(3), dimension=dimension)
+
+    def test_numpy_integer_dimension_is_accepted(self):
+        assert TimeDependent(lambda t: np.eye(3), dimension=np.int64(3)).dim == 3
 
     def test_noisy_sample_is_refused(self):
         noisy = lambda t: PAULI_X + np.array([[0.0, 1e-8], [0.0, 0.0]])
@@ -377,26 +384,6 @@ class TestVaidmanDecompose:
         d = vaidman_decompose(q, psi)
         qv_norm_sq = float(np.linalg.norm(q @ psi.amplitudes) ** 2)
         assert d.mean**2 + d.dispersion**2 == pytest.approx(qv_norm_sq, abs=1e-12)
-
-
-class TestOverlapRateBound:
-    def test_peak_value(self):
-        assert overlap_rate_bound(1.0, 1.0 / math.sqrt(2.0)) == pytest.approx(1.0)
-
-    def test_vanishes_at_endpoints(self):
-        assert overlap_rate_bound(1.0, 0.0) == 0.0
-        assert overlap_rate_bound(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_scales_with_dispersion_and_hbar(self):
-        base = overlap_rate_bound(1.0, 0.5)
-        assert overlap_rate_bound(3.0, 0.5) == pytest.approx(3.0 * base)
-        assert overlap_rate_bound(1.0, 0.5, hbar=2.0) == pytest.approx(base / 2.0)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            overlap_rate_bound(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            overlap_rate_bound(1.0, 1.5)
 
 
 class TestSerialization:

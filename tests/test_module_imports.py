@@ -1,5 +1,7 @@
 """Every import in the package sits at module level, is used, is declared, and every export resolves.
 
+The tests' own third-party imports are declared too, in the ``test`` extra.
+
 An import inside a function body hides a dependency from the module header
 and is the usual way a module cycle (such as geometry -> speedlimit ->
 geometry) creeps back in.  An import that nothing reads is left behind when
@@ -86,41 +88,68 @@ def test_every_export_resolves_once_in_sorted_order():
 
 
 def third_party_imports(source: str) -> set[str]:
-    """Top-level names of the absolute imports outside the standard library."""
+    """Top-level names of the absolute imports outside the standard library.
+
+    A ``pytest.importorskip("name")`` counts as an import of ``name``: a
+    missing module skips its test silently instead of failing it.
+    """
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found |= {a.name.partition(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip":
+            found.add(node.args[0].value.partition(".")[0])
     return found - set(sys.stdlib_module_names) - {"qgeo"}
 
 
-def declared_dependencies(pyproject: str) -> set[str]:
-    """Distribution names in ``[project].dependencies``, lower-cased, ``-`` read as ``_``."""
+def declared_dependencies(pyproject: str, extra: str | None = None) -> set[str]:
+    """Distribution names in ``[project].dependencies``, and in the optional ``extra`` if named.
+
+    Names are lower-cased, with ``-`` read as ``_``.
+    """
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
-    specs = tomllib.loads(pyproject)["project"]["dependencies"]
+    project = tomllib.loads(pyproject)["project"]
+    specs = project["dependencies"] + (project["optional-dependencies"][extra] if extra else [])
     return {re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower().replace("-", "_") for spec in specs}
 
 
-def test_every_third_party_import_is_a_declared_dependency():
+def source_pyproject() -> Path:
     pyproject = Path(qgeo.__file__).parents[2] / "pyproject.toml"
     if not pyproject.exists():
         pytest.skip("qgeo is installed, not run from its source tree")
+    return pyproject
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    pyproject = source_pyproject()
     imported = set().union(*(third_party_imports(p.read_text()) for p in MODULES))
     assert imported >= {"numpy", "orjson"}
     assert imported <= declared_dependencies(pyproject.read_text())
+
+
+def test_every_third_party_test_import_is_in_the_test_extra():
+    pyproject = source_pyproject()
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    imported = set().union(*(third_party_imports(p.read_text()) for p in tests))
+    assert imported >= {"pytest", "hypothesis", "scipy", "mpmath"}
+    assert imported <= declared_dependencies(pyproject.read_text(), "test")
 
 
 def test_detector_finds_third_party_imports():
     source = (
         "from __future__ import annotations\nimport os.path\nimport numpy.linalg as la\n"
         "from orjson import loads\nfrom .errors import GridError\nfrom qgeo import cli\n"
+        "def f():\n    return pytest.importorskip('mpmath'), pytest.importorskip('tomllib')\n"
     )
-    assert third_party_imports(source) == {"numpy", "orjson"}
-    assert declared_dependencies(
+    assert third_party_imports(source) == {"numpy", "orjson", "mpmath"}
+    pyproject = (
         '[project]\ndependencies = ["numpy>=1.24", "Py-Yaml ; python_version > \'3\'"]\n'
-    ) == {"numpy", "py_yaml"}
+        '[project.optional-dependencies]\ntest = ["MPMath>=1.3"]\n'
+    )
+    assert declared_dependencies(pyproject) == {"numpy", "py_yaml"}
+    assert declared_dependencies(pyproject, "test") == {"numpy", "py_yaml", "mpmath"}
 
 
 INVERSE_TRIG = {"acos", "arccos", "asin", "arcsin"}

@@ -13,7 +13,6 @@ from qgeo.hamiltonian import (
     TimeDependent,
     TwoLevelDriven,
     TwoLevelStatic,
-    overlap_rate_bound,
 )
 from qgeo.propagation import (
     EvolutionTrace,
@@ -56,7 +55,6 @@ CASES = [
     ("TimeDependent", "hbar", lambda v: TimeDependent(lambda t: PAULI_X, 2, hbar=v)),
     *_cases("TwoLevelStatic", TwoLevelStatic, {"epsilon": 1.0, "hbar": 1.0}),
     *_cases("TwoLevelDriven", TwoLevelDriven, DRIVE),
-    ("overlap_rate_bound", "hbar", lambda v: overlap_rate_bound(1.0, 0.5, hbar=v)),
     *_cases(
         "propagator_static",
         propagator_static,
