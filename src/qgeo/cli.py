@@ -274,12 +274,15 @@ def _dump_json(obj: Any) -> str:
 def _write_trace(
     out_dir: Path, trace: EvolutionTrace, hamiltonian: Hamiltonian | None
 ) -> list[list[str]]:
-    """Write trace.json and trace.csv from one ``float.__repr__`` pass over the trace.
+    """Write trace.json and trace.csv from one formatting pass over the trace.
 
-    trace.json is ``_dump_json(trace.to_json(hamiltonian)) + "\\n"``, streamed key
-    by key.  Each state record joins the literal pieces of one state template
-    with the node's amplitude strings.  Returns the columns
-    (:meth:`EvolutionTrace.float_columns`), so a caller can print the CSV again.
+    Every float is formatted once, as ``float.__repr__`` text, by
+    :meth:`EvolutionTrace.float_columns` (orjson's digits, with ``repr`` where
+    the layouts differ).  trace.json is
+    ``_dump_json(trace.to_json(hamiltonian)) + "\\n"``, streamed key by key.
+    Each state record joins the literal pieces of one state template with the
+    node's amplitude strings.  Returns the columns, so a caller can print the
+    CSV again.
     """
     columns = trace.float_columns()
     times, *amps, mean, dispersion = columns
@@ -481,6 +484,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             seed = int(raw)
         except ValueError:
             raise ValueError(f"QGEO_SEED must be an integer, got {raw!r}") from None
+    if args.dim_min < 2:
+        raise ValueError(f"--dim-min must be at least 2, got {args.dim_min}")
+    if args.dim_min > args.dim_max:
+        raise ValueError(f"--dim-min {args.dim_min} exceeds --dim-max {args.dim_max}")
     result = run_sweep(
         samples=args.samples,
         seed=seed,

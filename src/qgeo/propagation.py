@@ -34,6 +34,7 @@ from itertools import islice
 from typing import Any, Iterable, Mapping
 
 import numpy as np
+import orjson
 
 from .errors import (
     DimensionMismatchError,
@@ -408,9 +409,10 @@ class EvolutionTrace:
     def float_columns(self) -> list[list[str]]:
         """The CSV columns as ``float.__repr__`` text, which is JSON's float format too.
 
-        A column whose entries share one bit pattern (the zero parts of a
-        two-level transfer, say) is formatted once and holds one ``str`` object
-        repeated; ``0.0`` and ``-0.0`` differ in their bits, so stay distinct.
+        Each column is formatted by :func:`_repr_column`.  A column whose
+        entries share one bit pattern (the zero parts of a two-level transfer,
+        say) is formatted once and holds one ``str`` object repeated; ``0.0``
+        and ``-0.0`` differ in their bits, so stay distinct.
         """
         amps = self.amplitudes
         parts = [part[:, k] for k in range(self.dim) for part in (amps.real, amps.imag)]
@@ -433,11 +435,30 @@ class EvolutionTrace:
 
 
 def _repr_column(col: np.ndarray) -> list[str]:
-    """``float.__repr__`` of every entry of a float64 column, once if all share their bits."""
+    """``float.__repr__`` of every entry of a float64 column, once if all share their bits.
+
+    A varying column takes its digits from one ``orjson.dumps``: orjson's
+    Ryu and ``repr``'s dtoa both give the shortest digits that round-trip,
+    and only the layout differs.  It differs where ``0 < |x| < 1e-4`` or
+    ``|x| >= 1e16`` (orjson writes ``0.00006912``, ``8.1e-6`` and ``1e16``
+    where ``repr`` writes ``6.912e-05``, ``8.1e-06`` and ``1e+16``), and for
+    ``nan`` and ``inf`` (orjson writes ``null``); those entries are
+    formatted by ``float.__repr__``.  When most entries are such, the whole
+    column is, since the fallback costs more per entry than ``repr`` alone.
+    """
     bits = col.view(np.int64)
     if (bits == bits[0]).all():
         return [float.__repr__(col[0])] * col.size
-    return list(map(float.__repr__, col.tolist()))
+    mag = np.abs(col)
+    # nan fails both comparisons, so falls back too
+    fallback = ((mag < 1e-4) | ~(mag < 1e16)) & (mag != 0)
+    vals = col.tolist()
+    if 2 * np.count_nonzero(fallback) > col.size:
+        return list(map(float.__repr__, vals))
+    text = orjson.dumps(vals).decode()[1:-1].split(",")
+    for i in np.flatnonzero(fallback).tolist():
+        text[i] = float.__repr__(vals[i])
+    return text
 
 
 def write_joined(fh: io.TextIOBase, pieces: Iterable[str], sep: str) -> None:

@@ -35,7 +35,13 @@ from qgeo.hamiltonian import (
     TwoLevelDriven,
     TwoLevelStatic,
 )
-from qgeo.propagation import _WRITE_BLOCK, EvolutionTrace, dispersion_driven_closed, evolve
+from qgeo.propagation import (
+    _WRITE_BLOCK,
+    EvolutionTrace,
+    _repr_column,
+    dispersion_driven_closed,
+    evolve,
+)
 from qgeo.speedlimit import SweepResult, min_time
 from qgeo.states import QuantumState
 
@@ -1162,6 +1168,26 @@ class TestTraceWriter:
         tr = evolve(h, QuantumState.exact([1.0] + [0.0] * (dim - 1)), 2.0, 300)
         assert_stdlib_renderings(tmp_path, tr, h)
 
+    def test_columns_across_the_layout_switch_points(self, tmp_path):
+        # |0> under E(sigma_x + 2) with E = 1e16 for a quarter period: the times
+        # are all below 1e-4, the mean is all above 1e16, the dispersion sits on
+        # both sides of 1e16, and the amplitudes mix tiny and ordinary entries
+        energy = 1e16
+        h = ConstantMatrix(energy * (PAULI_X + 2.0 * np.eye(2)))
+        tr = evolve(h, QuantumState.exact([1.0, 0.0]), math.pi / (2.0 * energy), 300)
+        assert_stdlib_renderings(tmp_path, tr, h)
+        times, *amps, mean, dispersion = tr.float_columns()
+        assert all("e-" in text for text in times[1:])
+        assert all("e+16" in text for text in mean)
+        assert "1e+16" in dispersion and any(text.startswith("99999999") for text in dispersion)
+        for column in amps:
+            assert any("e-" in text for text in column) and any("e" not in text for text in column)
+
+    @pytest.mark.parametrize("steps", [300, 2000])
+    def test_scenario2_trace_files(self, tmp_path, steps):
+        run = run_scenario(ScenarioConfig(scenario="driven", steps=steps))
+        assert_stdlib_renderings(tmp_path, run.trace, run.hamiltonian)
+
     def test_constant_columns_are_formatted_once(self):
         # t, re_0, im_0, re_1, im_1, energy_mean, energy_dispersion of cos t|0> - i sin t|1>
         columns = run_scenario(ScenarioConfig(scenario="static", steps=20000)).trace.float_columns()
@@ -1181,6 +1207,62 @@ class TestTraceWriter:
         )
         assert (code, len(calls)) == (0, 1)
         assert out.encode() == (tmp_path / "trace.csv").read_bytes()
+
+
+def repr_corpus():
+    """Columns at orjson's layout switch points, at the edges of the format, and tiny columns.
+
+    Every one of them holds an entry that orjson lays out unlike ``repr``.
+    """
+    rng = np.random.default_rng(30)
+    neighbours = [
+        np.nextafter(sign * x, sign * x * side)
+        for x in (1e-5, 1e-4, 1e16)
+        for sign in (1.0, -1.0)
+        for side in (0.0, 1.0, np.inf)
+    ]
+    # log-uniform below 1e-4: orjson writes 0.0000x above 1e-5 and a one-digit
+    # exponent down to 1e-9, while two-digit exponents agree with repr
+    tiny = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-20.0, -4.0, 1000)
+    ordinary = rng.normal(size=1000)
+    max_float, min_normal = np.finfo(float).max, np.finfo(float).tiny
+    return {
+        "switch-neighbours": neighbours,
+        "subnormals-zeros-max": [5e-324, -5e-324, np.nextafter(min_normal, 0.0), min_normal,
+                                 0.0, -0.0, max_float, -max_float],
+        "all-tiny": tiny,
+        "mixed-30%-tiny": np.where(rng.random(1000) < 0.3, tiny, ordinary),
+        "mixed-70%-tiny": np.where(rng.random(1000) < 0.7, tiny, ordinary),
+        "non-finite": [np.nan, np.inf, -np.inf, 1.0],
+    }
+
+
+REPR_CORPUS = repr_corpus()
+
+
+class TestReprColumn:
+    """_repr_column takes orjson's digits, so it must stay float.__repr__ entry by entry."""
+
+    @pytest.mark.parametrize("name", REPR_CORPUS)
+    def test_corpus_is_float_repr(self, name):
+        col = np.array(REPR_CORPUS[name], dtype=np.float64)
+        assert _repr_column(col) == list(map(float.__repr__, col.tolist()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(-1e-3, 1e-3),
+                st.floats(1e15, 1e17),
+            ),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    def test_finite_columns_are_float_repr(self, values):
+        col = np.array(values, dtype=np.float64)
+        assert _repr_column(col) == list(map(float.__repr__, values))
 
 
 #: Finite floats at the edges of the format: signed zeros, subnormals and the largest magnitudes.
@@ -1422,6 +1504,20 @@ class TestCliSweep:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err == "error: seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            (["--dim-min", "5", "--dim-max", "3"], "--dim-min 5 exceeds --dim-max 3"),
+            (["--dim-max", "1"], "--dim-min 2 exceeds --dim-max 1"),
+            (["--dim-min", "1"], "--dim-min must be at least 2, got 1"),
+            (["--dim-min", "-4", "--dim-max", "-6"], "--dim-min must be at least 2, got -4"),
+        ],
+        ids=["min-above-max", "max-below-two", "min-below-two", "both-negative"],
+    )
+    def test_bad_dimension_range_names_the_flags(self, capsys, dims, message):
+        code, out, err = run_cli(capsys, "sweep", "--samples", "4", "--steps", "32", *dims)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_flag_overrides_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("QGEO_SEED", "777")
