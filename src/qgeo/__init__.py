@@ -5,7 +5,7 @@ the Fubini-Study speed of the state ray, so the time to connect two states is
 bounded below by hbar*arccos|<A|B>| / <dE>, with equality exactly on
 geodesics.  Modules:
 
-* :mod:`qgeo.states`       -- normalized states, overlaps, the ray angle, Wootters distance.
+* :mod:`qgeo.states`       -- normalized states and the angle between their rays.
 * :mod:`qgeo.hamiltonian`  -- Hamiltonian specs with one matrix, the
   observable ``sample(t)`` that both moves the state and is measured
   (``constant_generator`` and ``frame_rate`` give its constant form), energy
@@ -15,8 +15,8 @@ geodesics.  Modules:
   integrator (Simpson nodes, each time sampled once, the exponential applied
   as a Taylor action above 2x2), closed-form two-level propagators and
   dispersion laws, evolution traces.
-* :mod:`qgeo.geometry`     -- path lengths, geodesic efficiency, and with
-  it the time-energy bound along a trace (eta <= 1).
+* :mod:`qgeo.geometry`     -- geodesic efficiency, and with it the
+  time-energy bound along a trace (eta <= 1).
 * :mod:`qgeo.speedlimit`   -- the minimum time hbar*arccos|<A|B>|/dE, the
   short-time implicit solver, randomized sweeps.
 * :mod:`qgeo.cli`          -- the ``qgeo`` command; it renders only the trace
@@ -34,12 +34,7 @@ from .errors import (
     QGeoError,
     StationaryStateError,
 )
-from .geometry import (
-    SpeedLimitReport,
-    efficiency,
-    is_geodesic,
-    path_length,
-)
+from .geometry import SpeedLimitReport, efficiency
 from .hamiltonian import (
     ConstantMatrix,
     Decomposition,
@@ -47,8 +42,6 @@ from .hamiltonian import (
     TimeDependent,
     TwoLevelDriven,
     TwoLevelStatic,
-    energy_dispersion,
-    energy_mean,
     hamiltonian_from_json,
     hamiltonian_to_json,
     vaidman_decompose,
@@ -68,12 +61,7 @@ from .speedlimit import (
     run_sweep,
     solve_implicit_time,
 )
-from .states import (
-    QuantumState,
-    inner,
-    overlap_modulus,
-    wootters_distance,
-)
+from .states import QuantumState
 
 __version__ = "0.1.0"
 
@@ -100,21 +88,14 @@ __all__ = [
     "dispersion_driven_closed",
     "dispersion_driven_near_resonance",
     "efficiency",
-    "energy_dispersion",
-    "energy_mean",
     "evolve",
     "hamiltonian_from_json",
     "hamiltonian_to_json",
-    "inner",
-    "is_geodesic",
     "min_time",
-    "overlap_modulus",
-    "path_length",
     "propagator_driven",
     "propagator_static",
     "run_sweep",
     "short_time_coefficient",
     "solve_implicit_time",
     "vaidman_decompose",
-    "wootters_distance",
 ]

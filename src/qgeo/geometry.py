@@ -25,7 +25,7 @@ from .errors import (
     require_positive_finite,
 )
 from .quadrature import QuadratureResult, simpson_uniform
-from .states import ray_angle, wootters_distance
+from .states import ray_angle
 
 #: Endpoints closer than this (in overlap) have no defined path ratio.
 DEGENERACY_TOL = 1e-12
@@ -58,18 +58,6 @@ def length_quadrature(
             stacklevel=4,
         )
     return result
-
-
-def path_length(trace) -> float:
-    """Fubini-Study length of the trace: (2/hbar) * integral of dispersion dt.
-
-    Requires a uniform grid with at least 3 nodes (a single-node trace has
-    length 0); an even node count is accepted but integrates the final
-    interval by trapezoid (with a warning).
-    """
-    if trace.n_nodes == 1:
-        return 0.0  # zero-duration trace: no motion, zero length
-    return length_quadrature(trace.energy_dispersion, trace.grid_spacing(), trace.hbar).value
 
 
 @dataclass(frozen=True)
@@ -195,9 +183,3 @@ def efficiency(trace) -> SpeedLimitReport:
     a, b = trace.amplitudes[0], trace.amplitudes[-1]
     return speed_limit_report(a, b, trace.energy_dispersion, trace.duration, trace.hbar)
 
-
-def is_geodesic(trace, tol: float = 1e-6) -> bool:
-    """True when the trace length exceeds the endpoint distance by <= tol."""
-    s = path_length(trace)
-    s0 = wootters_distance(trace.initial_state, trace.final_state)
-    return s <= s0 + tol

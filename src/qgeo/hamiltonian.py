@@ -37,7 +37,6 @@ HERMITICITY_TOL = 1e-12
 STATIONARY_TOL = 1e-12
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -298,25 +297,6 @@ class TwoLevelDriven(Hamiltonian):
     def orthogonality_time(self) -> float:
         """pi*hbar/(2*kappa): duration of the closed-form transfer."""
         return math.pi * self.hbar / (2.0 * self.kappa)
-
-
-def _state_statistics(h: Hamiltonian, psi: QuantumState, t: float) -> tuple[float, float]:
-    if psi.dim != h.dim:
-        raise DimensionMismatchError(
-            f"state dimension {psi.dim} does not match Hamiltonian dimension {h.dim}"
-        )
-    mean, disp = energy_statistics(h.sample(t), psi.amplitudes[np.newaxis])
-    return float(mean[0]), float(disp[0])
-
-
-def energy_mean(h: Hamiltonian, psi: QuantumState, t: float = 0.0) -> float:
-    """Expectation value <psi|H(t)|psi> (guaranteed real for Hermitian H)."""
-    return _state_statistics(h, psi, t)[0]
-
-
-def energy_dispersion(h: Hamiltonian, psi: QuantumState, t: float = 0.0) -> float:
-    """Energy spread ||H(t) psi - <H> psi|| >= 0 at time t (see :func:`energy_statistics`)."""
-    return _state_statistics(h, psi, t)[1]
 
 
 @dataclass(frozen=True)

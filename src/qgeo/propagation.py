@@ -339,10 +339,6 @@ class EvolutionTrace:
         return float(self.times[-1] - self.times[0])
 
     @property
-    def initial_state(self) -> QuantumState:
-        return QuantumState(self.amplitudes[0])
-
-    @property
     def final_state(self) -> QuantumState:
         return QuantumState(self.amplitudes[-1])
 

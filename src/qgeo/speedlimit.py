@@ -60,14 +60,6 @@ def min_time(overlap: float, dispersion: float, hbar: float = 1.0) -> float:
     return t_min
 
 
-def _bound_margin(avg_dispersion, duration, s0):
-    """Slack  <dE>*T - arccos|<A|B>|  of the time-energy bound (an action, hbar = 1).
-
-    Elementwise on arrays; ``s0`` is the geodesic distance 2*arccos|<A|B>|.
-    """
-    return avg_dispersion * duration - 0.5 * s0
-
-
 def solve_implicit_time(
     epsilon: float, omega: float, omega0: float, hbar: float = 1.0
 ) -> float:
@@ -233,7 +225,7 @@ def _group_metrics(
     t_final, amps = _propagate(h, psi0, u * 0.5 * math.pi / d0, steps)
     disp = energy_statistics(h, amps)[1]
     report = geometry.speed_limit_report(amps[:, 0], amps[:, -1], disp, t_final, 1.0)
-    margin = _bound_margin(report.avg_dispersion, t_final, report.s0)
+    margin = 0.5 * (report.s - report.s0)  # <dE>*T - arccos|<A|B>|, as <dE>*T = hbar*s/2
 
     a = amps[:, 0]
     cx = amps @ np.stack([a, np.einsum("bij,bj->bi", h, a)], axis=-1).conj()

@@ -17,9 +17,6 @@ from .errors import DimensionMismatchError, FormulaError, NormalizationError
 #: Tolerance for the strict unit-norm check in :meth:`QuantumState.exact`.
 NORM_TOL = 1e-12
 
-#: Overlap moduli may exceed 1 by at most this much before we refuse to clamp.
-CLAMP_WINDOW = 1e-12
-
 # Anything worse than this is not round-off but a caller bug, regardless of
 # which constructor was used.
 _HARD_NORM_GATE = 1e-6
@@ -88,33 +85,6 @@ class QuantumState:
         return f"QuantumState({np.array2string(self.amplitudes, precision=6)})"
 
 
-def _require_same_dim(a: QuantumState, b: QuantumState) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def inner(a: QuantumState, b: QuantumState) -> complex:
-    """Hermitian inner product <a|b> (conjugate-linear in the first slot)."""
-    _require_same_dim(a, b)
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def overlap_modulus(a: QuantumState, b: QuantumState) -> float:
-    """|<a|b>|, clamped into [0, 1].
-
-    Round-off may push the modulus a hair above 1; anything beyond the clamp
-    window means the inputs were not actually unit vectors and is an error
-    rather than something to silently clamp away.
-    """
-    m = abs(inner(a, b))
-    if m > 1.0 + CLAMP_WINDOW:
-        raise NormalizationError(
-            f"overlap modulus {m!r} exceeds 1 beyond round-off; "
-            "inputs are not normalized"
-        )
-    return min(m, 1.0)
-
-
 def ray_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
     """Angle arccos|<a|b>| between the rays of unit vectors, elementwise over ``(..., d)``.
 
@@ -142,8 +112,3 @@ def ray_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
         raise FormulaError(f"angle {t!r} contradicts its legs {x!r} and {y!r}")
     return theta if theta.ndim else float(theta)
 
-
-def wootters_distance(a: QuantumState, b: QuantumState) -> float:
-    """Statistical distance 2*arccos|<a|b>| between rays, by :func:`ray_angle`; range [0, pi]."""
-    _require_same_dim(a, b)
-    return 2.0 * ray_angle(a.amplitudes, b.amplitudes)

@@ -263,7 +263,7 @@ class TestRunScenario:
         assert report.bound_satisfied
 
     @pytest.mark.parametrize("steps, rel_tol", [(200, 1e-8), (2000, 1e-9), (20000, 1e-10)])
-    def test_driven_si_path_length_matches_the_closed_law(self, steps, rel_tol):
+    def test_driven_si_length_matches_the_closed_law(self, steps, rel_tol):
         # The SI dispersion sqrt(eps^2 + b (hbar w0 - b)) has no w0 oscillation,
         # so s converges on report-grade grids.  Measured relative deviations
         # from the closed law's integral: 5.6e-9, 5.2e-10, 4.5e-11.  The error
@@ -361,7 +361,7 @@ class TestRunScenario:
         psi0 = QuantumState.normalized([1.0, 1.0j])
         run = run_scenario(cfg, hamiltonian=h, psi0=psi0)
         np.testing.assert_array_equal(
-            run.trace.initial_state.amplitudes, psi0.amplitudes
+            run.trace.amplitudes[0], psi0.amplitudes
         )
 
     @pytest.mark.parametrize("steps", [500, 2000, 8000])

@@ -14,8 +14,6 @@ from qgeo.hamiltonian import (
     PAULI_Z,
     ConstantMatrix,
     TimeDependent,
-    energy_dispersion,
-    energy_mean,
     energy_statistics,
     require_hermitian,
     vaidman_decompose,
@@ -63,16 +61,16 @@ class TestEnergyStatistics:
         np.testing.assert_allclose(mean, complex_mean, rtol=0, atol=1e-14 * size)
         np.testing.assert_allclose(disp, np.linalg.norm(residual, axis=-1), rtol=1e-13)
 
-    def test_stack_rows_equal_the_per_state_functions(self):
+    def test_stack_rows_equal_single_state_calls(self):
         rng = np.random.default_rng(6)
         h = random_hermitian_stack(rng, 5, 3, 2.0)
         psis = random_states(rng, (5, 3))
         mean, disp = energy_statistics(h, psis[:, np.newaxis])
         assert mean.shape == disp.shape == (5, 1)
         for k in range(5):
-            psi = QuantumState(psis[k])
-            assert energy_mean(ConstantMatrix(h[k]), psi) == mean[k, 0]
-            assert energy_dispersion(ConstantMatrix(h[k]), psi) == disp[k, 0]
+            one_mean, one_disp = energy_statistics(h[k], psis[k][np.newaxis])
+            assert one_mean[0] == mean[k, 0]
+            assert one_disp[0] == disp[k, 0]
 
     def test_huge_energies_do_not_overflow(self):
         psi = np.array([[1.0, 0.0]], dtype=complex)
@@ -96,12 +94,6 @@ class TestEnergyStatistics:
         psi = np.array([[1.0, 1.0j]]) / np.sqrt(2.0)
         with pytest.raises(HermiticityError, match="imaginary part"):
             energy_statistics(skew, psi)
-
-    def test_dimension_mismatch_in_per_state_functions(self):
-        psi = QuantumState.exact([1.0, 0.0])
-        for func in (energy_mean, energy_dispersion):
-            with pytest.raises(DimensionMismatchError):
-                func(ConstantMatrix(np.eye(3)), psi)
 
 
 class TestEnergyOffset:
@@ -127,8 +119,9 @@ class TestEnergyOffset:
         h = random_hermitian_stack(rng, 1, dim)[0]
         psi = QuantumState(random_states(rng, dim))
         shifted = h + offset * np.eye(dim)
-        disp = energy_dispersion(ConstantMatrix(shifted), psi)
-        assert abs(disp - energy_dispersion(ConstantMatrix(h), psi)) <= 16.0 * EPS * np.max(
+        disp = energy_statistics(shifted, psi.amplitudes[np.newaxis])[1][0]
+        unshifted = energy_statistics(h, psi.amplitudes[np.newaxis])[1][0]
+        assert abs(disp - unshifted) <= 16.0 * EPS * np.max(
             np.abs(shifted)
         )
         assert vaidman_decompose(shifted, psi).dispersion == disp

@@ -5,8 +5,9 @@ The tests' own third-party imports are declared too, in the ``test`` extra.
 An import inside a function body hides a dependency from the module header
 and is the usual way a module cycle (such as geometry -> speedlimit ->
 geometry) creeps back in.  An import that nothing reads is left behind when
-its last caller goes.  The angle between two states has one route,
-``states.ray_angle``, so no second one is called anywhere.
+its last caller goes, and so is a definition that nothing reads.  The angle
+between two states has one route, ``states.ray_angle``, so no second one is
+called anywhere.
 """
 
 import ast
@@ -185,3 +186,94 @@ def test_detector_finds_inverse_trig_calls():
     assert inverse_trig_calls(source) == [
         ("<module>", "arccos"), ("f", "acos"), ("f", "asin"), ("K", "arcsin")
     ]
+
+
+def top_level_statements(source: str) -> list[tuple[set[str], set[str]]]:
+    """(public names it defines, names it reads) of each top-level statement.
+
+    A read is a loaded name, an attribute name or a name imported by ``from``;
+    an attribute is matched by name alone, whatever object it is read from.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            defined = {top.name}
+        else:  # an assignment, plain or annotated
+            targets = getattr(top, "targets", []) + [getattr(top, "target", None)]
+            defined = {t.id for t in targets if isinstance(t, ast.Name)}
+        read = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names}
+        found.append(({n for n in defined if not n.startswith("_")}, read))
+    return found
+
+
+def unread_definitions(package: dict, readers: dict, allowed=()) -> list[tuple[str, str]]:
+    """(module, name) of each public top-level definition of ``package`` no live statement reads.
+
+    Both maps take a module name to its source; ``readers`` only read.  A
+    statement is dead once every name it defines is, so a name that only dead
+    code reads is dead too.  The ``allowed`` names stay live.
+    """
+    statements = [(m, *s) for m, src in package.items() for s in top_level_statements(src)]
+    statements += [
+        (m, set(), r) for m, src in readers.items() for _, r in top_level_statements(src)
+    ]
+    dead: set[tuple[str, str]] = set()
+    while True:
+        dead_names = {name for _, name in dead}
+        live_reads = [r if not d or d - dead_names else set() for _, d, r in statements]
+        found = {
+            (m, name)
+            for i, (m, defined, _) in enumerate(statements)
+            for name in defined - set(allowed)
+            if not any(name in read for j, read in enumerate(live_reads) if j != i)
+        }
+        if found == dead:
+            return sorted(dead)
+        dead = found
+
+
+# Read by no module yet, and kept: the paper's decomposition (acceptance check 6), the
+# closed-form two-level oracles the tests hold the integrators against, and the
+# Hamiltonian of a stored trace, which ``qgeo verify`` is to recompute its statistics from.
+UNREAD_ALLOWED = {
+    "vaidman_decompose",
+    "propagator_static",
+    "propagator_driven",
+    "dispersion_driven_near_resonance",
+    "trace_hamiltonian_from_json",
+}
+
+
+def test_every_public_definition_is_read():
+    bench = Path(qgeo.__file__).parents[2] / "bench"
+    if not bench.is_dir():
+        pytest.skip("qgeo is installed, not run from its source tree")
+    package = {p.name: p.read_text() for p in MODULES if p.name != "__init__.py"}
+    readers = {f"bench/{p.name}": p.read_text() for p in sorted(bench.glob("*.py"))}
+    assert unread_definitions(package, readers, UNREAD_ALLOWED) == []
+
+
+def test_detector_finds_unread_definitions():
+    package = {
+        "a": (
+            "LIVE = 1\nDEAD: int = 2\n"
+            "def dead():\n    return DEAD\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def _private():\n    return 0\n"
+            "class Kept:\n    pass\n"
+            "def entry():\n    return LIVE\n"
+        ),
+        "b": "from .a import Kept\n",
+    }
+    readers = {"bench": "import a\nprint(a.entry())\n"}
+    assert unread_definitions(package, readers) == [
+        ("a", "DEAD"), ("a", "dead"), ("a", "recursive")
+    ]
+    assert unread_definitions(package, readers, {"dead"}) == [("a", "recursive")]
