@@ -26,7 +26,23 @@ def driven_trace(steps=1000):
     return evolve(h, UP, h.orthogonality_time, steps=steps)
 
 
+def endpoint_report(b, steps=8):
+    """Report of a unit-dispersion path of unit duration from UP to ``b``."""
+    return speed_limit_report(UP.amplitudes, b, np.ones(steps + 1), 1.0, 1.0)
+
+
 class TestGeodesicDistance:
+    def test_orthogonal_endpoints(self):
+        assert endpoint_report(DOWN.amplitudes).s0 == pytest.approx(math.pi)
+
+    def test_coincident_endpoints(self):
+        with pytest.raises(DegenerateEndpointsError):
+            endpoint_report(1j * UP.amplitudes)
+
+    def test_half_overlap(self):
+        b = np.array([0.5, math.sqrt(3.0) / 2.0])
+        assert endpoint_report(b).s0 == pytest.approx(2.0 * math.pi / 3.0)
+
     def test_depends_only_on_endpoints(self):
         d1 = efficiency(static_trace(steps=100)).s0
         d2 = efficiency(static_trace(steps=800)).s0
@@ -66,6 +82,17 @@ class TestPathLength:
         )
         with pytest.raises(GridError):
             efficiency(tr)
+
+    def test_zero_duration_trace(self):
+        tr = evolve(TwoLevelStatic(epsilon=1.0), UP, 0.0, steps=10)  # a single node
+        with pytest.raises(GridError):
+            efficiency(tr)
+
+    def test_even_node_count_warns_at_the_caller(self):
+        tr = evolve(TwoLevelStatic(epsilon=1.0), UP, 1.0, steps=9)  # 10 nodes
+        with pytest.warns(UserWarning, match="trapezoid") as record:
+            efficiency(tr)
+        assert record[0].filename == __file__
 
     def test_constant_dispersion_product_rule(self):
         # for constant dE the length is exactly 2*dE*T/hbar

@@ -338,6 +338,10 @@ class TestEnergyDispersion:
 
 
 class TestVaidmanDecompose:
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="does not match state dimension 2"):
+            vaidman_decompose(np.eye(3), UP)
+
     def test_sigma_x_on_basis_state(self):
         d = vaidman_decompose(PAULI_X, UP)
         assert d.mean == pytest.approx(0.0, abs=1e-15)

@@ -251,13 +251,18 @@ UNREAD_ALLOWED = {
 }
 
 
-def test_every_public_definition_is_read():
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_public_definition_is_read(path):
+    # liveness is decided over the whole package, then reported module by module
     bench = Path(qgeo.__file__).parents[2] / "bench"
     if not bench.is_dir():
         pytest.skip("qgeo is installed, not run from its source tree")
     package = {p.name: p.read_text() for p in MODULES if p.name != "__init__.py"}
     readers = {f"bench/{p.name}": p.read_text() for p in sorted(bench.glob("*.py"))}
-    assert unread_definitions(package, readers, UNREAD_ALLOWED) == []
+    dead = unread_definitions(package, readers, UNREAD_ALLOWED)
+    assert [name for module, name in dead if module == path.name] == []
 
 
 def test_detector_finds_unread_definitions():

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from qgeo import speedlimit
 from qgeo.errors import StationaryStateError
-from qgeo.geometry import efficiency
+from qgeo.geometry import efficiency, speed_limit_report
 from qgeo.hamiltonian import (
     PAULI_X,
     ConstantMatrix,
@@ -301,6 +301,17 @@ def reference_sample(seed_seq, dims, steps):
         c2, norm2 = abs(c) ** 2, np.vdot(psi, psi).real
         excess.append((q * q - disp * disp * c2 * (norm2 - c2) / norm2) / spectral_norm**2)
     return report.eta, margin, int(np.sum(np.array(excess) > RATE_TOL)), max(excess)
+
+
+def test_bound_margin_is_action_minus_arccos():
+    # the sweep's margin 0.5*(s - s0) is <dE>*T - arccos|<A|B>| at hbar = 1, elementwise
+    overlaps = np.array([0.6, 0.0, 0.999])
+    a = np.tile([1.0, 0.0], (3, 1))
+    b = np.stack([overlaps, np.sqrt(1.0 - overlaps**2)], axis=-1)
+    disp = np.array([0.5, 2.0, 0.1])[:, np.newaxis] * np.ones(9)
+    report = speed_limit_report(a, b, disp, np.array([2.0, 1.0, 3.0]), 1.0)
+    want = [1.0 - math.acos(0.6), 2.0 - math.pi / 2.0, 0.3 - math.acos(0.999)]
+    np.testing.assert_allclose(0.5 * (report.s - report.s0), want, rtol=1e-15, atol=1e-15)
 
 
 def one_ppm_low(energy_statistics):

@@ -87,6 +87,30 @@ class TestRayAngle:
         b = np.array([math.sqrt(3.0) / 2.0, 0.5])
         assert ray_angle(a, b) == pytest.approx(math.pi / 6.0)
 
+    def test_hadamard_pair_is_orthogonal(self):
+        a = QuantumState.normalized([1.0, 1.0]).amplitudes
+        b = QuantumState.normalized([1.0, -1.0]).amplitudes
+        assert abs(ray_angle(a, b) - 0.5 * math.pi) <= 4.0 * EPS
+
+    def test_first_slot_is_conjugated(self):
+        # sum(a*b) without the conjugate is 0 for a = (1, i)/sqrt2 against itself
+        a = QuantumState.normalized([1.0, 1.0j]).amplitudes
+        assert ray_angle(a, a) <= 4.0 * EPS
+        assert ray_angle(a, np.conj(a)) == pytest.approx(0.5 * math.pi)
+
+    def test_self_angle_is_zero(self):
+        s = QuantumState.normalized([0.3, 0.4 - 0.2j, 1.1]).amplitudes
+        assert ray_angle(s, s) <= 4.0 * EPS
+
+    def test_overlap_rounded_above_one_gives_zero_angle(self):
+        # arccos would return nan at such an overlap
+        rng = np.random.default_rng(17)
+        states = [random_state(rng, 3).amplitudes for _ in range(200)]
+        above = [s for s in states if abs(np.vdot(s, s)) > 1.0]
+        assert above  # round-off must put some overlaps above 1
+        for s in above:
+            assert 0.0 <= ray_angle(s, s) <= 4.0 * EPS
+
     def test_symmetry(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
