@@ -10,8 +10,8 @@ geodesics.  Modules:
   observable ``sample(t)`` that both moves the state and is measured
   (``constant_generator`` and ``frame_rate`` give its constant form), energy
   statistics, the mean/dispersion decomposition.
-* :mod:`qgeo.propagation`  -- exact doubling fill for a constant generator
-  (in the drive's frame for the driven preset), fourth-order Magnus
+* :mod:`qgeo.propagation`  -- one constant-generator kernel for ``evolve``
+  and the sweep (exact doubling fill, in the drive's frame), fourth-order Magnus
   integrator (Simpson nodes, each time sampled once, the exponential applied
   as a Taylor action above 2x2), closed-form two-level propagators and
   dispersion laws, evolution traces.
@@ -61,7 +61,7 @@ from .speedlimit import (
     run_sweep,
     solve_implicit_time,
 )
-from .states import QuantumState
+from .states import QuantumState, ray_angle
 
 __version__ = "0.1.0"
 
@@ -94,6 +94,7 @@ __all__ = [
     "min_time",
     "propagator_driven",
     "propagator_static",
+    "ray_angle",
     "run_sweep",
     "short_time_coefficient",
     "solve_implicit_time",

@@ -2,11 +2,11 @@
 
 :func:`expm_unitary_step` gives ``exp(-i * H * dt / hbar)`` of one matrix or
 a stack: the exact Pauli form at 2x2, the spectral form from ``eigh`` above.
-With a ``constant_generator`` K, the step of ``K - (hbar*frame_rate/2)*sigma_z``
-is exponentiated once, its powers are filled by doubling
-(:func:`fill_by_doubling`, which also serves the stacked sweep), and the
-nodes ``R(t) U^k psi0`` carry K's statistics of ``U^k psi0``, taken block by
-block of :data:`NODE_BLOCK_BYTES`.  Without a K, ``sample`` is integrated by
+With a ``constant_generator`` K, :func:`constant_nodes`, the one kernel of
+:func:`evolve` and of the stacked sweep, exponentiates the step of
+``K - (hbar*frame_rate/2)*sigma_z`` once, fills its powers by doubling, and
+gives the nodes ``R(t) U^k psi0`` K's statistics of ``U^k psi0``, taken
+block by block of :data:`NODE_BLOCK_BYTES`.  Without a K, ``sample`` is integrated by
 the fourth-order Magnus step with Simpson nodes (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 151 (2009)): each time is sampled once, one stacked
 ``sample`` per chunk of steps, and a step's end sample is the next step's
@@ -19,10 +19,9 @@ signal, checked at every node.
 A trace holds its node states as one ``(n_nodes, dim)`` amplitude array.
 
 Working set: :func:`evolve` allocates the trace's four arrays once, writes
-them in place (the fill, then each block's statistics and frame phases
-with temporaries of one block), norm-checks the nodes once after their last
-write, and the trace adopts the arrays without a copy.  Arrays a caller
-passes to :class:`EvolutionTrace` are copied and every norm is checked.
+them in place, norm-checks the nodes once after their last write, and the
+trace adopts the arrays without a copy.  Arrays a caller passes to
+:class:`EvolutionTrace` are copied and every norm is checked.
 """
 
 from __future__ import annotations
@@ -69,9 +68,9 @@ _ID2 = np.eye(2, dtype=complex)
 #: ``_TAYLOR_THETA[m]``: the largest ``|M|`` whose Taylor degree ``m`` truncates
 #: ``exp(-i M)`` below ``2^-53``, ``((m+1)! 2^-53)^(1/(m+1))``; above 1 at m = 18.
 _TAYLOR_THETA = np.array([(math.factorial(m + 1) * 2.0**-53) ** (1.0 / (m + 1)) for m in range(19)])
-#: Bytes of node states per block of the constant-generator statistics and
-#: frame phases in :func:`evolve`: the block's temporaries stay small and are
-#: reused from block to block, while the trace's own arrays are written once.
+#: Bytes of node states per block of the statistics and frame phases in
+#: :func:`constant_nodes`: the block's temporaries stay small and are reused
+#: from block to block, while the nodes themselves are written once.
 NODE_BLOCK_BYTES = 1 << 18
 #: Rows or nodes per ``write`` call of the trace writers.
 _WRITE_BLOCK = 1024
@@ -144,14 +143,23 @@ def expm_unitary_step(h_matrix: np.ndarray, dt: float | np.ndarray, hbar: float)
     return np.exp(-1j * c0 * dt / hbar)[..., np.newaxis, np.newaxis] * u
 
 
-def fill_by_doubling(step: np.ndarray, psi0: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Nodes ``step^k psi0``, ``k < n_nodes``, of states ``(..., d)``: ``(..., n_nodes, d)``.
+def constant_nodes(
+    k: np.ndarray, psi0: np.ndarray, dt: float | np.ndarray, n_nodes: int, hbar: float,
+    rate: float = 0.0, times: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes ``(..., n_nodes, d)`` of ``psi0`` ``(..., d)`` under constant ``k`` ``(..., d, d)``.
 
-    ``step`` is one matrix or a matching ``(..., d, d)`` stack.  Each doubling
-    product is written straight into its slice of the result.  The nodes are
-    not norm-checked here: the caller checks them with
-    :func:`_require_unit_rows` after its last write to them.
+    Also returns K's energy means and dispersions ``(..., n_nodes)``.  ``dt``
+    is one step or one per matrix.  ``phi`` moves under
+    ``K - (hbar*rate/2)*sigma_z`` by the powers of one :func:`expm_unitary_step`,
+    filled by doubling straight into the result; K's statistics of ``phi``
+    are the node's (``R^dagger sample(t) R = K``), and with a ``rate`` the
+    node is ``R(t) phi`` at ``times``.  The statistics and frame phases go
+    block by block of :data:`NODE_BLOCK_BYTES` along the node axis, and every
+    node is norm-checked once, after its last write: IntegrationError beyond
+    MAX_NORM_DRIFT.
     """
+    step = expm_unitary_step(k - (0.5 * hbar * rate) * PAULI_Z if rate else k, dt, hbar)
     psis = np.empty((*psi0.shape[:-1], n_nodes, psi0.shape[-1]), dtype=complex)
     psis[..., 0, :] = psi0
     power_t, filled = np.swapaxes(step, -1, -2), 1
@@ -160,7 +168,19 @@ def fill_by_doubling(step: np.ndarray, psi0: np.ndarray, n_nodes: int) -> np.nda
         np.matmul(psis[..., :block, :], power_t, out=psis[..., filled : filled + block, :])
         filled += block
         power_t = power_t @ power_t
-    return psis
+    mean, disp = np.empty(psis.shape[:-1]), np.empty(psis.shape[:-1])
+    block = max(NODE_BLOCK_BYTES // psis[..., 0, :].nbytes, 2)
+    # no block of one row: numpy multiplies one row as a matrix-vector
+    # product, whose rounding differs from a row of a matrix product
+    bounds = [0, *range(block, n_nodes - 1, block), n_nodes]
+    for rows in map(slice, bounds, bounds[1:]):
+        mean[..., rows], disp[..., rows] = energy_statistics(k, psis[..., rows, :])
+        if rate:
+            phase = np.exp(-0.5j * rate * times[rows])
+            psis[..., rows, 0] *= phase
+            psis[..., rows, 1] *= np.conjugate(phase, out=phase)
+    _require_unit_rows(psis, IntegrationError)
+    return psis, mean, disp
 
 
 def _taylor_degrees(norms: np.ndarray) -> np.ndarray:
@@ -496,10 +516,9 @@ def evolve(
     steps samples ``2 * steps + 1`` times; the node samples give the
     statistics, and the global error falls as ``dt^4``.
 
-    The returned trace adopts the arrays built here, with no copy: the
-    constant path fills the nodes, then takes their statistics and applies
-    the frame phases block by block of :data:`NODE_BLOCK_BYTES`, and either
-    path norm-checks every node once, after its last write.
+    The constant path is :func:`constant_nodes`.  The returned trace adopts
+    the arrays built here, with no copy: either path norm-checks every node
+    once, after its last write.
 
     Args:
         h: Hamiltonian spec.
@@ -531,22 +550,9 @@ def evolve(
     generator = h.constant_generator
     if generator is not None:
         k = require_hermitian(generator, context="generator")
-        rate = h.frame_rate
-        # phi moves under K - (hbar*rate/2) sigma_z, and psi = R(t) phi
-        step = expm_unitary_step(k - (0.5 * h.hbar * rate) * PAULI_Z if rate else k, dt, h.hbar)
-        psis = fill_by_doubling(step, psi0.amplitudes, n_nodes)
-        mean, disp = np.empty(n_nodes), np.empty(n_nodes)
-        block = max(NODE_BLOCK_BYTES // psis[0].nbytes, 2)
-        # no block of one row: numpy multiplies one row as a matrix-vector
-        # product, whose rounding differs from a row of a matrix product
-        bounds = [0, *range(block, n_nodes - 1, block), n_nodes]
-        for rows in map(slice, bounds, bounds[1:]):
-            mean[rows], disp[rows] = energy_statistics(k, psis[rows])  # R^dagger sample(t) R = K
-            if rate:
-                phase = np.exp(-0.5j * rate * times[rows])
-                psis[rows, 0] *= phase
-                psis[rows, 1] *= np.conjugate(phase, out=phase)
-        _require_unit_rows(psis, IntegrationError)
+        psis, mean, disp = constant_nodes(
+            k, psi0.amplitudes, dt, n_nodes, h.hbar, h.frame_rate, times
+        )
     else:
         psis, mean, disp = _magnus4_nodes(h, psi0.amplitudes, times, dt)
     return EvolutionTrace(times, _Owned(psis), mean, disp, hbar=h.hbar)

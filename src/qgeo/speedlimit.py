@@ -10,10 +10,11 @@ stored trace the bound is the efficiency inequality eta <= 1, which
 :func:`run_sweep` tests the bound on random constant Hamiltonians, at
 hbar = 1, in fixed chunks of SWEEP_CHUNK samples and one pass per dimension
 group (split only where its node states would pass SWEEP_BLOCK_BYTES) that
-calls the per-trace code on stacks: the step exponential and doubling fill of
-:func:`~qgeo.propagation.evolve`, the efficiency kernel of
-:func:`~qgeo.geometry.efficiency`, and an exact check of the overlap rate
-against its bound (2 dE/hbar)|c| sqrt(1 - |c|^2), c = <A|psi>, at every node.
+calls the per-trace code on stacks: the constant-generator kernel of
+:func:`~qgeo.propagation.evolve` (:func:`~qgeo.propagation.constant_nodes`),
+the efficiency kernel of :func:`~qgeo.geometry.efficiency`, and an exact
+check of the overlap rate against its bound (2 dE/hbar)|c| sqrt(1 - |c|^2),
+c = <A|psi>, at every node.
 """
 
 from __future__ import annotations
@@ -25,14 +26,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import geometry
-from .errors import IntegrationError, StationaryStateError, is_int_at_least, require_positive_finite
+from .errors import StationaryStateError, is_int_at_least, require_positive_finite
 from .hamiltonian import energy_statistics
-from .propagation import (
-    _require_unit_rows,
-    expm_unitary_step,
-    fill_by_doubling,
-    short_time_coefficient,
-)
+from .propagation import constant_nodes, short_time_coefficient
 
 
 def min_time(overlap: float, dispersion: float, hbar: float = 1.0) -> float:
@@ -168,32 +164,29 @@ def _complex_draws(raw: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _propagate(
     h: np.ndarray, psi0: np.ndarray, t_final: np.ndarray, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes of each sample ``psi0`` under its ``h`` on ``steps`` uniform steps: ``(B, n, d)``.
 
-    Each sample takes one :func:`~qgeo.propagation.expm_unitary_step` and the
-    doubling fill of :func:`~qgeo.propagation.evolve`.  A sample whose
-    endpoints land on a revival (overlap >= 1 - 1e-9) has its duration
-    stretched by 1.3737 and is propagated again, at most four times; the
-    others are left alone.  Returns the final durations and the amplitudes.
-    Raises IntegrationError when a final node's norm drifts beyond MAX_NORM_DRIFT.
+    The nodes and their dispersions come from
+    :func:`~qgeo.propagation.constant_nodes`, the kernel of
+    :func:`~qgeo.propagation.evolve`.  A sample whose endpoints land on a
+    revival (overlap >= 1 - 1e-9) has its duration stretched by 1.3737 and is
+    propagated again, at most four times; the others are left alone.
+    Returns the final durations, the amplitudes and the dispersions.
+    Raises IntegrationError when a node's norm drifts beyond MAX_NORM_DRIFT.
     """
     t_final = np.array(t_final, dtype=float)
-
-    def nodes(rows):
-        step = expm_unitary_step(h[rows], t_final[rows] / steps, 1.0)
-        return fill_by_doubling(step, psi0[rows], steps + 1)
-
-    amps = nodes(slice(None))
+    amps, _, disp = constant_nodes(h, psi0, t_final / steps, steps + 1, 1.0)
     for _ in range(4):
         ends = np.abs(np.sum(amps[:, 0].conj() * amps[:, -1], axis=-1))
         stuck = np.flatnonzero(ends >= 1.0 - 1e-9)
         if not stuck.size:
             break
         t_final[stuck] *= 1.3737  # deterministic nudge away from a revival
-        amps[stuck] = nodes(stuck)
-    _require_unit_rows(amps, IntegrationError)  # after the last write to the nodes
-    return t_final, amps
+        amps[stuck], _, disp[stuck] = constant_nodes(
+            h[stuck], psi0[stuck], t_final[stuck] / steps, steps + 1, 1.0
+        )
+    return t_final, amps, disp
 
 
 def _group_metrics(
@@ -222,8 +215,7 @@ def _group_metrics(
     spectral_norm = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
     d0 = energy_statistics(h, psi0[:, np.newaxis])[1][:, 0]
     d0 = np.maximum(np.maximum(d0, 1e-6 * spectral_norm), 1e-12)
-    t_final, amps = _propagate(h, psi0, u * 0.5 * math.pi / d0, steps)
-    disp = energy_statistics(h, amps)[1]
+    t_final, amps, disp = _propagate(h, psi0, u * 0.5 * math.pi / d0, steps)
     report = geometry.speed_limit_report(amps[:, 0], amps[:, -1], disp, t_final, 1.0)
     margin = 0.5 * (report.s - report.s0)  # <dE>*T - arccos|<A|B>|, as <dE>*T = hbar*s/2
 

@@ -7,7 +7,9 @@ and is the usual way a module cycle (such as geometry -> speedlimit ->
 geometry) creeps back in.  An import that nothing reads is left behind when
 its last caller goes, and so is a definition that nothing reads.  The angle
 between two states has one route, ``states.ray_angle``, so no second one is
-called anywhere.
+called anywhere.  A constant generator's nodes have one route too,
+``propagation.constant_nodes``, so the sweep takes no step, fill or norm
+check of its own.
 """
 
 import ast
@@ -282,3 +284,32 @@ def test_detector_finds_unread_definitions():
         ("a", "DEAD"), ("a", "dead"), ("a", "recursive")
     ]
     assert unread_definitions(package, readers, {"dead"}) == [("a", "recursive")]
+
+
+# The parts of the constant-generator kernel: the sweep reaches them only through
+# ``propagation.constant_nodes``, so a step, fill or norm check of its own is a second path.
+KERNEL_PARTS = {"expm_unitary_step", "fill_by_doubling", "_require_unit_rows"}
+
+
+def names_read(source: str) -> set[str]:
+    """Every name that a top-level statement of ``source`` reads or imports."""
+    return set().union(*(read for _, read in top_level_statements(source)))
+
+
+def test_sweep_reaches_the_kernel_only_through_constant_nodes():
+    read = names_read((Path(qgeo.__file__).parent / "speedlimit.py").read_text())
+    assert "constant_nodes" in read
+    assert sorted(read & KERNEL_PARTS) == []
+
+
+def test_detector_finds_kernel_parts():
+    source = (
+        "from .propagation import _require_unit_rows, constant_nodes\n"
+        "from . import propagation\n"
+        "def f(h, psi):\n"
+        "    return fill_by_doubling(propagation.expm_unitary_step(h, 1.0, 1.0), psi, 3)\n"
+    )
+    assert sorted(names_read(source) & KERNEL_PARTS) == [
+        "_require_unit_rows", "expm_unitary_step", "fill_by_doubling"
+    ]
+    assert names_read("from .propagation import constant_nodes\n") & KERNEL_PARTS == set()

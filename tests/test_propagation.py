@@ -716,17 +716,11 @@ class TestConstantGeneratorFill:
             evolve(h, UP, 1.0, steps=10)
 
 
-def whole_array_nodes(h, psi0, t_final, steps):
-    """The constant-generator nodes and statistics as one whole-array pass over all nodes."""
-    k, rate, times = h.constant_generator, h.frame_rate, np.linspace(0.0, t_final, steps + 1)
-    step = expm_unitary_step(k - (0.5 * h.hbar * rate) * PAULI_Z if rate else k, t_final / steps, h.hbar)
-    psis = propagation.fill_by_doubling(step, psi0.amplitudes, steps + 1)
-    mean, disp = hamiltonian.energy_statistics(k, psis)
-    if rate:
-        phase = np.exp(-0.5j * rate * times)
-        psis[:, 0] *= phase
-        psis[:, 1] *= np.conjugate(phase)
-    return psis, mean, disp
+def one_block_nodes(monkeypatch, *args):
+    """:func:`~qgeo.propagation.constant_nodes` of ``args`` with every node in one block."""
+    with monkeypatch.context() as patch:
+        patch.setattr(propagation, "NODE_BLOCK_BYTES", 1 << 62)
+        return propagation.constant_nodes(*args)
 
 
 def random_constant(dim, seed):
@@ -749,15 +743,35 @@ class TestWorkingSet:
             pytest.param(lambda: random_constant(32, 32), id="matrix-dim32"),
         ],
     )
-    def test_blocks_equal_the_whole_array_bit_for_bit(self, make, nodes):
+    def test_blocks_equal_the_whole_array_bit_for_bit(self, make, nodes, monkeypatch):
         h, psi0 = make()
         block = propagation.NODE_BLOCK_BYTES // (16 * h.dim)
         n = {"block": block, "block+1": block + 1}.get(nodes, nodes)
         tr = evolve(h, psi0, 1.7, steps=n - 1)
-        psis, mean, disp = whole_array_nodes(h, psi0, 1.7, n - 1)
+        k, times = h.constant_generator, np.linspace(0.0, 1.7, n)
+        psis, mean, disp = one_block_nodes(
+            monkeypatch, k, psi0.amplitudes, 1.7 / (n - 1), n, h.hbar, h.frame_rate, times
+        )
         assert tr.amplitudes.tobytes() == psis.tobytes()
         assert tr.energy_mean.tobytes() == mean.tobytes()
         assert tr.energy_dispersion.tobytes() == disp.tobytes()
+
+    @pytest.mark.parametrize("dim, rate", [(8, 0.0), (2, 0.0), (2, 0.37)])
+    def test_stacked_blocks_equal_one_block_bit_for_bit(self, dim, rate, monkeypatch):
+        # the sweep's form: a (B, d, d) stack of generators with one step each
+        rng = np.random.default_rng(dim)
+        g = rng.normal(size=(73, dim, dim)) + 1j * rng.normal(size=(73, dim, dim))
+        k = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+        psi0 = rng.normal(size=(73, dim)) + 1j * rng.normal(size=(73, dim))
+        psi0 /= np.linalg.norm(psi0, axis=-1, keepdims=True)
+        n, dt = 257, rng.uniform(0.001, 0.01, size=73)
+        args = (k, psi0, dt, n, 1.3, rate, np.linspace(0.0, 2.0, n))
+        assert n > 2 * (propagation.NODE_BLOCK_BYTES // (73 * dim * 16))  # three blocks or more
+        got = propagation.constant_nodes(*args)
+        want = one_block_nodes(monkeypatch, *args)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("scenario", ["static", "driven"])
     def test_peak_allocation_stays_near_the_trace(self, scenario):

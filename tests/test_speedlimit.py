@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qgeo import speedlimit
+from qgeo import propagation, speedlimit
 from qgeo.errors import StationaryStateError
 from qgeo.geometry import efficiency, speed_limit_report
 from qgeo.hamiltonian import (
@@ -460,15 +460,17 @@ class TestSweep:
         )
         psi0 = np.array([[1.0, 0.0], [0.6, 0.8j], [0.8, -0.6]], dtype=complex)
         t0 = np.array([math.pi, 1.1, 2.3])
-        t_final, amps = speedlimit._propagate(h, psi0, t0, 64)
+        t_final, amps, disp = speedlimit._propagate(h, psi0, t0, 64)
         assert t_final[0] == math.pi * 1.3737
         assert abs(np.vdot(amps[0, 0], amps[0, -1])) < 1.0 - 1e-9
-        _, alone = speedlimit._propagate(h[1:], psi0[1:], t0[1:], 64)
+        _, alone, alone_disp = speedlimit._propagate(h[1:], psi0[1:], t0[1:], 64)
         np.testing.assert_array_equal(t_final[1:], t0[1:])
         np.testing.assert_array_equal(amps[1:], alone)
-        for k in (1, 2):  # the batched nodes are the evolve nodes
-            want = evolve(ConstantMatrix(h[k]), QuantumState(psi0[k]), t0[k], 64)
-            np.testing.assert_allclose(amps[k], want.amplitudes, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(disp[1:], alone_disp)
+        for k in range(3):  # the batched nodes are the evolve nodes, bit for bit
+            want = evolve(ConstantMatrix(h[k]), QuantumState(psi0[k]), t_final[k], 64)
+            assert amps[k].tobytes() == want.amplitudes.tobytes()
+            assert disp[k].tobytes() == want.energy_dispersion.tobytes()
         # the same draw through the group pass: u = 2 gives t = pi/dE0 = pi
         metrics = speedlimit._group_metrics(h, psi0, np.array([2.0, 1.0, 1.0]), 64)
         alone = speedlimit._group_metrics(h[1:], psi0[1:], np.array([1.0, 1.0]), 64)
@@ -485,14 +487,14 @@ class TestSweep:
         assert metrics[2][0] == 0
         assert 0.0 <= metrics[3][0] <= np.finfo(float).eps
         # the bound is tight: 1e-6 off the dispersion flags every node but t = 0
-        low = one_ppm_low(speedlimit.energy_statistics)
-        monkeypatch.setattr(speedlimit, "energy_statistics", low)
+        low = one_ppm_low(propagation.energy_statistics)
+        monkeypatch.setattr(propagation, "energy_statistics", low)
         assert speedlimit._group_metrics(*args)[2][0] == steps
 
     def test_rate_check_flags_dispersions_one_ppm_low(self, monkeypatch):
-        # acceptance check 4's draws with every dispersion scaled by 1 - 1e-6
-        low = one_ppm_low(speedlimit.energy_statistics)
-        monkeypatch.setattr(speedlimit, "energy_statistics", low)
+        # acceptance check 4's draws with every node dispersion scaled by 1 - 1e-6
+        low = one_ppm_low(propagation.energy_statistics)
+        monkeypatch.setattr(propagation, "energy_statistics", low)
         res = run_sweep(samples=1000, seed=20240817, dims=(2, 8), steps=64)
         assert res.rate_violations > 0
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgeo
 from qgeo.errors import DimensionMismatchError, FormulaError, NormalizationError
 from qgeo.states import QuantumState, ray_angle
 
@@ -212,3 +213,8 @@ def test_distance_zero_iff_phase_equivalent(seed, dim, phase):
     a = random_state(rng, dim)
     rotated = QuantumState.exact(np.exp(1j * phase) * a.amplitudes)
     assert ray_angle(a.amplitudes, rotated.amplitudes) < 0.5e-6
+
+
+def test_ray_angle_is_exported_from_the_package():
+    # the README names ray_angle as the package's one angle between two rays
+    assert qgeo.ray_angle is qgeo.states.ray_angle
