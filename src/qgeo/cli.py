@@ -23,6 +23,9 @@ violation (eta > 1), 1 on usage or validation errors (each printed as
 output.  Every file qgeo reads is parsed by orjson, and by :mod:`json` when
 orjson refuses it (``NaN``, ``Infinity``, a number beyond the float range,
 a malformed file), so a refusal names the field or prints ``json``'s error.
+Each file is parsed and converted with the cyclic garbage collector paused
+and then restored: a parse tree holds no reference cycles, so reference
+counting frees it inside the pause and no collection walks it.
 ``QGEO_SEED`` seeds sweeps when ``--seed`` is absent; a
 sweep runs in one process at hbar = 1, one vectorized pass per chunk and
 dimension, and its result does not depend on the chunking.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import io
 import json
 import math
@@ -40,7 +44,7 @@ import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import orjson
 
@@ -66,6 +70,8 @@ from .speedlimit import min_time, run_sweep, solve_implicit_time
 from .states import QuantumState
 
 _DEFAULT_SEED = 12345
+
+_T = TypeVar("_T")
 
 _SCENARIO_DEFAULTS = {
     "static": {"epsilon": 1.0, "hbar": 1.0},
@@ -250,20 +256,36 @@ def emit_table(reports: Sequence[SpeedLimitReport]) -> str:
     return "\n".join(lines)
 
 
-def _read_json(path: str | Path) -> Any:
-    """Parse the JSON file at ``path``, the one reading of every file qgeo reads.
+def _read_json(path: str | Path, convert: Callable[[Any], _T]) -> _T:
+    """``convert`` of the JSON file at ``path``, the one reading of every file qgeo reads.
 
     orjson parses the bytes.  What it refuses goes to :func:`json.loads`,
     decoded as :meth:`Path.read_text` decodes: the standard library also reads
     ``NaN``/``Infinity`` and numbers beyond the float range, so the caller's
     checks name the field, and prints its own message for a malformed file.
     Under orjson an integer literal beyond 64 bits reads as the nearest float.
+
+    The parse and ``convert`` run with the cyclic garbage collector paused,
+    and the collector's previous state is restored on the way out.  A parse
+    tree has no reference cycles, so the collector could free nothing in it,
+    and reference counting frees it before the pause ends: no collection
+    ever walks it.  Only what ``convert`` built is returned.
     """
     raw = Path(path).read_bytes()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return orjson.loads(raw)
-    except orjson.JSONDecodeError:
-        return json.loads(io.TextIOWrapper(io.BytesIO(raw)).read())
+        try:
+            tree = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            tree = json.loads(io.TextIOWrapper(io.BytesIO(raw)).read())
+        built = convert(tree)
+        # its frees cancel its allocations in the collector's count, so none is due after
+        del tree
+        return built
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _dump_json(obj: Any) -> str:
@@ -384,7 +406,7 @@ _CONFIG_KEYS = (*_PARAMETER_KEYS, "steps", "unit_system", "output")
 
 
 def _merged_config(args: argparse.Namespace) -> ScenarioConfig:
-    file_cfg = _read_json(args.config) if args.config else {}
+    file_cfg = _read_json(args.config, lambda tree: tree) if args.config else {}
     if not isinstance(file_cfg, dict):
         raise ValueError("config file must hold a JSON object")
     for key in file_cfg:
@@ -470,7 +492,7 @@ def _cmd_implicit(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    trace = EvolutionTrace.from_json(_read_json(args.trace))
+    trace = _read_json(args.trace, EvolutionTrace.from_json)
     report = efficiency(trace)
     print(_dump_json(report.to_json()))
     return 0 if report.bound_satisfied else 2
@@ -498,14 +520,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 2 if result.total_violations > 0 else 0
 
 
+def _stored_report(data: Any) -> SpeedLimitReport:
+    """The report of a report file, or of a scenario envelope; from_json refuses a non-object."""
+    if isinstance(data, Mapping) and isinstance(data.get("report"), Mapping):
+        data = data["report"]
+    return SpeedLimitReport.from_json(data)
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
-    reports = []
-    for path in args.reports:
-        data = _read_json(path)
-        # a scenario envelope holds its report; from_json refuses a non-object
-        if isinstance(data, Mapping) and isinstance(data.get("report"), Mapping):
-            data = data["report"]
-        reports.append(SpeedLimitReport.from_json(data))
+    reports = [_read_json(path, _stored_report) for path in args.reports]
     print(emit_table(reports))
     return 0 if all(r.bound_satisfied for r in reports) else 2
 

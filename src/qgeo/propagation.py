@@ -167,7 +167,8 @@ def constant_nodes(
         block = min(filled, n_nodes - filled)
         np.matmul(psis[..., :block, :], power_t, out=psis[..., filled : filled + block, :])
         filled += block
-        power_t = power_t @ power_t
+        if filled < n_nodes:  # the square after the last block would go unused
+            power_t = power_t @ power_t
     mean, disp = np.empty(psis.shape[:-1]), np.empty(psis.shape[:-1])
     block = max(NODE_BLOCK_BYTES // psis[..., 0, :].nbytes, 2)
     # no block of one row: numpy multiplies one row as a matrix-vector

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -1280,7 +1281,10 @@ def float_bits(value):
 
 
 class TestReadJson:
-    """_read_json parses with orjson and falls back to json.loads for what orjson refuses."""
+    """_read_json parses with orjson and falls back to json.loads for what orjson refuses.
+
+    An identity ``convert`` returns the parse tree itself.
+    """
 
     finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 
@@ -1295,7 +1299,7 @@ class TestReadJson:
         path = tmp_path_factory.getbasetemp() / "floats.json"
         text = json.dumps(doc)
         path.write_text(text)
-        assert float_bits(_read_json(path)) == float_bits(json.loads(text)) == float_bits(doc)
+        assert float_bits(_read_json(path, lambda tree: tree)) == float_bits(json.loads(text)) == float_bits(doc)
 
     def test_edge_floats_parse_under_orjson(self):
         # the property above would pass through the fallback too; these take the fast path
@@ -1312,13 +1316,13 @@ class TestReadJson:
         path.write_text(f"[0.5, {literal}]")
         with pytest.raises(orjson.JSONDecodeError):
             orjson.loads(path.read_bytes())
-        assert repr(_read_json(path)) == repr(json.loads(path.read_text()))
+        assert repr(_read_json(path, lambda tree: tree)) == repr(json.loads(path.read_text()))
 
     def test_integer_beyond_64_bits_reads_as_the_nearest_float(self, tmp_path):
         # json.loads keeps 2**64 an int, which json_floats refused as object entries
         path = tmp_path / "doc.json"
         path.write_text(f"[{2**64}, {-(2**63) - 1}, {2**64 - 1}]")
-        got = _read_json(path)
+        got = _read_json(path, lambda tree: tree)
         assert got == [2.0**64, -(2.0**63), 2**64 - 1]
         assert [type(x) for x in got] == [float, float, int]
 
@@ -1353,6 +1357,72 @@ class TestReadJson:
             json.loads(path.read_text())
         code, out, err = run_cli(capsys, "verify", str(path))
         assert (code, out, err) == (1, "", f"error: {stdlib.value}\n")
+
+
+class TestCollectorPause:
+    """Each file is parsed and converted with the garbage collector paused, and its state restored."""
+
+    @pytest.fixture
+    def files(self, capsys, tmp_path):
+        run_cli(capsys, "scenario1", "--steps", "200", "--out", str(tmp_path))
+        raw = (tmp_path / "trace.json").read_bytes()
+        doc = json.loads(raw)
+        doc["times"][57] = math.nan
+        (tmp_path / "tampered.json").write_text(json.dumps(doc))
+        (tmp_path / "truncated.json").write_bytes(raw[: len(raw) // 2])
+        (tmp_path / "config.json").write_text('{"epsilon": 0.5, "steps": 200}')
+        (tmp_path / "bad-config.json").write_text('{"epsilon": 0.5, "step": 200}')
+        return tmp_path
+
+    def test_verify_triggers_no_collection(self, capsys, tmp_path):
+        run_cli(capsys, "scenario2", "--steps", "2000", "--out", str(tmp_path))
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            code = main(["verify", str(tmp_path / "trace.json")])
+        finally:
+            gc.callbacks.remove(count)
+        assert (code, starts) == (0, [])
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            pytest.param(["verify", "trace.json"], 0, id="verify"),
+            pytest.param(["verify", "tampered.json"], 1, id="tampered-trace"),
+            pytest.param(["verify", "truncated.json"], 1, id="json-loads-fallback"),
+            pytest.param(["table", "report.json"], 0, id="table"),
+            pytest.param(["scenario1", "--config", "config.json"], 0, id="config"),
+            pytest.param(["scenario1", "--config", "bad-config.json"], 1, id="bad-config"),
+        ],
+    )
+    def test_collector_state_is_restored(self, capsys, files, argv, code, enabled):
+        argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+        was_enabled = gc.isenabled()
+        gc.enable() if enabled else gc.disable()
+        try:
+            assert run_cli(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_convert_runs_paused_and_a_raise_restores_the_collector(self, files):
+        assert gc.isenabled()
+        assert _read_json(files / "config.json", lambda tree: gc.isenabled()) is False
+        assert gc.isenabled()
+
+        def refuse(tree):
+            raise RuntimeError("refused")
+
+        with pytest.raises(RuntimeError, match="refused"):
+            _read_json(files / "trace.json", refuse)
+        assert gc.isenabled()
 
 
 class TestShiftedTrace:

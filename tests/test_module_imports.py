@@ -9,7 +9,9 @@ its last caller goes, and so is a definition that nothing reads.  The angle
 between two states has one route, ``states.ray_angle``, so no second one is
 called anywhere.  A constant generator's nodes have one route too,
 ``propagation.constant_nodes``, so the sweep takes no step, fill or norm
-check of its own.
+check of its own.  Every file is parsed in one place, ``cli._read_json``,
+which pauses the garbage collector around the parse, so no other module
+calls a JSON parser.
 """
 
 import ast
@@ -187,6 +189,59 @@ def test_detector_finds_inverse_trig_calls():
     )
     assert inverse_trig_calls(source) == [
         ("<module>", "arccos"), ("f", "acos"), ("f", "asin"), ("K", "arcsin")
+    ]
+
+
+JSON_PARSERS = {"orjson.loads", "json.loads", "json.load"}
+
+
+def json_parse_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing top-level name, parser) of each call of orjson.loads, json.loads or json.load.
+
+    A callee is resolved through the module's imports, so ``import json as j``
+    and ``from orjson import loads as parse`` do not hide a call.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name: a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {a.asname or a.name: f"{node.module}.{a.name}" for a in node.names}
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    callee = f"{imported.get(func.value.id, func.value.id)}.{func.attr}"
+                else:
+                    callee = imported.get(getattr(func, "id", None))
+                if callee in JSON_PARSERS:
+                    found.append((getattr(top, "name", "<module>"), callee))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_json_reading_route(path):
+    allowed = (
+        [("_read_json", "orjson.loads"), ("_read_json", "json.loads")]
+        if path.name == "cli.py" else []
+    )
+    assert json_parse_calls(path.read_text()) == allowed
+
+
+def test_detector_finds_json_parse_calls():
+    source = (
+        "import json\nimport json as j\nimport orjson\nfrom orjson import loads as parse\n"
+        "from json import load\n"
+        "x = json.loads('1')\n"
+        "def f(raw, fh):\n    return j.loads(raw), parse(raw), load(fh), orjson.dumps(raw)\n"
+        "class K:\n    def g(self, raw):\n        return orjson.loads(raw), json.dumps(raw)\n"
+    )
+    assert json_parse_calls(source) == [
+        ("<module>", "json.loads"), ("f", "json.loads"), ("f", "orjson.loads"),
+        ("f", "json.load"), ("K", "orjson.loads"),
     ]
 
 
