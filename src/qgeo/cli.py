@@ -14,7 +14,7 @@ Subcommands::
 Scenario commands propagate the corresponding two-level preset over its
 closed-form transfer time and report path length, efficiency, and the
 time-energy bound.  ``--config FILE`` supplies a flat JSON dict of the same
-names (flags win) and refuses any other key; a preset refuses any parameter
+names (flags win) and refuses any other key; a scenario refuses any parameter
 its unit system does not read.  ``bound`` prints
 ``min_time = hbar*arccos(overlap)/dispersion``.  Exit status: 0 on success,
 2 when a scenario, ``verify`` or ``table`` report or a sweep shows a bound
@@ -41,7 +41,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TypeVar
@@ -73,16 +74,23 @@ _DEFAULT_SEED = 12345
 
 _T = TypeVar("_T")
 
-_SCENARIO_DEFAULTS = {
-    "static": {"epsilon": 1.0, "hbar": 1.0},
-    "driven": {"epsilon": 1.0, "omega": 0.25, "omega0": 0.2, "hbar": 1.0},
-}
+#: The preset each scenario command runs, and the CLI's values for its fields that have no default.
+_PRESETS = {"driven": TwoLevelDriven, "static": TwoLevelStatic}
+_NATURAL_DEFAULTS = {"epsilon": 1.0, "omega": 0.25, "omega0": 0.2}
 
-#: The parameters each preset reads in SI units, all from cfg.parameters; in
-#: natural units it reads those of _SCENARIO_DEFAULTS.  A preset refuses any other.
-_SI_PARAMETERS = {
-    "static": ("b_perp_tesla",),
-    "driven": ("b_perp_tesla", "b_parallel_tesla", "omega"),
+#: What each scenario reads in each unit system, and so accepts: a name maps to its
+#: refusal when it is required and absent, else to None.  In natural units a preset
+#: reads its fields.  Any other name, or a pair with no row, is refused.
+_READS: dict[tuple[str, str], dict[str, str | None]] = {
+    ("driven", "natural"): dict.fromkeys(f.name for f in fields(TwoLevelDriven)),
+    ("driven", "si"): {
+        "b_perp_tesla": "si mode requires b_perp_tesla",
+        "b_parallel_tesla": "si driven mode requires b_parallel_tesla",
+        "omega": None,
+    },
+    ("static", "natural"): dict.fromkeys(f.name for f in fields(TwoLevelStatic)),
+    ("static", "si"): {"b_perp_tesla": "si mode requires b_perp_tesla"},
+    ("custom", "natural"): {"t_final": "custom scenarios require t_final", "hbar": None},
 }
 
 
@@ -107,22 +115,18 @@ class ScenarioConfig:
             raise ValueError(f"unknown unit system {self.unit_system!r}")
         if self.output not in ("json", "csv", "table"):
             raise ValueError(f"unknown output mode {self.output!r}")
-        if self.scenario != "custom":
-            by_unit = _SI_PARAMETERS if self.unit_system == "si" else _SCENARIO_DEFAULTS
-            read = by_unit[self.scenario]
-            for name in self.parameters:
-                if name not in read:
-                    raise ValueError(
-                        f"{name} is not read by the {self.scenario} scenario "
-                        f"in {self.unit_system} units"
-                    )
-        if self.unit_system == "si":
-            if "b_perp_tesla" not in self.parameters:
-                raise ValueError("si mode requires b_perp_tesla")
-            if self.scenario == "driven" and "b_parallel_tesla" not in self.parameters:
-                raise ValueError("si driven mode requires b_parallel_tesla")
-        if self.scenario == "custom" and "t_final" not in self.parameters:
-            raise ValueError("custom scenarios require t_final")
+        reads = _READS.get((self.scenario, self.unit_system))
+        if reads is None:
+            raise ValueError(f"{self.scenario} scenarios do not run in {self.unit_system} units")
+        for name in self.parameters:
+            if name not in reads:
+                raise ValueError(
+                    f"{name} is not read by the {self.scenario} scenario "
+                    f"in {self.unit_system} units"
+                )
+        for name, refusal in reads.items():
+            if refusal is not None and name not in self.parameters:
+                raise ValueError(refusal)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -172,9 +176,8 @@ def run_scenario(
     extras: dict[str, Any] = {}
 
     if cfg.unit_system == "si":
-        hbar = HBAR_SI
         rabi = rabi_angular_frequency(cfg.parameters["b_perp_tesla"])
-        epsilon = hbar * rabi
+        args = {"epsilon": HBAR_SI * rabi, "hbar": HBAR_SI}
         extras["rabi_rad_per_s"] = rabi
         extras["constants"] = {
             "elementary_charge_c": ELEMENTARY_CHARGE,
@@ -183,32 +186,25 @@ def run_scenario(
         }
         if cfg.scenario == "driven":
             b_parallel = cfg.parameters["b_parallel_tesla"]
-            omega0 = larmor_angular_frequency(b_parallel)
+            args["omega0"] = larmor_angular_frequency(b_parallel)
             # resonant drive unless the caller explicitly set omega (the
             # natural-units default would be nonsense in rad/s)
-            omega = cfg.parameters.get("omega", omega0)
+            args["omega"] = cfg.parameters.get("omega", args["omega0"])
             extras["nu_larmor_hz"] = larmor_frequency_hz(b_parallel)
-    else:
-        params = {**_SCENARIO_DEFAULTS[cfg.scenario], **cfg.parameters}
-        hbar = params["hbar"]
-        epsilon = params["epsilon"]
-        if cfg.scenario == "driven":
-            omega = params["omega"]
-            omega0 = params["omega0"]
-
-    if cfg.scenario == "static":
-        h: Hamiltonian = TwoLevelStatic(epsilon=epsilon, hbar=hbar)
-    else:
-        h = TwoLevelDriven(epsilon=epsilon, omega=omega, omega0=omega0, hbar=hbar)
+    else:  # a field left unset takes the CLI's value, or else the preset's own default
+        reads = _READS[cfg.scenario, "natural"]
+        args = {name: value for name, value in _NATURAL_DEFAULTS.items() if name in reads}
+        args.update((name, cfg.parameters[name]) for name in reads if name in cfg.parameters)
+    h = _PRESETS[cfg.scenario](**args)
 
     t_final = h.orthogonality_time
     # a legal epsilon near the float maximum would fail late and unnamed
-    if not math.isfinite(2.0 * epsilon / hbar):
-        raise ValueError(f"epsilon = {epsilon!r} is too large: 2*epsilon/hbar overflows")
+    if not math.isfinite(2.0 * h.epsilon / h.hbar):
+        raise ValueError(f"epsilon = {h.epsilon!r} is too large: 2*epsilon/hbar overflows")
     if not t_final / cfg.steps >= sys.float_info.min:
         raise ValueError(
-            f"epsilon = {epsilon!r} is too large: the step T/steps = "
-            f"{t_final / cfg.steps!r} is subnormal (hbar = {hbar!r})"
+            f"epsilon = {h.epsilon!r} is too large: the step T/steps = "
+            f"{t_final / cfg.steps!r} is subnormal (hbar = {h.hbar!r})"
         )
     psi0 = QuantumState.exact([1.0, 0.0])
     trace = evolve(h, psi0, t_final, cfg.steps)
@@ -268,8 +264,9 @@ def _read_json(path: str | Path, convert: Callable[[Any], _T]) -> _T:
     The parse and ``convert`` run with the cyclic garbage collector paused,
     and the collector's previous state is restored on the way out.  A parse
     tree has no reference cycles, so the collector could free nothing in it,
-    and reference counting frees it before the pause ends: no collection
-    ever walks it.  Only what ``convert`` built is returned.
+    and reference counting frees it before the pause ends, also when
+    ``convert`` raises (the frames its traceback holds are cleared first): no
+    collection ever walks it.  Only what ``convert`` built is returned.
     """
     raw = Path(path).read_bytes()
     enabled = gc.isenabled()
@@ -279,7 +276,14 @@ def _read_json(path: str | Path, convert: Callable[[Any], _T]) -> _T:
             tree = orjson.loads(raw)
         except orjson.JSONDecodeError:
             tree = json.loads(io.TextIOWrapper(io.BytesIO(raw)).read())
-        built = convert(tree)
+        try:
+            built = convert(tree)
+        except Exception as exc:  # its traceback's frames, and those it chains, hold the tree
+            del tree
+            while exc is not None:
+                traceback.clear_frames(exc.__traceback__)
+                exc = exc.__context__
+            raise
         # its frees cancel its allocations in the collector's count, so none is due after
         del tree
         return built
@@ -400,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: The names a ``--config`` file may set: the scenario parameters, then the run settings.
-_PARAMETER_KEYS = ("epsilon", "omega", "omega0", "hbar", "b_perp_tesla", "b_parallel_tesla")
+#: The names a ``--config`` file may set: what the scenario commands read, then the run settings.
+_PARAMETER_KEYS = tuple(dict.fromkeys(n for k in _READS if k[0] in _PRESETS for n in _READS[k]))
 _CONFIG_KEYS = (*_PARAMETER_KEYS, "steps", "unit_system", "output")
 
 

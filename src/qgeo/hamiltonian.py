@@ -12,9 +12,9 @@ Everything about minimum evolution times ultimately rests on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, ClassVar, Mapping
 
 import numpy as np
 
@@ -220,6 +220,7 @@ class TwoLevelStatic(Hamiltonian):
     orthogonal state in time pi*hbar/(2*epsilon).
     """
 
+    kind: ClassVar[str] = "two_level_static"
     epsilon: float
     hbar: float = 1.0
 
@@ -254,6 +255,7 @@ class TwoLevelDriven(Hamiltonian):
     epsilon*sigma_x - (detuning/2)*sigma_z, and <psi|H|psi> = <phi|K|phi>.
     """
 
+    kind: ClassVar[str] = "two_level_driven"
     epsilon: float
     omega: float
     omega0: float
@@ -335,40 +337,32 @@ def vaidman_decompose(q: np.ndarray, psi: QuantumState) -> Decomposition:
     return Decomposition(mean=mean, dispersion=dispersion, perp=perp)
 
 
+#: The preset classes by the ``kind`` that tags their JSON spec.
+PRESETS: dict[str, type[Hamiltonian]] = {c.kind: c for c in (TwoLevelStatic, TwoLevelDriven)}
+
+
 def hamiltonian_to_json(h: Hamiltonian) -> dict[str, Any]:
     """Serialize a Hamiltonian spec to a JSON-compatible dict.
 
     Constant matrices use the bare ``{"re": [[...]], "im": [[...]]}`` layout;
-    presets carry a ``kind`` tag.  ``TimeDependent`` holds an arbitrary
-    callable and cannot be serialized.
+    a preset is its ``kind`` tag and its dataclass fields.  ``TimeDependent``
+    holds an arbitrary callable and cannot be serialized.
     """
     if isinstance(h, ConstantMatrix):
         return {
             "re": [[float(x) for x in row] for row in h.matrix.real],
             "im": [[float(x) for x in row] for row in h.matrix.imag],
         }
-    if isinstance(h, TwoLevelStatic):
-        return {
-            "kind": "two_level_static",
-            "epsilon": float(h.epsilon),
-            "hbar": float(h.hbar),
-        }
-    if isinstance(h, TwoLevelDriven):
-        return {
-            "kind": "two_level_driven",
-            "epsilon": float(h.epsilon),
-            "omega": float(h.omega),
-            "omega0": float(h.omega0),
-            "hbar": float(h.hbar),
-        }
-    raise ValueError(f"cannot serialize Hamiltonian of type {type(h).__name__}")
+    if type(h) not in PRESETS.values():
+        raise ValueError(f"cannot serialize Hamiltonian of type {type(h).__name__}")
+    return {"kind": h.kind, **{f.name: float(getattr(h, f.name)) for f in fields(h)}}
 
 
 def hamiltonian_from_json(data: Mapping[str, Any], hbar: float = 1.0) -> Hamiltonian:
     """Inverse of :func:`hamiltonian_to_json`.
 
     ``hbar`` applies only to bare constant matrices, whose JSON layout does
-    not carry one; presets store their own.
+    not carry one; an absent preset field takes its default (``hbar``: 1).
     """
     kind = data.get("kind")
     if kind is None:
@@ -381,15 +375,8 @@ def hamiltonian_from_json(data: Mapping[str, Any], hbar: float = 1.0) -> Hamilto
         matrix = np.empty(re.shape, dtype=complex)
         matrix.real, matrix.imag = re, im  # re + 1j*im would compute 0*inf for an infinite im
         return ConstantMatrix(matrix, hbar=hbar)
-    if kind == "two_level_static":
-        return TwoLevelStatic(
-            epsilon=json_number(data, "epsilon"), hbar=json_number(data, "hbar", 1.0)
-        )
-    if kind == "two_level_driven":
-        return TwoLevelDriven(
-            epsilon=json_number(data, "epsilon"),
-            omega=json_number(data, "omega"),
-            omega0=json_number(data, "omega0"),
-            hbar=json_number(data, "hbar", 1.0),
-        )
-    raise ValueError(f"unknown Hamiltonian kind {kind!r}")
+    cls = PRESETS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown Hamiltonian kind {kind!r}")
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    return cls(**{f.name: json_number(data, f.name, defaults.get(f.name)) for f in fields(cls)})

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from scipy.optimize import brentq
 
 import qgeo
 from qgeo.cli import (
-    _SI_PARAMETERS,
+    _READS,
     ScenarioConfig,
     _read_json,
     _write_trace,
@@ -143,6 +144,15 @@ class TestScenarioConfig:
             ScenarioConfig(scenario="custom")
         ScenarioConfig(scenario="custom", parameters={"t_final": 1.0})
 
+    def test_custom_runs_in_natural_units_only(self):
+        # run_scenario would ignore the units and both fields, and run at hbar = 1
+        with pytest.raises(ValueError, match="^custom scenarios do not run in si units$"):
+            ScenarioConfig(
+                scenario="custom",
+                unit_system="si",
+                parameters={"t_final": 1.0, "b_perp_tesla": 1e-6, "epsilon": 5.0},
+            )
+
     @pytest.mark.parametrize(
         "scenario, unit_system, parameters, named",
         [
@@ -166,6 +176,8 @@ class TestScenarioConfig:
                 {"b_perp_tesla": 1e-6, "b_parallel_tesla": 1.0, "epsilon": 1.0},
                 "epsilon",
             ),
+            ("custom", "natural", {"t_final": 1.0, "epsilon": 5.0}, "epsilon"),
+            ("custom", "natural", {"t_final": 1.0, "b_perp_tesla": 1e-6}, "b_perp_tesla"),
         ],
     )
     def test_presets_refuse_parameters_they_do_not_read(
@@ -188,15 +200,20 @@ class TestScenarioConfig:
         ScenarioConfig(scenario=scenario, unit_system=unit_system, parameters=parameters)
 
     @pytest.mark.parametrize(
-        "scenario, parameters",
+        "scenario, unit_system, parameters",
         [
-            ("static", {"b_perp_tesla": 1e-6}),
-            ("driven", {"b_perp_tesla": 1e-6, "b_parallel_tesla": 1.0, "omega": 1.7e11}),
+            ("static", "si", {"b_perp_tesla": 1e-6}),
+            ("driven", "si", {"b_perp_tesla": 1e-6, "b_parallel_tesla": 1.0, "omega": 1.7e11}),
+            ("static", "natural", {"epsilon": 2.0, "hbar": 0.5}),
+            ("driven", "natural", {"epsilon": 2.0, "omega": 0.3, "omega0": 0.1, "hbar": 0.5}),
         ],
     )
-    def test_si_presets_read_exactly_the_parameters_they_accept(self, scenario, parameters):
-        # the SI branch of run_scenario and _SI_PARAMETERS must name the same keys:
-        # a key read but not accepted is refused, one accepted but unread is ignored
+    def test_si_presets_read_exactly_the_parameters_they_accept(
+        self, scenario, unit_system, parameters
+    ):
+        # run_scenario and the _READS row must name the same keys: a key read but
+        # not accepted is refused, one accepted but unread is ignored; in natural
+        # units they are the preset's fields
         class Reads(dict):
             def __init__(self, items):
                 super().__init__(items)
@@ -211,10 +228,13 @@ class TestScenarioConfig:
                 return super().get(key, default)
 
         given = Reads(parameters)
-        run_scenario(
-            ScenarioConfig(scenario=scenario, steps=100, unit_system="si", parameters=given)
+        run = run_scenario(
+            ScenarioConfig(scenario=scenario, steps=100, unit_system=unit_system, parameters=given)
         )
-        assert given.seen == set(_SI_PARAMETERS[scenario]) == set(parameters)
+        assert given.seen == set(_READS[scenario, unit_system]) == set(parameters)
+        if unit_system == "natural":
+            assert given.seen == {f.name for f in fields(run.hamiltonian)}
+            assert all(getattr(run.hamiltonian, k) == v for k, v in parameters.items())
 
     def test_to_json_sorts_parameters(self):
         cfg = ScenarioConfig(
@@ -1375,20 +1395,33 @@ class TestCollectorPause:
         return tmp_path
 
     def test_verify_triggers_no_collection(self, capsys, tmp_path):
+        # a refused file's traceback holds the parse tree: it is freed inside the pause too
         run_cli(capsys, "scenario2", "--steps", "2000", "--out", str(tmp_path))
-        starts = []
+        raw = (tmp_path / "trace.json").read_text()
+        doc = json.loads(raw)
+        doc["times"][57] = math.nan
+        (tmp_path / "tampered.json").write_text(json.dumps(doc))
+        doc = json.loads(raw)
+        del doc["states"][5]["im"]  # refused inside a handler: the tree is in a chained traceback
+        (tmp_path / "no-im.json").write_text(json.dumps(doc))
+        del raw, doc
+        seen = []
+        for name in ("trace.json", "tampered.json", "no-im.json"):
+            starts = []
 
-        def count(phase, info):
-            if phase == "start":
-                starts.append(info["generation"])
+            def count(phase, info):
+                if phase == "start":
+                    starts.append(info["generation"])
 
-        gc.collect()
-        gc.callbacks.append(count)
-        try:
-            code = main(["verify", str(tmp_path / "trace.json")])
-        finally:
-            gc.callbacks.remove(count)
-        assert (code, starts) == (0, [])
+            gc.collect()
+            gc.callbacks.append(count)
+            try:
+                code = main(["verify", str(tmp_path / name)])
+            finally:
+                gc.callbacks.remove(count)
+            seen.append((name, code, starts))
+        capsys.readouterr()
+        assert seen == [("trace.json", 0, []), ("tampered.json", 1, []), ("no-im.json", 1, [])]
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize(

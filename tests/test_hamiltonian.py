@@ -1,8 +1,11 @@
+import inspect
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import qgeo.hamiltonian
 from qgeo.errors import (
     DimensionMismatchError,
     HermiticityError,
@@ -11,7 +14,9 @@ from qgeo.errors import (
 from qgeo.hamiltonian import (
     PAULI_X,
     PAULI_Z,
+    PRESETS,
     ConstantMatrix,
+    Hamiltonian,
     TimeDependent,
     TwoLevelDriven,
     TwoLevelStatic,
@@ -392,6 +397,14 @@ class TestVaidmanDecompose:
         assert d.mean**2 + d.dispersion**2 == pytest.approx(qv_norm_sq, abs=1e-12)
 
 
+#: One instance of each Hamiltonian class that has a JSON spec.
+SPEC_EXAMPLES = {
+    ConstantMatrix: ConstantMatrix(random_hermitian(np.random.default_rng(8), 3), hbar=2.0),
+    TwoLevelStatic: TwoLevelStatic(epsilon=0.4, hbar=1.5),
+    TwoLevelDriven: TwoLevelDriven(epsilon=1.0, omega=0.25, omega0=0.2, hbar=0.7),
+}
+
+
 class TestSerialization:
     def test_constant_matrix_round_trip(self):
         rng = np.random.default_rng(8)
@@ -403,14 +416,32 @@ class TestSerialization:
         assert restored.hbar == 2.0
 
     def test_preset_round_trips(self):
-        for h in (
-            TwoLevelStatic(epsilon=0.4, hbar=1.5),
-            TwoLevelDriven(epsilon=1.0, omega=0.25, omega0=0.2),
-        ):
-            restored = hamiltonian_from_json(hamiltonian_to_json(h))
-            assert type(restored) is type(h)
+        for kind, cls in PRESETS.items():
+            h = SPEC_EXAMPLES[cls]
+            doc = hamiltonian_to_json(h)
+            assert doc["kind"] == kind
+            assert set(doc) == {"kind"} | {f.name for f in fields(cls)}
+            restored = hamiltonian_from_json(doc)
+            assert type(restored) is cls
+            assert all(getattr(restored, f.name) == getattr(h, f.name) for f in fields(cls))
             np.testing.assert_allclose(restored.sample(0.3), h.sample(0.3))
+            del doc["hbar"]  # a field with a default may be absent
+            assert hamiltonian_from_json(doc).hbar == 1.0
+
+    def test_every_concrete_hamiltonian_round_trips(self):
+        # one without a spec would be stored as "hamiltonian": null in trace.json, silently
+        concrete = {
+            cls
+            for _, cls in inspect.getmembers(qgeo.hamiltonian, inspect.isclass)
+            if issubclass(cls, Hamiltonian) and cls is not Hamiltonian
+        }
+        assert concrete - {TimeDependent} == set(SPEC_EXAMPLES)
+        for cls, h in SPEC_EXAMPLES.items():
+            restored = hamiltonian_from_json(hamiltonian_to_json(h), hbar=h.hbar)
+            assert type(restored) is cls
+            assert hamiltonian_to_json(restored) == hamiltonian_to_json(h)
             assert restored.hbar == h.hbar
+            np.testing.assert_array_equal(restored.sample(0.3), h.sample(0.3))
 
     def test_time_dependent_is_not_serializable(self):
         h = TimeDependent(lambda t: PAULI_X, dimension=2)
@@ -463,5 +494,6 @@ class TestSerialization:
             hamiltonian_from_json(doc)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            hamiltonian_from_json({"kind": "three_level_magic"})
+        for kind in ("three_level_magic", ["two_level_static"], 2):  # a list is unhashable
+            with pytest.raises(ValueError, match="^unknown Hamiltonian kind"):
+                hamiltonian_from_json({"kind": kind})
