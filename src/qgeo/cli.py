@@ -159,10 +159,18 @@ def run_scenario(
     The two presets need no extra arguments; ``custom`` runs take an explicit
     Hamiltonian (instance or its JSON form), an optional start state
     (default: the first basis state), and ``t_final`` in the parameters.
+    Their ``hbar`` parameter is read only for a bare ``re``/``im`` matrix; an
+    instance or a kind-tagged preset spec carries its own, so it is refused there.
     """
     if cfg.scenario == "custom":
         if hamiltonian is None:
             raise ValueError("custom scenarios require a Hamiltonian")
+        carries_hbar = isinstance(hamiltonian, Hamiltonian) or hamiltonian.get("kind") is not None
+        if carries_hbar and "hbar" in cfg.parameters:
+            raise ValueError(
+                "hbar is read only for a bare re/im matrix: a Hamiltonian instance "
+                "or a kind-tagged spec carries its own"
+            )
         if not isinstance(hamiltonian, Hamiltonian):
             hamiltonian = hamiltonian_from_json(
                 hamiltonian, hbar=cfg.parameters.get("hbar", 1.0)

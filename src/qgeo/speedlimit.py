@@ -14,14 +14,18 @@ calls the per-trace code on stacks: the constant-generator kernel of
 :func:`~qgeo.propagation.evolve` (:func:`~qgeo.propagation.constant_nodes`),
 the efficiency kernel of :func:`~qgeo.geometry.efficiency`, and an exact
 check of the overlap rate against its bound (2 dE/hbar)|c| sqrt(1 - |c|^2),
-c = <A|psi>, at every node.
+c = <A|psi>, at every node.  Sample i draws from ``Generator(PCG64(words))``,
+whose PCG64 seed words :func:`_spawn_words` computes for a whole chunk of
+spawn keys in one pass of numpy uint32 arithmetic; they equal those of
+``np.random.SeedSequence(seed).spawn(samples)[i]`` bit for bit, so the draws
+are those of ``default_rng`` on that child.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -139,16 +143,97 @@ SWEEP_CHUNK = 512
 SWEEP_BLOCK_BYTES = 2 << 20
 
 
-def _draw(
-    seed_seq: np.random.SeedSequence, dims: tuple[int, int]
-) -> tuple[int, np.ndarray, float]:
-    """One sample's draws: dimension d, raw normals, duration factor.
+#: numpy's SeedSequence constants (``numpy/random/bit_generator.pyx``): the running
+#: hash of its entropy pool, the multipliers of its pool mixing, and the running hash
+#: of ``generate_state``.  NEP 19 keeps SeedSequence and PCG64 streams stable across versions.
+_MASK32 = 0xFFFFFFFF
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)
+_MIX_MULT = (0xCA01F9DD, 0x4973F715)
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """numpy's ``hashmix`` on uint32 arrays: xor the running constant, step it, multiply."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's ``mix`` of two pool words, on uint32 arrays."""
+    r = x * np.uint32(_MIX_MULT[0]) - y * np.uint32(_MIX_MULT[1])
+    return r ^ r >> np.uint32(16)
+
+
+def _spawn_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """PCG64 seed words ``(stop - start, 4)`` uint64 of spawn keys ``start..stop-1`` of ``seed``.
+
+    Row k equals ``np.random.SeedSequence(seed).spawn(stop)[start + k]
+    .generate_state(4, np.uint64)`` bit for bit: numpy's pool mixing and
+    ``generate_state`` in one pass of uint32 array arithmetic, whose wraparound
+    is numpy's, with one element per key.  The seed's words (zero-padded to
+    the pool's four) give the same pool for every key; a key then mixes in as
+    one word, or as two from ``2**32`` on.
+    """
+    keys = np.arange(start, stop, dtype=np.uint64)
+    seed = int(seed)
+    run = [np.array([seed >> s & _MASK32], np.uint32) for s in range(0, seed.bit_length() or 1, 32)]
+    run += [np.zeros(1, np.uint32)] * (4 - len(run))
+    hashmix = _hasher(*_POOL_HASH)
+    pool = [hashmix(word) for word in run[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in run[4:] + [keys.astype(np.uint32)]:
+        pool = [_mix(p, hashmix(word)) for p in pool]
+    high = (keys >> np.uint64(32)).astype(np.uint32)
+    if high.any():
+        pool = [np.where(high > 0, _mix(p, hashmix(high)), p) for p in pool]
+    hashmix = _hasher(*_STATE_HASH)
+    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=-1)
+    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
+
+
+class _StateWords:
+    """One row of :func:`_spawn_words`, handed to PCG64 as its seed sequence.
+
+    :func:`_generators` registers it as a ``numpy.random.bit_generator.ISeedSequence``
+    on first use, so that ``import qgeo`` does not load numpy.random.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"state words are 4 uint64, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+def _generators(words: np.ndarray) -> Iterator[np.random.Generator]:
+    """``Generator(PCG64(row))`` for each row of :func:`_spawn_words`, in order.
+
+    Each is the generator ``default_rng`` builds from that row's spawned
+    child, so its draws are numpy's bit for bit.
+    """
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+    return (np.random.Generator(np.random.PCG64(_StateWords(row))) for row in words)
+
+
+def _draw(rng: np.random.Generator, dims: tuple[int, int]) -> tuple[int, np.ndarray, float]:
+    """One sample's draws from its generator: dimension d, raw normals, duration factor.
 
     The draw order (integers, normal, uniform) fixes each sample's values.  The
     ``2*d*d + 2*d`` normals are, in stream order, Re g, Im g, Re psi0 and Im
     psi0 (:func:`_complex_draws`).
     """
-    rng = np.random.default_rng(seed_seq)
     dim = int(rng.integers(dims[0], dims[1] + 1))
     raw = rng.normal(size=2 * dim * dim + 2 * dim)
     return dim, raw, float(rng.uniform(0.3, 2.5))
@@ -230,17 +315,21 @@ def _group_metrics(
 
 
 def _sample_metrics(
-    children: Sequence[np.random.SeedSequence], dims: tuple[int, int], steps: int
+    seed: int, samples: int, dims: tuple[int, int], steps: int
 ) -> np.ndarray:
     """Per-sample (eta, bound margin, rate violations, max rate excess).
 
-    Returns a ``(len(children), 4)`` array in seed order.  The samples are
-    drawn SWEEP_CHUNK at a time and evaluated per dimension group, in batches
-    of at most SWEEP_BLOCK_BYTES of node states.
+    Returns a ``(samples, 4)`` array in spawn-key order.  The samples are
+    seeded and drawn SWEEP_CHUNK at a time, each from the generator of its
+    :func:`_spawn_words` row, whose words equal those of numpy's
+    ``SeedSequence(seed).spawn(samples)`` child bit for bit, and evaluated
+    per dimension group, in batches of at most SWEEP_BLOCK_BYTES of node
+    states.
     """
-    out = np.empty((len(children), 4))
-    for start in range(0, len(children), SWEEP_CHUNK):
-        draws = [_draw(sq, dims) for sq in children[start : start + SWEEP_CHUNK]]
+    out = np.empty((samples, 4))
+    for start in range(0, samples, SWEEP_CHUNK):
+        words = _spawn_words(seed, start, min(start + SWEEP_CHUNK, samples))
+        draws = [_draw(rng, dims) for rng in _generators(words)]
         sizes = np.array([dim for dim, _, _ in draws])
         for dim in np.unique(sizes):
             rows = np.flatnonzero(sizes == dim)
@@ -261,14 +350,16 @@ def run_sweep(
 ) -> SweepResult:
     """Randomized verification sweep over constant Hermitian generators.
 
-    Each sample draws its own child seed from ``seed``, so results are
-    reproducible and independent of chunking.  A sample propagates ``psi0``
-    under ``H`` for ``u * pi/(2*dE0)``, with ``u`` uniform in [0.3, 2.5]; the
-    sweep runs in units with hbar = 1.
+    Sample i draws from the generator ``default_rng`` builds from
+    ``np.random.SeedSequence(seed).spawn(samples)[i]``, bit for bit, through
+    its :func:`_spawn_words` row, so results are reproducible and independent
+    of chunking.  A sample propagates ``psi0`` under ``H`` for
+    ``u * pi/(2*dE0)``, with ``u`` uniform in [0.3, 2.5]; the sweep runs in
+    units with hbar = 1.
 
     Args:
         samples: number of random (H, psi0, T) draws, an integer >= 1.
-        seed: master seed (spawned per sample), a non-negative integer.
+        seed: master seed (one spawn key per sample), a non-negative integer.
         dims: inclusive dimension range ``(low, high)``, integers 2 <= low <= high.
         steps: integrator steps per sample, an integer >= 2 (even keeps
             node counts odd).
@@ -281,8 +372,7 @@ def run_sweep(
         raise ValueError(f"dims must be two integers 2 <= low <= high, got {dims!r}")
     if not is_int_at_least(steps, 2):
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
-    children = np.random.SeedSequence(seed).spawn(samples)
-    etas, margins, rate_bad, rate_excess = _sample_metrics(children, dims, int(steps)).T
+    etas, margins, rate_bad, rate_excess = _sample_metrics(seed, int(samples), dims, int(steps)).T
     return SweepResult(
         samples=samples,
         seed=seed,

@@ -403,6 +403,29 @@ class TestRunScenario:
             run.trace.final_state.amplitudes, [math.cos(th), -1j * math.sin(th)], rtol=0, atol=1e-10
         )
 
+    @pytest.mark.parametrize(
+        "hamiltonian",
+        [ConstantMatrix(PAULI_X), {"kind": "two_level_static", "epsilon": 1.0}],
+        ids=["instance", "preset-spec"],
+    )
+    def test_custom_refuses_hbar_that_its_hamiltonian_carries(self, hamiltonian):
+        cfg = ScenarioConfig(
+            scenario="custom", steps=100, parameters={"t_final": 1.0, "hbar": 2.0}
+        )
+        with pytest.raises(ValueError, match="^hbar is read only for a bare re/im matrix"):
+            run_scenario(cfg, hamiltonian=hamiltonian)
+        cfg = ScenarioConfig(scenario="custom", steps=100, parameters={"t_final": 1.0})
+        assert run_scenario(cfg, hamiltonian=hamiltonian).trace.hbar == 1.0
+
+    def test_custom_reads_hbar_for_a_bare_matrix(self):
+        doc = {"re": [[0.0, 1.0], [1.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        cfg = ScenarioConfig(
+            scenario="custom", steps=100, parameters={"t_final": 1.0, "hbar": 2.0}
+        )
+        run = run_scenario(cfg, hamiltonian=doc)
+        assert run.trace.hbar == 2.0
+        assert run.hamiltonian.hbar == 2.0
+
     def test_custom_without_hamiltonian(self):
         cfg = ScenarioConfig(scenario="custom", parameters={"t_final": 1.0})
         with pytest.raises(ValueError):

@@ -9,13 +9,16 @@ its last caller goes, and so is a definition that nothing reads.  The angle
 between two states has one route, ``states.ray_angle``, so no second one is
 called anywhere.  A constant generator's nodes have one route too,
 ``propagation.constant_nodes``, so the sweep takes no step, fill or norm
-check of its own.  Every file is parsed in one place, ``cli._read_json``,
-which pauses the garbage collector around the parse, so no other module
-calls a JSON parser.
+check of its own, and a sweep sample's seed words have one route,
+``speedlimit._spawn_words``.  Every file is parsed in one place,
+``cli._read_json``, which pauses the garbage collector around the parse, so
+no other module calls a JSON parser.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -368,3 +371,41 @@ def test_detector_finds_kernel_parts():
         "_require_unit_rows", "expm_unitary_step", "fill_by_doubling"
     ]
     assert names_read("from .propagation import constant_nodes\n") & KERNEL_PARTS == set()
+
+
+# numpy's per-child seeding: the sweep seeds every sample from its row of
+# ``speedlimit._spawn_words``, so a spawn or a default_rng of its own is a second path.
+SEEDING_PARTS = {"SeedSequence", "default_rng", "spawn"}
+
+
+def test_sweep_seeds_only_through_spawn_words():
+    read = names_read((Path(qgeo.__file__).parent / "speedlimit.py").read_text())
+    assert "_spawn_words" in read
+    assert sorted(read & SEEDING_PARTS) == []
+
+
+def test_import_loads_no_numpy_random():
+    # the sweep registers its seed shim with numpy.random on first use, so
+    # commands that draw nothing do not pay for loading it
+    code = (
+        "import sys, numpy; before = set(sys.modules); import qgeo.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.random')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout == "[]\n", out.stderr
+
+
+def test_detector_finds_seeding_parts():
+    source = (
+        "import numpy as np\nfrom numpy.random import default_rng\n"
+        "def f(seed, n):\n"
+        "    children = np.random.SeedSequence(seed).spawn(n)\n"
+        "    return [np.random.Generator(np.random.PCG64(c)) for c in children]\n"
+    )
+    assert sorted(names_read(source) & SEEDING_PARTS) == ["SeedSequence", "default_rng", "spawn"]
+    source = (
+        "class W(np.random.bit_generator.ISeedSequence):\n    pass\n"
+        "w = _spawn_words(1, 0, 8)\n"
+    )
+    assert names_read(source) & SEEDING_PARTS == set()

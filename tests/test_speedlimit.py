@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from qgeo import propagation, speedlimit
@@ -324,6 +326,58 @@ def one_ppm_low(energy_statistics):
     return low
 
 
+def spawned_words(seed, n):
+    """numpy's own state words of the first ``n`` children of ``seed``: the reference."""
+    return np.array(
+        [child.generate_state(4, np.uint64) for child in np.random.SeedSequence(seed).spawn(n)]
+    )
+
+
+class TestSpawnWords:
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 12345, np.uint32(5)],
+        ids=repr,
+    )
+    def test_words_are_numpys_spawned_state(self, seed):
+        want = spawned_words(seed, 40)
+        got = speedlimit._spawn_words(seed, 0, 40)
+        assert got.dtype == np.uint64
+        assert got.tobytes() == want.tobytes()
+        # a chunk that starts past key 0
+        assert speedlimit._spawn_words(seed, 17, 40).tobytes() == want[17:].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**256),
+        start=st.integers(0, 24),
+        n=st.integers(1, 8),
+    )
+    def test_words_match_on_any_seed(self, seed, start, n):
+        want = spawned_words(seed, start + n)[start:]
+        assert speedlimit._spawn_words(seed, start, start + n).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**128 + 12345])
+    def test_keys_from_two_to_the_32_take_two_words(self, seed):
+        # spawn(n)[k] is SeedSequence(seed, spawn_key=(k,)), which reaches keys
+        # no sweep could spawn; a key from 2**32 on enters the pool as two words
+        def child(k):
+            return np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
+
+        assert child(3).tobytes() == spawned_words(seed, 4)[3].tobytes()
+        start = 2**32 - 3
+        want = np.array([child(k) for k in range(start, start + 6)])
+        got = speedlimit._spawn_words(seed, start, start + 6)
+        assert got.tobytes() == want.tobytes()
+        assert len({row.tobytes() for row in got}) == 6
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64)])
+    def test_state_words_refuse_any_other_request(self, n_words, dtype):
+        words = speedlimit._StateWords(speedlimit._spawn_words(1, 0, 1)[0])
+        with pytest.raises(ValueError, match="^state words are 4 uint64"):
+            words.generate_state(n_words, dtype)
+
+
 # (argument, value) pairs that run_sweep refuses by the argument's name
 BAD_COUNTS = [
     ("samples", 2.5),
@@ -362,14 +416,13 @@ class TestSweep:
         assert a == b
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
-        children = np.random.SeedSequence(7).spawn(300)
         per_sample, results = [], []
         # a one-byte cap evaluates one sample per batch; 1 GiB never splits a group
         for chunk in (1, 7, 512):
             for cap in (1, speedlimit.SWEEP_BLOCK_BYTES, 1 << 30):
                 monkeypatch.setattr(speedlimit, "SWEEP_CHUNK", chunk)
                 monkeypatch.setattr(speedlimit, "SWEEP_BLOCK_BYTES", cap)
-                per_sample.append(speedlimit._sample_metrics(children, (2, 8), 32))
+                per_sample.append(speedlimit._sample_metrics(7, 300, (2, 8), 32))
                 results.append(run_sweep(samples=300, seed=7, steps=32))
         for got in per_sample[1:]:
             np.testing.assert_array_equal(got, per_sample[0])
@@ -384,8 +437,10 @@ class TestSweep:
             return g, psi, float(rng.uniform(0.3, 2.5))
 
         seen = set()
-        for child in np.random.SeedSequence(20240817).spawn(240):
-            dim, raw, u = speedlimit._draw(child, (2, 8))
+        children = np.random.SeedSequence(20240817).spawn(240)
+        rngs = speedlimit._generators(speedlimit._spawn_words(20240817, 0, 240))
+        for rng, child in zip(rngs, children, strict=True):
+            dim, raw, u = speedlimit._draw(rng, (2, 8))
             g, psi = speedlimit._complex_draws(raw[np.newaxis], dim)
             want_g, want_psi, want_u = four_call_draw(child, (2, 8))
             assert g[0].tobytes() == want_g.tobytes()
@@ -433,7 +488,7 @@ class TestSweep:
 
     def test_batched_samples_match_the_per_trace_path(self):
         children = np.random.SeedSequence(20240817).spawn(50)
-        got = speedlimit._sample_metrics(children, (2, 8), 64)
+        got = speedlimit._sample_metrics(20240817, 50, (2, 8), 64)
         want = np.array([reference_sample(c, (2, 8), 64) for c in children])
         assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-11
         assert np.max(np.abs(got[:, 1] - want[:, 1])) <= 1e-9
@@ -444,7 +499,7 @@ class TestSweep:
     def test_odd_steps_match_the_per_trace_path_and_warn(self):
         children = np.random.SeedSequence(31).spawn(20)
         with pytest.warns(UserWarning, match="even node count"):
-            got = speedlimit._sample_metrics(children, (2, 5), 33)
+            got = speedlimit._sample_metrics(31, 20, (2, 5), 33)
         with pytest.warns(UserWarning, match="even node count"):
             want = np.array([reference_sample(c, (2, 5), 33) for c in children])
         assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-11
@@ -544,7 +599,7 @@ class TestSweep:
     )
     def test_non_integer_counts_refused_by_name_before_any_draw(self, monkeypatch, name, value):
         monkeypatch.setattr(speedlimit, "_draw", lambda *args: pytest.fail("drew"))
-        monkeypatch.setattr(np.random, "SeedSequence", lambda *args: pytest.fail("seeded"))
+        monkeypatch.setattr(speedlimit, "_spawn_words", lambda *args: pytest.fail("seeded"))
         with pytest.raises(ValueError, match=f"^{name} must be"):
             run_sweep(**{"samples": 3, name: value})
 
