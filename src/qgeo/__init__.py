@@ -11,14 +11,14 @@ geodesics.  Modules:
   (``constant_generator`` and ``frame_rate`` give its constant form), energy
   statistics, the mean/dispersion decomposition.
 * :mod:`qgeo.propagation`  -- one constant-generator kernel for ``evolve``
-  and the sweep (exact doubling fill, in the drive's frame), fourth-order Magnus
+  (exact doubling fill, in the drive's frame, offset-free), fourth-order Magnus
   integrator (Simpson nodes, each time sampled once, the exponential applied
   as a Taylor action above 2x2), closed-form two-level propagators and
   dispersion laws, evolution traces.
 * :mod:`qgeo.geometry`     -- geodesic efficiency, and with it the
   time-energy bound along a trace (eta <= 1).
 * :mod:`qgeo.speedlimit`   -- the minimum time hbar*arccos|<A|B>|/dE, the
-  short-time implicit solver, randomized sweeps.
+  short-time implicit solver, randomized sweeps in closed form.
 * :mod:`qgeo.cli`          -- the ``qgeo`` command; it renders only the trace
   files itself, and every other document with the stdlib's ``json``.
 """

@@ -27,8 +27,8 @@ Each file is parsed and converted with the cyclic garbage collector paused
 and then restored: a parse tree holds no reference cycles, so reference
 counting frees it inside the pause and no collection walks it.
 ``QGEO_SEED`` seeds sweeps when ``--seed`` is absent; a
-sweep runs in one process at hbar = 1, one vectorized pass per chunk and
-dimension, and its result does not depend on the chunking.
+sweep runs in one process at hbar = 1, one closed-form pass per chunk and
+dimension, and a sample's row depends on its chunk's draws alone.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 :func:`expm_unitary_step` gives ``exp(-i * H * dt / hbar)`` of one matrix or
 a stack: the exact Pauli form at 2x2, the spectral form from ``eigh`` above.
-With a ``constant_generator`` K, :func:`constant_nodes`, the one kernel of
-:func:`evolve` and of the stacked sweep, exponentiates the step of
-``K - (hbar*frame_rate/2)*sigma_z`` once, fills its powers by doubling, and
-gives the nodes ``R(t) U^k psi0`` K's statistics of ``U^k psi0``, taken
-block by block of :data:`NODE_BLOCK_BYTES`.  Without a K, ``sample`` is integrated by
+With a ``constant_generator`` K, :func:`constant_nodes`, the kernel of
+:func:`evolve`, exponentiates the step of ``K - (hbar*frame_rate/2)*sigma_z``,
+less ``Re tr K / d``, once, fills its powers by doubling, and gives the
+nodes ``R(t) U^k psi0`` K's statistics of ``U^k psi0``, taken block by
+block of :data:`NODE_BLOCK_BYTES`.  Without a K, ``sample`` is integrated by
 the fourth-order Magnus step with Simpson nodes (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 151 (2009)): each time is sampled once, one stacked
 ``sample`` per chunk of steps, and a step's end sample is the next step's
@@ -154,11 +154,18 @@ def constant_nodes(
     ``K - (hbar*rate/2)*sigma_z`` by the powers of one :func:`expm_unitary_step`,
     filled by doubling straight into the result; K's statistics of ``phi``
     are the node's (``R^dagger sample(t) R = K``), and with a ``rate`` the
-    node is ``R(t) phi`` at ``times``.  The statistics and frame phases go
+    node is ``R(t) phi`` at ``times``.  A K with ``shift = Re tr K / d``
+    other than 0 moves and is measured as ``K - shift``, whose rays are K's
+    and whose digits do not scale with the offset; ``shift`` is added back to
+    the means, and node k takes the global phase ``e^{-i shift k dt/hbar}``,
+    so it stays the Schrodinger solution of K.  The statistics and phases go
     block by block of :data:`NODE_BLOCK_BYTES` along the node axis, and every
     node is norm-checked once, after its last write: IntegrationError beyond
     MAX_NORM_DRIFT.
     """
+    shift = np.trace(k, axis1=-2, axis2=-1).real / k.shape[-1]
+    if shift.any():  # 0 for every preset, whose nodes then keep their bits
+        k = k - shift[..., np.newaxis, np.newaxis] * np.eye(k.shape[-1])
     step = expm_unitary_step(k - (0.5 * hbar * rate) * PAULI_Z if rate else k, dt, hbar)
     psis = np.empty((*psi0.shape[:-1], n_nodes, psi0.shape[-1]), dtype=complex)
     psis[..., 0, :] = psi0
@@ -180,6 +187,10 @@ def constant_nodes(
             phase = np.exp(-0.5j * rate * times[rows])
             psis[..., rows, 0] *= phase
             psis[..., rows, 1] *= np.conjugate(phase, out=phase)
+        if shift.any():
+            mean[..., rows] += shift[..., np.newaxis]
+            t = np.arange(rows.start, rows.stop) * np.asarray(dt)[..., np.newaxis]
+            psis[..., rows, :] *= np.exp(-1j * shift[..., np.newaxis] * t / hbar)[..., np.newaxis]
     _require_unit_rows(psis, IntegrationError)
     return psis, mean, disp
 

@@ -8,31 +8,34 @@ stored trace the bound is the efficiency inequality eta <= 1, which
 :func:`~qgeo.geometry.efficiency` reports.
 
 :func:`run_sweep` tests the bound on random constant Hamiltonians, at
-hbar = 1, in fixed chunks of SWEEP_CHUNK samples and one pass per dimension
-group (split only where its node states would pass SWEEP_BLOCK_BYTES) that
-calls the per-trace code on stacks: the constant-generator kernel of
-:func:`~qgeo.propagation.evolve` (:func:`~qgeo.propagation.constant_nodes`),
-the efficiency kernel of :func:`~qgeo.geometry.efficiency`, and an exact
-check of the overlap rate against its bound (2 dE/hbar)|c| sqrt(1 - |c|^2),
-c = <A|psi>, at every node.  Sample i draws from ``Generator(PCG64(words))``,
-whose PCG64 seed words :func:`_spawn_words` computes for a whole chunk of
-spawn keys in one pass of numpy uint32 arithmetic; they equal those of
-``np.random.SeedSequence(seed).spawn(samples)[i]`` bit for bit, so the draws
-are those of ``default_rng`` on that child.
+hbar = 1, with no propagation: for a constant H the survival amplitude
+``<A|psi(t)> = sum_j p_j e^{-i lam_j t}`` (Mandelstam & Tamm, J. Phys. USSR
+9, 249 (1945); Fleming, Nuovo Cimento A 16, 232 (1973)) gives the angle in
+closed form, dE is constant, and the overlap rate is checked against its
+bound (2 dE/hbar)|c| sqrt(1 - |c|^2) at every node from the same sums.
+Each dimension group of a chunk takes one ``eigh`` of its stack
+(:func:`_group_metrics`).  Chunk k of SWEEP_CHUNK samples draws from
+``np.random.default_rng([seed, k])`` (:func:`_draw_chunk`), in full, so a
+sample's draws depend on its chunk alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any
 
 import numpy as np
 
-from . import geometry
-from .errors import StationaryStateError, is_int_at_least, require_positive_finite
+from .errors import (
+    DegenerateEndpointsError,
+    StationaryStateError,
+    is_int_at_least,
+    require_positive_finite,
+)
+from .geometry import DEGENERACY_TOL
 from .hamiltonian import energy_statistics
-from .propagation import constant_nodes, short_time_coefficient
+from .propagation import short_time_coefficient
 
 
 def min_time(overlap: float, dispersion: float, hbar: float = 1.0) -> float:
@@ -132,213 +135,145 @@ class SweepResult:
         }
 
 
-#: Samples drawn together and split into dimension groups.  The default
-#: sweep of 1000 samples over dims 2-8 makes 14 group passes (56 at 128); at
-#: 1024 its peak RSS grew by 11% over 128's.  The results do not depend on it.
+#: Samples drawn from one stream and split into dimension groups.  Chunk k
+#: draws from ``np.random.default_rng([seed, k])``, so this size is part of
+#: every sample's draws.  The default sweep of 1000 samples over dims 2-8
+#: makes 14 group passes.
 SWEEP_CHUNK = 512
 
-#: Cap on the node states one group pass holds, ``batch * (steps + 1) * dim * 16``
-#: bytes, with at least one sample per pass.  It bounds the sweep's memory at
-#: large ``steps``; the results do not depend on it.
-SWEEP_BLOCK_BYTES = 2 << 20
+#: Cap on the node phases one rate-check block holds, ``batch * nodes * dim * 16``
+#: bytes, with at least two nodes per block.  It bounds the sweep's memory and
+#: page faults at large ``steps``; the results do not depend on it.
+SWEEP_BLOCK_BYTES = 1 << 17
 
 
-#: numpy's SeedSequence constants (``numpy/random/bit_generator.pyx``): the running
-#: hash of its entropy pool, the multipliers of its pool mixing, and the running hash
-#: of ``generate_state``.  NEP 19 keeps SeedSequence and PCG64 streams stable across versions.
-_MASK32 = 0xFFFFFFFF
-_POOL_HASH = (0x43B0D7E5, 0x931E8875)
-_MIX_MULT = (0xCA01F9DD, 0x4973F715)
-_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
+def _draw_chunk(
+    seed: int, chunk: int, dims: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """Draws of all SWEEP_CHUNK samples of chunk ``chunk``, from ``default_rng([seed, chunk])``.
 
-
-def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-    """numpy's ``hashmix`` on uint32 arrays: xor the running constant, step it, multiply."""
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> np.uint32(16)
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """numpy's ``mix`` of two pool words, on uint32 arrays."""
-    r = x * np.uint32(_MIX_MULT[0]) - y * np.uint32(_MIX_MULT[1])
-    return r ^ r >> np.uint32(16)
-
-
-def _spawn_words(seed: int, start: int, stop: int) -> np.ndarray:
-    """PCG64 seed words ``(stop - start, 4)`` uint64 of spawn keys ``start..stop-1`` of ``seed``.
-
-    Row k equals ``np.random.SeedSequence(seed).spawn(stop)[start + k]
-    .generate_state(4, np.uint64)`` bit for bit: numpy's pool mixing and
-    ``generate_state`` in one pass of uint32 array arithmetic, whose wraparound
-    is numpy's, with one element per key.  The seed's words (zero-padded to
-    the pool's four) give the same pool for every key; a key then mixes in as
-    one word, or as two from ``2**32`` on.
+    In stream order: the dimensions, the duration factors in [0.3, 2.5), then
+    for each dimension d present, in increasing order, one normal block of
+    ``(re, im)`` pairs: per sample of d, in chunk order, the complex Gaussian
+    ``g`` ``(d, d)`` row by row, then psi0 ``(d,)``, unnormalized.  Returns
+    the dimensions, the factors, and ``(g, psi0)`` stacks by dimension.
     """
-    keys = np.arange(start, stop, dtype=np.uint64)
-    seed = int(seed)
-    run = [np.array([seed >> s & _MASK32], np.uint32) for s in range(0, seed.bit_length() or 1, 32)]
-    run += [np.zeros(1, np.uint32)] * (4 - len(run))
-    hashmix = _hasher(*_POOL_HASH)
-    pool = [hashmix(word) for word in run[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in run[4:] + [keys.astype(np.uint32)]:
-        pool = [_mix(p, hashmix(word)) for p in pool]
-    high = (keys >> np.uint64(32)).astype(np.uint32)
-    if high.any():
-        pool = [np.where(high > 0, _mix(p, hashmix(high)), p) for p in pool]
-    hashmix = _hasher(*_STATE_HASH)
-    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=-1)
-    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
+    rng = np.random.default_rng([seed, chunk])
+    sizes = rng.integers(dims[0], dims[1] + 1, size=SWEEP_CHUNK)
+    u = rng.uniform(0.3, 2.5, size=SWEEP_CHUNK)
+    draws = {}
+    for dim in np.unique(sizes).tolist():
+        z = rng.normal(size=(np.count_nonzero(sizes == dim), dim * dim + dim, 2))
+        z = z.view(complex)[..., 0]
+        draws[dim] = z[:, : dim * dim].reshape(-1, dim, dim), z[:, dim * dim :]
+    return sizes, u, draws
 
 
-class _StateWords:
-    """One row of :func:`_spawn_words`, handed to PCG64 as its seed sequence.
+def _survival(lam: np.ndarray, p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``c = <A|psi(t)>`` and ``x = <A|H|psi(t)>`` ``(B, n)`` at times ``t`` ``(B, n)``, hbar = 1.
 
-    :func:`_generators` registers it as a ``numpy.random.bit_generator.ISeedSequence``
-    on first use, so that ``import qgeo`` does not load numpy.random.
+    ``c = sum_j p_j e^{-i lam_j t}`` and ``x = sum_j p_j lam_j e^{-i lam_j t}``,
+    with H's eigenvalues ``lam`` and A's weights ``p`` ``(B, d)``.  A node's
+    values depend on its time alone, bit for bit, while ``n`` stays above 1
+    (numpy multiplies one row as a matrix-vector product).
     """
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"state words are 4 uint64, not {n_words} {np.dtype(dtype)}")
-        return self.words
-
-
-def _generators(words: np.ndarray) -> Iterator[np.random.Generator]:
-    """``Generator(PCG64(row))`` for each row of :func:`_spawn_words`, in order.
-
-    Each is the generator ``default_rng`` builds from that row's spawned
-    child, so its draws are numpy's bit for bit.
-    """
-    np.random.bit_generator.ISeedSequence.register(_StateWords)
-    return (np.random.Generator(np.random.PCG64(_StateWords(row))) for row in words)
-
-
-def _draw(rng: np.random.Generator, dims: tuple[int, int]) -> tuple[int, np.ndarray, float]:
-    """One sample's draws from its generator: dimension d, raw normals, duration factor.
-
-    The draw order (integers, normal, uniform) fixes each sample's values.  The
-    ``2*d*d + 2*d`` normals are, in stream order, Re g, Im g, Re psi0 and Im
-    psi0 (:func:`_complex_draws`).
-    """
-    dim = int(rng.integers(dims[0], dims[1] + 1))
-    raw = rng.normal(size=2 * dim * dim + 2 * dim)
-    return dim, raw, float(rng.uniform(0.3, 2.5))
-
-
-def _complex_draws(raw: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Gaussian ``g`` ``(B, d, d)`` and unnormalized psi0 ``(B, d)`` of stacked draws."""
-    n = dim * dim
-    g = raw[:, :n].reshape(-1, dim, dim) + 1j * raw[:, n : 2 * n].reshape(-1, dim, dim)
-    psi = raw[:, 2 * n : 2 * n + dim] + 1j * raw[:, 2 * n + dim :]
-    return g, psi
-
-
-def _propagate(
-    h: np.ndarray, psi0: np.ndarray, t_final: np.ndarray, steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes of each sample ``psi0`` under its ``h`` on ``steps`` uniform steps: ``(B, n, d)``.
-
-    The nodes and their dispersions come from
-    :func:`~qgeo.propagation.constant_nodes`, the kernel of
-    :func:`~qgeo.propagation.evolve`.  A sample whose endpoints land on a
-    revival (overlap >= 1 - 1e-9) has its duration stretched by 1.3737 and is
-    propagated again, at most four times; the others are left alone.
-    Returns the final durations, the amplitudes and the dispersions.
-    Raises IntegrationError when a node's norm drifts beyond MAX_NORM_DRIFT.
-    """
-    t_final = np.array(t_final, dtype=float)
-    amps, _, disp = constant_nodes(h, psi0, t_final / steps, steps + 1, 1.0)
-    for _ in range(4):
-        ends = np.abs(np.sum(amps[:, 0].conj() * amps[:, -1], axis=-1))
-        stuck = np.flatnonzero(ends >= 1.0 - 1e-9)
-        if not stuck.size:
-            break
-        t_final[stuck] *= 1.3737  # deterministic nudge away from a revival
-        amps[stuck], _, disp[stuck] = constant_nodes(
-            h[stuck], psi0[stuck], t_final[stuck] / steps, steps + 1, 1.0
-        )
-    return t_final, amps, disp
+    angle = t[..., np.newaxis] * lam[:, np.newaxis, :]
+    weights = np.stack([p, p * lam], axis=-1)
+    cos, sin = np.cos(angle) @ weights, np.sin(angle) @ weights
+    return cos[..., 0] - 1j * sin[..., 0], cos[..., 1] - 1j * sin[..., 1]
 
 
 def _group_metrics(
     g: np.ndarray, psi: np.ndarray, u: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Eta, bound margin, rate violations and max rate excess of each sample.
+    """Eta, bound margin, rate violations and max rate excess of each sample, in closed form.
 
-    ``g``, ``psi`` and ``u`` stack the draws of samples of one dimension.
+    ``g``, ``psi`` and ``u`` stack the draws of samples of one dimension d.
     ``h = (g + g^dagger)/2`` is Hermitian bit for bit (addition commutes and
-    negation is exact) and finite, so it needs no Hermiticity check.
+    negation is exact) and finite, so it needs no Hermiticity check.  Shifted
+    by ``Re tr h / d``, which moves no ray, it is decomposed once,
+    ``h = sum_j lam_j |j><j|``; with A = psi0 (unit) and ``p_j = |<j|A>|^2``,
+    ``c(t) = <A|psi(t)>`` is :func:`_survival`, and no state is propagated.
+    dE is constant, A's :func:`~qgeo.hamiltonian.energy_statistics`, so
+    ``<dE>*T = dE*T`` exactly.  T is ``u*pi/(2*dE)``, dE floored at
+    1e-6 ``||H||_2`` and 1e-12, and is stretched by 1.3737, at most four
+    times, while ``|c(T)| >= 1 - 1e-9`` (a revival).  The angle
 
-    The rate check is exact at every node psi.  With A = psi(0) (unit),
-    c = <A|psi> and x = <HA|psi> = <A|H psi>,  d|c|^2/dt = 2q/hbar  with
-    q = Im(conj(c) x).  Write  H psi = m psi + r  with r orthogonal to psi:
-    then q = Im(conj(c) <A|r>), and r meets only the part of A orthogonal to
-    psi, of squared norm 1 - |c|^2/||psi||^2, so
-    q^2 <= ||r||^2 |c|^2 (||psi||^2 - |c|^2) / ||psi||^2.  The nodes are unit
-    only to round-off, which 1 - |c|^2 in place of that factor would flag.
-    The dE of :func:`~qgeo.hamiltonian.energy_statistics`,
-    ``||H psi - <psi|H|psi> psi||``, is never below ||r||, the least-squares
-    residual of H psi against psi.  A node violates when its squared excess
-    over the bound, in units of ``||H||_2^2``, passes 64 eps.
+        theta = atan2(sqrt(2 sum_jk p_j p_k sin^2((lam_j - lam_k) T/2)), |c(T)|)
+
+    keeps every digit near 0, where ``1 - |c|^2`` cancels; ``eta = theta/(dE*T)``
+    and the margin is ``dE*T - theta``.
+
+    The rate check is exact at each of the ``steps + 1`` uniform nodes.  With
+    ``x = <A|H|psi>``, ``d|c|^2/dt = 2q/hbar`` with ``q = Im(conj(c) x)``.
+    Write ``H psi = <H> psi + r``, ``||r|| = dE`` and r orthogonal to psi: r
+    meets only the part of A orthogonal to psi, of squared norm ``1 - |c|^2``,
+    so ``q^2 <= dE^2 |c|^2 (1 - |c|^2)``.  A node violates when its squared
+    excess over the bound, in units of ``||H||_2^2``, passes 64 eps.  The
+    nodes go in blocks of SWEEP_BLOCK_BYTES of phases.  Raises
+    DegenerateEndpointsError when endpoints stay within 1e-12 in overlap.
     """
+    dim = g.shape[-1]
     h = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+    shift = np.trace(h, axis1=-2, axis2=-1).real / dim
+    h -= shift[:, np.newaxis, np.newaxis] * np.eye(dim)
+    lam, vec = np.linalg.eigh(h)
     psi0 = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-    spectral_norm = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
-    d0 = energy_statistics(h, psi0[:, np.newaxis])[1][:, 0]
-    d0 = np.maximum(np.maximum(d0, 1e-6 * spectral_norm), 1e-12)
-    t_final, amps, disp = _propagate(h, psi0, u * 0.5 * math.pi / d0, steps)
-    report = geometry.speed_limit_report(amps[:, 0], amps[:, -1], disp, t_final, 1.0)
-    margin = 0.5 * (report.s - report.s0)  # <dE>*T - arccos|<A|B>|, as <dE>*T = hbar*s/2
+    amp = np.einsum("bji,bj->bi", vec.conj(), psi0)
+    p = amp.real * amp.real + amp.imag * amp.imag
+    p /= np.sum(p, axis=-1, keepdims=True)
+    spectral_norm = np.max(np.abs(lam + shift[:, np.newaxis]), axis=-1)
+    disp = energy_statistics(h, psi0[:, np.newaxis])[1][:, 0]
+    t_final = u * 0.5 * math.pi / np.maximum(np.maximum(disp, 1e-6 * spectral_norm), 1e-12)
+    end = np.abs(_survival(lam, p, t_final[:, np.newaxis])[0][:, 0])
+    for _ in range(4):
+        stuck = np.flatnonzero(end >= 1.0 - 1e-9)
+        if not stuck.size:
+            break
+        t_final[stuck] *= 1.3737  # deterministic nudge away from a revival
+        end[stuck] = np.abs(_survival(lam[stuck], p[stuck], t_final[stuck, np.newaxis])[0][:, 0])
+    if np.any(end >= 1.0 - DEGENERACY_TOL):
+        raise DegenerateEndpointsError(
+            f"endpoint overlap {float(np.max(end))!r} is within 1e-12 of 1"
+        )
+    gaps = lam[:, :, np.newaxis] - lam[:, np.newaxis, :]
+    pairs = p[:, :, np.newaxis] * p[:, np.newaxis, :]
+    pairs *= np.sin((0.5 * t_final)[:, np.newaxis, np.newaxis] * gaps) ** 2
+    theta = np.arctan2(np.sqrt(2.0 * np.sum(pairs.reshape(len(p), -1), axis=-1)), end)
+    action = disp * t_final  # <dE>*T at hbar = 1
 
-    a = amps[:, 0]
-    cx = amps @ np.stack([a, np.einsum("bij,bj->bi", h, a)], axis=-1).conj()
-    c, x = cx[..., 0], cx[..., 1]
-    q, c2 = c.real * x.imag - c.imag * x.real, c.real * c.real + c.imag * c.imag
-    norm2 = np.einsum("...i,...i->...", amps.view(float), amps.view(float))
-    excess = (q * q - disp * disp * c2 * (norm2 - c2) / norm2) / spectral_norm[:, None] ** 2
-    rate_bad = np.sum(excess > 64.0 * np.finfo(float).eps, axis=-1)
-    return report.eta, margin, rate_bad, np.max(excess, axis=-1)
+    block = max(SWEEP_BLOCK_BYTES // (lam.size * 16), 2)
+    bounds = [0, *range(block, steps, block), steps + 1]  # no block of one node
+    rate_bad, max_excess = np.zeros(len(p), dtype=int), np.full(len(p), -math.inf)
+    for first, stop in zip(bounds, bounds[1:]):
+        c, x = _survival(lam, p, np.arange(first, stop) * (t_final / steps)[:, np.newaxis])
+        q, c2 = c.real * x.imag - c.imag * x.real, c.real * c.real + c.imag * c.imag
+        bound = (disp * disp)[:, np.newaxis] * c2 * (1.0 - c2)
+        excess = (q * q - bound) / (spectral_norm * spectral_norm)[:, np.newaxis]
+        rate_bad += np.sum(excess > 64.0 * np.finfo(float).eps, axis=-1)
+        np.maximum(max_excess, np.max(excess, axis=-1), out=max_excess)
+    return theta / action, action - theta, rate_bad, max_excess
 
 
 def _sample_metrics(
     seed: int, samples: int, dims: tuple[int, int], steps: int
 ) -> np.ndarray:
-    """Per-sample (eta, bound margin, rate violations, max rate excess).
+    """Per-sample (eta, bound margin, rate violations, max rate excess), ``(samples, 4)``.
 
-    Returns a ``(samples, 4)`` array in spawn-key order.  The samples are
-    seeded and drawn SWEEP_CHUNK at a time, each from the generator of its
-    :func:`_spawn_words` row, whose words equal those of numpy's
-    ``SeedSequence(seed).spawn(samples)`` child bit for bit, and evaluated
-    per dimension group, in batches of at most SWEEP_BLOCK_BYTES of node
-    states.
+    Sample i is sample ``i % SWEEP_CHUNK`` of chunk ``i // SWEEP_CHUNK``,
+    whose draws (:func:`_draw_chunk`) are made in full; the tail past
+    ``samples`` is dropped, so row i depends on its chunk's stream alone.
+    Each chunk is evaluated per dimension group (:func:`_group_metrics`).
     """
     out = np.empty((samples, 4))
     for start in range(0, samples, SWEEP_CHUNK):
-        words = _spawn_words(seed, start, min(start + SWEEP_CHUNK, samples))
-        draws = [_draw(rng, dims) for rng in _generators(words)]
-        sizes = np.array([dim for dim, _, _ in draws])
-        for dim in np.unique(sizes):
+        sizes, u, draws = _draw_chunk(seed, start // SWEEP_CHUNK, dims)
+        for dim, (g, psi) in draws.items():
             rows = np.flatnonzero(sizes == dim)
-            batch = max(1, SWEEP_BLOCK_BYTES // ((steps + 1) * dim * 16))
-            for part in np.split(rows, range(batch, rows.size, batch)):
-                raw = np.array([draws[i][1] for i in part])
-                u = np.array([draws[i][2] for i in part])
-                g, psi = _complex_draws(raw, dim)
-                out[start + part] = np.column_stack(_group_metrics(g, psi, u, steps))
+            rows = rows[: np.searchsorted(rows, samples - start)]
+            if rows.size:
+                metrics = _group_metrics(g[: rows.size], psi[: rows.size], u[rows], steps)
+                out[start + rows] = np.column_stack(metrics)
     return out
 
 
@@ -350,19 +285,20 @@ def run_sweep(
 ) -> SweepResult:
     """Randomized verification sweep over constant Hermitian generators.
 
-    Sample i draws from the generator ``default_rng`` builds from
-    ``np.random.SeedSequence(seed).spawn(samples)[i]``, bit for bit, through
-    its :func:`_spawn_words` row, so results are reproducible and independent
-    of chunking.  A sample propagates ``psi0`` under ``H`` for
-    ``u * pi/(2*dE0)``, with ``u`` uniform in [0.3, 2.5]; the sweep runs in
+    Sample i draws from chunk ``i // SWEEP_CHUNK``'s stream
+    ``np.random.default_rng([seed, i // SWEEP_CHUNK])``, which is drawn in
+    full whatever ``samples`` is, so results are reproducible and a
+    sample's row does not depend on ``samples``.  A sample evolves ``psi0``
+    under ``H`` for ``u * pi/(2*dE0)``, with ``u`` uniform in [0.3, 2.5), and
+    is evaluated in closed form (:func:`_group_metrics`); the sweep runs in
     units with hbar = 1.
 
     Args:
         samples: number of random (H, psi0, T) draws, an integer >= 1.
-        seed: master seed (one spawn key per sample), a non-negative integer.
+        seed: master seed (one stream per chunk), a non-negative integer.
         dims: inclusive dimension range ``(low, high)``, integers 2 <= low <= high.
-        steps: integrator steps per sample, an integer >= 2 (even keeps
-            node counts odd).
+        steps: uniform steps per sample at whose ``steps + 1`` nodes the
+            rate is checked, an integer >= 2.
     """
     if not is_int_at_least(samples, 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
@@ -372,7 +308,8 @@ def run_sweep(
         raise ValueError(f"dims must be two integers 2 <= low <= high, got {dims!r}")
     if not is_int_at_least(steps, 2):
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
-    etas, margins, rate_bad, rate_excess = _sample_metrics(seed, int(samples), dims, int(steps)).T
+    metrics = _sample_metrics(int(seed), int(samples), dims, int(steps))
+    etas, margins, rate_bad, rate_excess = metrics.T
     return SweepResult(
         samples=samples,
         seed=seed,

@@ -7,10 +7,9 @@ and is the usual way a module cycle (such as geometry -> speedlimit ->
 geometry) creeps back in.  An import that nothing reads is left behind when
 its last caller goes, and so is a definition that nothing reads.  The angle
 between two states has one route, ``states.ray_angle``, so no second one is
-called anywhere.  A constant generator's nodes have one route too,
-``propagation.constant_nodes``, so the sweep takes no step, fill or norm
-check of its own, and a sweep sample's seed words have one route,
-``speedlimit._spawn_words``.  Every file is parsed in one place,
+called anywhere.  The sweep evaluates each constant evolution in closed
+form, so it reads no part of the propagation kernel, and it seeds through
+one route, a ``default_rng`` per chunk.  Every file is parsed in one place,
 ``cli._read_json``, which pauses the garbage collector around the parse, so
 no other module calls a JSON parser.
 """
@@ -344,9 +343,9 @@ def test_detector_finds_unread_definitions():
     assert unread_definitions(package, readers, {"dead"}) == [("a", "recursive")]
 
 
-# The parts of the constant-generator kernel: the sweep reaches them only through
-# ``propagation.constant_nodes``, so a step, fill or norm check of its own is a second path.
-KERNEL_PARTS = {"expm_unitary_step", "fill_by_doubling", "_require_unit_rows"}
+# The propagation path: the sweep evaluates each constant evolution in closed form, so a
+# read of any of these (or of a name holding "expm") is a second, propagated path.
+PROPAGATION_PARTS = {"constant_nodes", "evolve", "fill_by_doubling", "_require_unit_rows"}
 
 
 def names_read(source: str) -> set[str]:
@@ -354,39 +353,58 @@ def names_read(source: str) -> set[str]:
     return set().union(*(read for _, read in top_level_statements(source)))
 
 
-def test_sweep_reaches_the_kernel_only_through_constant_nodes():
+def propagation_parts(read: set[str]) -> list[str]:
+    return sorted(name for name in read if name in PROPAGATION_PARTS or "expm" in name)
+
+
+def test_sweep_propagates_no_state():
     read = names_read((Path(qgeo.__file__).parent / "speedlimit.py").read_text())
-    assert "constant_nodes" in read
-    assert sorted(read & KERNEL_PARTS) == []
+    assert "_survival" in read
+    assert propagation_parts(read) == []
 
 
-def test_detector_finds_kernel_parts():
+def test_detector_finds_propagation_parts():
     source = (
-        "from .propagation import _require_unit_rows, constant_nodes\n"
-        "from . import propagation\n"
+        "from .propagation import _require_unit_rows, constant_nodes, evolve\n"
+        "from . import propagation\nfrom scipy.linalg import expm\n"
         "def f(h, psi):\n"
         "    return fill_by_doubling(propagation.expm_unitary_step(h, 1.0, 1.0), psi, 3)\n"
     )
-    assert sorted(names_read(source) & KERNEL_PARTS) == [
-        "_require_unit_rows", "expm_unitary_step", "fill_by_doubling"
+    assert propagation_parts(names_read(source)) == [
+        "_require_unit_rows", "constant_nodes", "evolve", "expm", "expm_unitary_step",
+        "fill_by_doubling",
     ]
-    assert names_read("from .propagation import constant_nodes\n") & KERNEL_PARTS == set()
+    assert propagation_parts(names_read("from .propagation import short_time_coefficient\n")) == []
 
 
-# numpy's per-child seeding: the sweep seeds every sample from its row of
-# ``speedlimit._spawn_words``, so a spawn or a default_rng of its own is a second path.
-SEEDING_PARTS = {"SeedSequence", "default_rng", "spawn"}
+# numpy.random's seeding and generator constructors: the sweep builds one generator per
+# chunk, ``default_rng([seed, chunk])`` in ``_draw_chunk``, and no other.
+SEEDING_PARTS = {"SeedSequence", "default_rng", "spawn", "Generator", "PCG64", "RandomState"}
 
 
-def test_sweep_seeds_only_through_spawn_words():
-    read = names_read((Path(qgeo.__file__).parent / "speedlimit.py").read_text())
-    assert "_spawn_words" in read
-    assert sorted(read & SEEDING_PARTS) == []
+def seeding_calls(source: str) -> list[tuple[str, str, str]]:
+    """(enclosing top-level name, callee, arguments) of each call of a SEEDING_PARTS name."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in SEEDING_PARTS:
+                    args = ", ".join(map(ast.unparse, node.args + node.keywords))
+                    found.append((getattr(top, "name", "<module>"), name, args))
+    return found
+
+
+def test_sweep_seeds_only_through_one_default_rng_per_chunk():
+    source = (Path(qgeo.__file__).parent / "speedlimit.py").read_text()
+    assert seeding_calls(source) == [("_draw_chunk", "default_rng", "[seed, chunk]")]
+    assert names_read(source) & SEEDING_PARTS == {"default_rng"}
 
 
 def test_import_loads_no_numpy_random():
-    # the sweep registers its seed shim with numpy.random on first use, so
-    # commands that draw nothing do not pay for loading it
+    # the sweep reaches numpy.random on first use, so commands that draw
+    # nothing do not pay for loading it
     code = (
         "import sys, numpy; before = set(sys.modules); import qgeo.cli\n"
         "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.random')))"
@@ -402,10 +420,15 @@ def test_detector_finds_seeding_parts():
         "def f(seed, n):\n"
         "    children = np.random.SeedSequence(seed).spawn(n)\n"
         "    return [np.random.Generator(np.random.PCG64(c)) for c in children]\n"
+        "rng = default_rng(seed=5)\n"
     )
-    assert sorted(names_read(source) & SEEDING_PARTS) == ["SeedSequence", "default_rng", "spawn"]
-    source = (
-        "class W(np.random.bit_generator.ISeedSequence):\n    pass\n"
-        "w = _spawn_words(1, 0, 8)\n"
-    )
-    assert names_read(source) & SEEDING_PARTS == set()
+    assert sorted(seeding_calls(source)) == [
+        ("<module>", "default_rng", "seed=5"), ("f", "Generator", "np.random.PCG64(c)"),
+        ("f", "PCG64", "c"), ("f", "SeedSequence", "seed"), ("f", "spawn", "n"),
+    ]
+    assert names_read(source) & SEEDING_PARTS == {
+        "SeedSequence", "default_rng", "spawn", "Generator", "PCG64"
+    }
+    assert seeding_calls("rng = np.random.default_rng([seed, k])\nx = rng.normal(size=3)\n") == [
+        ("<module>", "default_rng", "[seed, k]")
+    ]

@@ -11,8 +11,8 @@ from scipy.linalg import expm as scipy_expm
 
 import qgeo.hamiltonian as hamiltonian
 import qgeo.propagation as propagation
-import qgeo.speedlimit as speedlimit
-from qgeo.cli import ScenarioConfig, run_scenario
+from qgeo.cli import ScenarioConfig, main, run_scenario
+from qgeo.geometry import efficiency
 from qgeo.errors import (
     DimensionMismatchError,
     FormulaError,
@@ -676,6 +676,30 @@ class TestConstantGeneratorFill:
         assert tr.amplitudes[0].tobytes() == psi0.amplitudes.tobytes()
         assert np.max(np.abs(tr.amplitudes - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8, 1e12])
+    def test_an_energy_offset_moves_no_ray(self, offset, tmp_path, capsys):
+        # sigma_x in the top-left corner of a 3x3 zero matrix moves |0> along a
+        # geodesic, and so does K + c*I.  Stepped and measured with its offset,
+        # K + 1e8*I read eta - 1 = +5.77e-9 and bound_satisfied false
+        k = np.zeros((3, 3), dtype=complex)
+        k[0, 1] = k[1, 0] = 1.0
+        h = ConstantMatrix(k + offset * np.eye(3))
+        tr = evolve(h, QuantumState.exact([1.0, 0.0, 0.0]), 0.7, steps=2000)
+        report = efficiency(tr)
+        assert abs(report.eta - 1.0) <= 1e-12  # 1.2e-13 at every offset
+        assert report.bound_satisfied
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(tr.energy_mean - offset)) <= 1e-12 + eps * offset  # <sigma_x> = 0
+        # the nodes stay the Schrodinger solution of K + c*I, global phase
+        # included, to the rounding of c*t
+        t = tr.times[:, np.newaxis]
+        want = np.exp(-1j * offset * t) * np.hstack([np.cos(t), -1j * np.sin(t), 0.0 * t])
+        assert np.max(np.abs(tr.amplitudes - want)) <= 1e-12 + 8.0 * eps * offset
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(tr.to_json(h)))
+        assert main(["verify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["bound_satisfied"] is True
+
     def test_static_trace_keeps_structural_zeros(self):
         # (cos eps t, -i sin eps t): the products never mix real and imaginary
         h = TwoLevelStatic(epsilon=1.3)
@@ -802,11 +826,12 @@ class TestWorkingSet:
         for arr in (tr.times, tr.amplitudes, tr.energy_mean, tr.energy_dispersion):
             assert not arr.flags.writeable
 
-    def test_sweep_nodes_are_norm_checked(self):
+    def test_stacked_nodes_are_norm_checked(self):
+        # the kernel checks every node of a stack, each matrix with its own step
         h = np.array([PAULI_X, PAULI_Z])
         psi0 = np.array([[1.0, 0.0], [1.0 + 1e-7, 0.0]], dtype=complex)
         with pytest.raises(IntegrationError, match="norm drift"):
-            speedlimit._propagate(h, psi0, np.array([0.7, 0.7]), 16)
+            propagation.constant_nodes(h, psi0, np.array([0.7, 0.7]) / 16, 17, 1.0)
 
 
 class TestOverlapDecay:
