@@ -14,9 +14,10 @@ hbar = 1, with no propagation: for a constant H the survival amplitude
 closed form, dE is constant, and the overlap rate is checked against its
 bound (2 dE/hbar)|c| sqrt(1 - |c|^2) at every node from the same sums.
 Each dimension group of a chunk takes one ``eigh`` of its stack
-(:func:`_group_metrics`).  Chunk k of SWEEP_CHUNK samples draws from
-``np.random.default_rng([seed, k])`` (:func:`_draw_chunk`), in full, so a
-sample's draws depend on its chunk alone.
+(:func:`_group_metrics`).  Chunk k of SWEEP_CHUNK samples draws from numpy's spawned child
+``SeedSequence(seed).spawn(k + 1)[k]`` (:func:`_draw_chunk`), in full, so a
+sample's draws depend on its chunk alone, and no two (seed, chunk) pairs
+share a stream.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class SweepResult:
 
 
 #: Samples drawn from one stream and split into dimension groups.  Chunk k
-#: draws from ``np.random.default_rng([seed, k])``, so this size is part of
+#: draws from ``SeedSequence(seed, spawn_key=(k,))``, so this size is part of
 #: every sample's draws.  The default sweep of 1000 samples over dims 2-8
 #: makes 14 group passes.
 SWEEP_CHUNK = 512
@@ -150,15 +151,21 @@ SWEEP_BLOCK_BYTES = 1 << 17
 def _draw_chunk(
     seed: int, chunk: int, dims: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """Draws of all SWEEP_CHUNK samples of chunk ``chunk``, from ``default_rng([seed, chunk])``.
+    """Draws of all SWEEP_CHUNK samples of chunk ``chunk``, from child ``chunk`` of ``seed``.
 
-    In stream order: the dimensions, the duration factors in [0.3, 2.5), then
-    for each dimension d present, in increasing order, one normal block of
-    ``(re, im)`` pairs: per sample of d, in chunk order, the complex Gaussian
-    ``g`` ``(d, d)`` row by row, then psi0 ``(d,)``, unnormalized.  Returns
-    the dimensions, the factors, and ``(g, psi0)`` stacks by dimension.
+    The stream is ``SeedSequence(seed, spawn_key=(chunk,))``, which is
+    ``SeedSequence(seed).spawn(chunk + 1)[chunk]``.  (``default_rng([seed,
+    chunk])`` would not do: numpy pads short entropy with zero words, so
+    ``[5, 1]`` and ``[5 + 2**32, 0]`` seed the same stream.)
+
+    In stream order: the dimensions, the duration factors in [0.3, 2.5),
+    then for each dimension d present, in increasing order, one normal block
+    of ``(re, im)`` pairs: per sample of d, in chunk order, the complex
+    Gaussian ``g`` ``(d, d)`` row by row, then psi0 ``(d,)``, unnormalized.
+    Returns the dimensions, the factors, and ``(g, psi0)`` stacks by
+    dimension.
     """
-    rng = np.random.default_rng([seed, chunk])
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
     sizes = rng.integers(dims[0], dims[1] + 1, size=SWEEP_CHUNK)
     u = rng.uniform(0.3, 2.5, size=SWEEP_CHUNK)
     draws = {}
@@ -285,8 +292,8 @@ def run_sweep(
 ) -> SweepResult:
     """Randomized verification sweep over constant Hermitian generators.
 
-    Sample i draws from chunk ``i // SWEEP_CHUNK``'s stream
-    ``np.random.default_rng([seed, i // SWEEP_CHUNK])``, which is drawn in
+    Sample i draws from chunk ``i // SWEEP_CHUNK``'s stream, child
+    ``i // SWEEP_CHUNK`` of ``np.random.SeedSequence(seed)``, which is drawn in
     full whatever ``samples`` is, so results are reproducible and a
     sample's row does not depend on ``samples``.  A sample evolves ``psi0``
     under ``H`` for ``u * pi/(2*dE0)``, with ``u`` uniform in [0.3, 2.5), and

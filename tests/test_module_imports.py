@@ -378,7 +378,7 @@ def test_detector_finds_propagation_parts():
 
 
 # numpy.random's seeding and generator constructors: the sweep builds one generator per
-# chunk, ``default_rng([seed, chunk])`` in ``_draw_chunk``, and no other.
+# chunk in ``_draw_chunk``, from the chunk's spawned child of the seed, and no other.
 SEEDING_PARTS = {"SeedSequence", "default_rng", "spawn", "Generator", "PCG64", "RandomState"}
 
 
@@ -398,8 +398,11 @@ def seeding_calls(source: str) -> list[tuple[str, str, str]]:
 
 def test_sweep_seeds_only_through_one_default_rng_per_chunk():
     source = (Path(qgeo.__file__).parent / "speedlimit.py").read_text()
-    assert seeding_calls(source) == [("_draw_chunk", "default_rng", "[seed, chunk]")]
-    assert names_read(source) & SEEDING_PARTS == {"default_rng"}
+    assert seeding_calls(source) == [
+        ("_draw_chunk", "default_rng", "np.random.SeedSequence(seed, spawn_key=(chunk,))"),
+        ("_draw_chunk", "SeedSequence", "seed, spawn_key=(chunk,)"),
+    ]
+    assert names_read(source) & SEEDING_PARTS == {"default_rng", "SeedSequence"}
 
 
 def test_import_loads_no_numpy_random():

@@ -273,14 +273,15 @@ class TestSolveImplicitTime:
 def reference_draws(seed, samples, dims):
     """(dim, g, psi0, u) of each sweep sample, drawn as documented, sample by sample.
 
-    Chunk k of SWEEP_CHUNK samples draws from ``default_rng([seed, k])``, in
-    full: every dimension, every duration factor, then per dimension in
-    increasing order one normal block of (re, im) pairs holding g row by row
-    and then the unnormalized psi0 of each of its samples.
+    Chunk k of SWEEP_CHUNK samples draws from child k of numpy's
+    ``SeedSequence(seed).spawn``, in full: every dimension, every duration
+    factor, then per dimension in increasing order one normal block of
+    (re, im) pairs holding g row by row and then the unnormalized psi0 of
+    each of its samples.
     """
     chunk, draws = speedlimit.SWEEP_CHUNK, []
-    for k in range(-(-samples // chunk)):
-        rng = np.random.default_rng([seed, k])
+    for child in np.random.SeedSequence(seed).spawn(-(-samples // chunk)):
+        rng = np.random.default_rng(child)
         sizes = rng.integers(dims[0], dims[1] + 1, size=chunk).tolist()
         factors = rng.uniform(0.3, 2.5, size=chunk).tolist()
         blocks = {}
@@ -349,7 +350,7 @@ def one_ppm_low(energy_statistics):
 # Relative errors in eta, each about four times its measured worst case: the closed form
 # against a 40-digit expm (1.3e-15), evolve at 2000 steps against it (1.5e-12, at every
 # offset up to 1e12), and evolve at 64 steps against the closed form on the sweep's draws
-# (5.7e-14 on 840 of them)
+# (6.9e-14 on the first 840 of seed 20240817)
 ORACLE_ETA_RTOL = 6e-15
 EVOLVE_ORACLE_ETA_RTOL = 6e-12
 TRACE_ETA_RTOL = 2.5e-13
@@ -419,6 +420,22 @@ BAD_COUNTS = [
 ]
 
 
+def assert_documented_draws(seed, chunks, dims):
+    """``_draw_chunk`` gives, bit for bit, the first ``chunks`` chunks of ``reference_draws``."""
+    want = reference_draws(seed, chunks * speedlimit.SWEEP_CHUNK, dims)
+    for k in range(chunks):
+        sizes, u, draws = speedlimit._draw_chunk(seed, k, dims)
+        seen = dict.fromkeys(draws, 0)
+        for i, dim in enumerate(sizes.tolist()):
+            want_dim, want_g, want_psi, want_u = want[k * speedlimit.SWEEP_CHUNK + i]
+            g, psi = (part[seen[dim]] for part in draws[dim])
+            seen[dim] += 1
+            assert (dim, u[i]) == (want_dim, want_u)
+            assert g.tobytes() == want_g.tobytes()
+            assert psi.tobytes() == want_psi.tobytes()
+        assert sorted(seen) == list(range(dims[0], dims[1] + 1))
+
+
 def refuse_draws(monkeypatch):
     """Fail the test on any sweep draw or generator construction."""
     monkeypatch.setattr(speedlimit, "_draw_chunk", lambda *args: pytest.fail("drew"))
@@ -444,18 +461,25 @@ class TestSweep:
         assert a == b
 
     def test_draws_are_the_documented_stream(self):
-        want = reference_draws(20240817, 2 * speedlimit.SWEEP_CHUNK, (2, 8))
-        for k in range(2):
-            sizes, u, draws = speedlimit._draw_chunk(20240817, k, (2, 8))
-            seen = dict.fromkeys(draws, 0)
-            for i, dim in enumerate(sizes.tolist()):
-                want_dim, want_g, want_psi, want_u = want[k * speedlimit.SWEEP_CHUNK + i]
-                g, psi = (part[seen[dim]] for part in draws[dim])
-                seen[dim] += 1
-                assert (dim, u[i]) == (want_dim, want_u)
-                assert g.tobytes() == want_g.tobytes()
-                assert psi.tobytes() == want_psi.tobytes()
-            assert sorted(seen) == list(range(2, 9))
+        assert_documented_draws(20240817, 2, (2, 8))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 12345])
+    def test_chunk_streams_are_numpys_spawned_children(self, seed):
+        # seeds that take one to five 32-bit words, three chunks each
+        assert_documented_draws(seed, 3, (3, 5))
+
+    @pytest.mark.parametrize("seed, chunk", [(5, 1), (7, 3), (2**32 - 1, 2)])
+    def test_no_two_seed_and_chunk_pairs_share_a_stream(self, seed, chunk):
+        # numpy pads short entropy with zero words, so default_rng([seed, chunk])
+        # is default_rng([seed + chunk * 2**32, 0]): chunk 0 of another seed
+        other = seed + chunk * 2**32
+        assert not np.any(
+            speedlimit._draw_chunk(seed, chunk, (2, 8))[1]
+            == speedlimit._draw_chunk(other, 0, (2, 8))[1]
+        )
+        size = speedlimit.SWEEP_CHUNK
+        rows = speedlimit._sample_metrics(seed, (chunk + 1) * size, (2, 8), 16)[chunk * size :]
+        assert not np.any(rows[:, 0] == speedlimit._sample_metrics(other, size, (2, 8), 16)[:, 0])
 
     def test_sample_rows_depend_only_on_their_chunk(self, monkeypatch):
         # every chunk is drawn in full, so `samples` only drops rows; a one-byte
