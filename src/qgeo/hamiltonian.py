@@ -86,8 +86,9 @@ def energy_statistics(h: np.ndarray, psis: np.ndarray) -> tuple[np.ndarray, np.n
     37, 242 (1983)).  Each matrix is first divided by the power of two at or
     below ``max|H|`` floored at 1: that division is exact, so the results are
     the unscaled ones bit for bit, but no square overflows, up to the float
-    maximum.  An imaginary mean beyond ``1e-12`` times that floored ``max|H|``
-    raises :class:`~qgeo.errors.HermiticityError`.
+    maximum.  ``<psi|H psi>`` is one complex inner product per state: its
+    real part is the mean, and an imaginary part beyond ``1e-12`` times that
+    floored ``max|H|`` raises :class:`~qgeo.errors.HermiticityError`.
     """
     scale = np.abs(h).max(axis=(-2, -1), initial=1.0)[..., np.newaxis]  # against (..., n)
     pow2 = np.ldexp(1.0, np.frexp(scale)[1] - 1)
@@ -95,15 +96,13 @@ def energy_statistics(h: np.ndarray, psis: np.ndarray) -> tuple[np.ndarray, np.n
         h = h * (1.0 / pow2)[..., np.newaxis]  # exact
     psis = np.ascontiguousarray(psis, dtype=complex)
     hv = psis @ np.swapaxes(h, -1, -2)
-    v, w = psis.view(float), hv.view(float)  # (re, im) pairs: real sums, no conjugate copies
-    mean = np.einsum("...i,...i->...", v, w)
-    imag = np.einsum("...i,...i->...", v[..., 0::2], w[..., 1::2])
-    imag -= np.einsum("...i,...i->...", v[..., 1::2], w[..., 0::2])
-    if (np.abs(imag) > 1e-12 * (scale / pow2)).any():
+    z = np.einsum("...i,...i->...", psis.conj(), hv)
+    if (np.abs(z.imag) > 1e-12 * (scale / pow2)).any():
         raise HermiticityError(
-            f"energy expectation has imaginary part {np.max(np.abs(imag * pow2)):.3e}"
+            f"energy expectation has imaginary part {np.max(np.abs(z.imag * pow2)):.3e}"
         )
-    w -= mean[..., np.newaxis] * v  # the residual H psi - <H> psi, in place
+    mean, v, w = z.real, psis.view(float), hv.view(float)
+    w -= mean[..., np.newaxis] * v  # the residual H psi - <H> psi, in place, on (re, im) pairs
     return mean * pow2, np.sqrt(np.einsum("...i,...i->...", w, w)) * pow2
 
 

@@ -9,11 +9,12 @@ nodes ``R(t) U^k psi0`` K's statistics of ``U^k psi0``, taken block by
 block of :data:`NODE_BLOCK_BYTES`.  Without a K, ``sample`` is integrated by
 the fourth-order Magnus step with Simpson nodes (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 151 (2009)): each time is sampled once, one stacked
-``sample`` per chunk of steps, and a step's end sample is the next step's
-start sample and gives its node's statistics.  Above 2x2 the step applies the exponential's Taylor
-polynomial to the state, with no propagator formed (Al-Mohy & Higham, SIAM
-J. Sci. Comput. 33, 488 (2011)), unless a phase of its chunk exceeds 1 in
-the inf-norm; then, and at 2x2, it takes :func:`expm_unitary_step`.
+``sample`` per chunk of steps, less its ``Re tr H / d``, and a step's end
+sample is the next step's start sample and gives its node's statistics.
+Above 2x2 the step applies the exponential's Taylor polynomial to the
+state, with no propagator formed (Al-Mohy & Higham, SIAM J. Sci. Comput.
+33, 488 (2011)), unless a phase of its chunk exceeds 1 in the inf-norm;
+then, and at 2x2, it takes :func:`expm_unitary_step`.
 Every step is unitary to round-off, so norm drift is a genuine error
 signal, checked at every node.
 A trace holds its node states as one ``(n_nodes, dim)`` amplitude array.
@@ -144,53 +145,56 @@ def expm_unitary_step(h_matrix: np.ndarray, dt: float | np.ndarray, hbar: float)
 
 
 def constant_nodes(
-    k: np.ndarray, psi0: np.ndarray, dt: float | np.ndarray, n_nodes: int, hbar: float,
+    k: np.ndarray, psi0: np.ndarray, dt: float, n_nodes: int, hbar: float,
     rate: float = 0.0, times: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes ``(..., n_nodes, d)`` of ``psi0`` ``(..., d)`` under constant ``k`` ``(..., d, d)``.
+    """Nodes ``(n_nodes, d)`` of ``psi0`` ``(d,)`` under the constant ``k`` ``(d, d)``.
 
-    Also returns K's energy means and dispersions ``(..., n_nodes)``.  ``dt``
-    is one step or one per matrix.  ``phi`` moves under
-    ``K - (hbar*rate/2)*sigma_z`` by the powers of one :func:`expm_unitary_step`,
-    filled by doubling straight into the result; K's statistics of ``phi``
-    are the node's (``R^dagger sample(t) R = K``), and with a ``rate`` the
-    node is ``R(t) phi`` at ``times``.  A K with ``shift = Re tr K / d``
-    other than 0 moves and is measured as ``K - shift``, whose rays are K's
-    and whose digits do not scale with the offset; ``shift`` is added back to
-    the means, and node k takes the global phase ``e^{-i shift k dt/hbar}``,
-    so it stays the Schrodinger solution of K.  The statistics and phases go
-    block by block of :data:`NODE_BLOCK_BYTES` along the node axis, and every
-    node is norm-checked once, after its last write: IntegrationError beyond
+    Also returns K's energy means and dispersions ``(n_nodes,)``.  ``phi``
+    moves under ``K - (hbar*rate/2)*sigma_z`` by the powers of one
+    :func:`expm_unitary_step`, filled by doubling straight into the result;
+    K's statistics of ``phi`` are the node's (``R^dagger sample(t) R = K``),
+    and with a ``rate`` the node is ``R(t) phi`` at ``times``, its frame
+    phases ``cos`` and ``sin`` of the real angle ``-rate*t/2``.  A K with
+    ``shift = Re tr K / d`` other than 0 moves and is measured as
+    ``K - shift``, whose rays are K's and whose digits do not scale with the
+    offset; ``shift`` is added back to the means, and node k takes the
+    global phase ``e^{-i shift k dt/hbar}``, so it stays the Schrodinger
+    solution of K.  The statistics and phases go block by block of
+    :data:`NODE_BLOCK_BYTES` along the node axis, and every node is
+    norm-checked once, after its last write: IntegrationError beyond
     MAX_NORM_DRIFT.
     """
-    shift = np.trace(k, axis1=-2, axis2=-1).real / k.shape[-1]
-    if shift.any():  # 0 for every preset, whose nodes then keep their bits
-        k = k - shift[..., np.newaxis, np.newaxis] * np.eye(k.shape[-1])
+    shift = _level(k)  # 0 for every preset, whose nodes then keep their bits
+    k = _less(k, shift)
     step = expm_unitary_step(k - (0.5 * hbar * rate) * PAULI_Z if rate else k, dt, hbar)
-    psis = np.empty((*psi0.shape[:-1], n_nodes, psi0.shape[-1]), dtype=complex)
-    psis[..., 0, :] = psi0
-    power_t, filled = np.swapaxes(step, -1, -2), 1
+    psis = np.empty((n_nodes, psi0.size), dtype=complex)
+    psis[0] = psi0
+    power_t, filled = step.T, 1
     while filled < n_nodes:  # invariant: power_t = (step^filled)^T
         block = min(filled, n_nodes - filled)
-        np.matmul(psis[..., :block, :], power_t, out=psis[..., filled : filled + block, :])
+        np.matmul(psis[:block], power_t, out=psis[filled : filled + block])
         filled += block
         if filled < n_nodes:  # the square after the last block would go unused
             power_t = power_t @ power_t
-    mean, disp = np.empty(psis.shape[:-1]), np.empty(psis.shape[:-1])
-    block = max(NODE_BLOCK_BYTES // psis[..., 0, :].nbytes, 2)
+    mean, disp = np.empty(n_nodes), np.empty(n_nodes)
+    block = max(NODE_BLOCK_BYTES // psis[0].nbytes, 2)
     # no block of one row: numpy multiplies one row as a matrix-vector
     # product, whose rounding differs from a row of a matrix product
     bounds = [0, *range(block, n_nodes - 1, block), n_nodes]
     for rows in map(slice, bounds, bounds[1:]):
-        mean[..., rows], disp[..., rows] = energy_statistics(k, psis[..., rows, :])
+        mean[rows], disp[rows] = energy_statistics(k, psis[rows])
         if rate:
-            phase = np.exp(-0.5j * rate * times[rows])
-            psis[..., rows, 0] *= phase
-            psis[..., rows, 1] *= np.conjugate(phase, out=phase)
-        if shift.any():
-            mean[..., rows] += shift[..., np.newaxis]
-            t = np.arange(rows.start, rows.stop) * np.asarray(dt)[..., np.newaxis]
-            psis[..., rows, :] *= np.exp(-1j * shift[..., np.newaxis] * t / hbar)[..., np.newaxis]
+            angle = (-0.5 * rate) * times[rows]
+            phase = np.empty(angle.shape, dtype=complex)
+            np.cos(angle, out=phase.real)
+            np.sin(angle, out=phase.imag)
+            psis[rows, 0] *= phase
+            psis[rows, 1] *= np.conjugate(phase, out=phase)
+        if shift:
+            mean[rows] += shift
+            t = np.arange(rows.start, rows.stop) * dt
+            psis[rows] *= np.exp(-1j * shift * t / hbar)[:, np.newaxis]
     _require_unit_rows(psis, IntegrationError)
     return psis, mean, disp
 
@@ -225,33 +229,47 @@ def _magnus4_nodes(
     applies the exponential's Taylor polynomial to the state, so forms no
     propagator; otherwise the chunk takes one stacked :func:`expm_unitary_step`.
     The steps go in chunks of STACK_CHUNK, one stacked ``sample`` each, after
-    one of the initial node.  The node samples also give the statistics, by
-    :func:`~qgeo.hamiltonian.energy_statistics`, chunk by chunk.
+    one of the initial node.  Each sample enters as ``H - s``, less its level
+    ``s = Re tr H / d`` (:func:`_level`), so neither the exponential nor the
+    statistics lose digits to an energy offset.  The step's turn, the Simpson
+    mean of its three levels times ``dt/hbar`` (``Re tr B0 / d`` of the
+    unshifted phases), goes back onto its node as the scalar ``e^{-i turn}``,
+    so the nodes stay the Schrodinger solution.  The node samples also give
+    the statistics, chunk by chunk, with the level added back to the mean
+    (:func:`_level_free_statistics`).
     Raises IntegrationError when ``M`` overflows or a node's norm drifts
     beyond MAX_NORM_DRIFT.
     """
     psis = np.empty((times.size, psi0.size), dtype=complex)
     mean, disp = np.empty(times.size), np.empty(times.size)
     psis[0] = psi0
-    start = h.sample(times[:1])
-    mean[:1], disp[:1] = energy_statistics(start[0], psis[:1])
+    start = h.sample(times[:1])[0]
+    level_end = _level(start)
+    mean[:1], disp[:1] = _level_free_statistics(start, psis[:1], level_end)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        a_end = start[0] * (dt / h.hbar)
+        a_end = _less(start, level_end) * (dt / h.hbar)
     for first in range(0, times.size - 1, STACK_CHUNK):
         rows = slice(first + 1, min(first + STACK_CHUNK, times.size - 1) + 1)
         nodes = np.empty(2 * (rows.stop - rows.start))
         nodes[0::2], nodes[1::2] = times[rows] - 0.5 * dt, times[rows]
         samples = h.sample(nodes)
-        # M from the phases A = H dt/hbar, so that huge energies over tiny
-        # steps square to O(1), not to inf
+        levels = _level(samples)
+        # M from the phases A = (H - s) dt/hbar, so that huge energies over
+        # tiny steps square to O(1), not to inf
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             a = samples * (dt / h.hbar)
+            if levels.any():  # A's diagonal from the exact H - s
+                diag = np.diagonal(samples, axis1=-2, axis2=-1) - levels[:, np.newaxis]
+                np.multiply(diag, dt / h.hbar, out=np.einsum("...ii->...i", a))
             a0 = np.concatenate((a_end[np.newaxis], a[1:-1:2]))
             am, a1 = a[0::2], a[1::2]
             b0 = (a0 + 4.0 * am + a1) * (1.0 / 6.0)
             b1 = (a1 - a0) * (1.0 / 12.0)
             p = b1 @ b0  # [B1, B0] = P - P^dagger, since B0 B1 = (B1 B0)^dagger
             phase = b0 - 1j * (p - p.conj().swapaxes(-1, -2))
+            # the turn Re tr B0 / d of the levels taken out
+            level0 = np.concatenate((level_end[np.newaxis], levels[1:-1:2]))
+            turn = (level0 + 4.0 * levels[0::2] + levels[1::2]) * (dt / (6.0 * h.hbar))
         if not np.isfinite(phase).all():
             span = f"[{float(times[first])!r}, {float(times[rows.stop - 1])!r}]"
             raise IntegrationError(
@@ -265,12 +283,48 @@ def _magnus4_nodes(
         else:
             for k, u in enumerate(expm_unitary_step(phase, 1.0, 1.0), start=first):
                 psis[k + 1] = u @ psis[k]
+        if turn.any():  # node k + 1 takes the turns e^{-i s} of the chunk's steps up to k
+            psis[rows] *= np.cumprod(np.exp(-1j * turn))[:, np.newaxis]
         mean[rows], disp[rows] = np.squeeze(
-            energy_statistics(samples[1::2], psis[rows, np.newaxis]), -1
+            _level_free_statistics(samples[1::2], psis[rows, np.newaxis], levels[1::2]), -1
         )
-        a_end = a1[-1]
+        a_end, level_end = a1[-1], levels[-1]
     _require_unit_rows(psis, IntegrationError)
     return psis, mean, disp
+
+
+def _level(m: np.ndarray) -> np.ndarray:
+    """``Re tr m / d`` of a matrix ``(d, d)`` or of each of a stack ``(..., d, d)``.
+
+    A trace that overflows gives 0: any level moves no ray, and 0 moves nothing.
+    """
+    with np.errstate(over="ignore"):
+        level = np.trace(m, axis1=-2, axis2=-1).real / m.shape[-1]
+    return np.where(np.isinf(level), 0.0, level)
+
+
+def _less(m: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """``m - level * I``, one ``level`` per matrix; ``m`` itself when every level is 0."""
+    if not level.any():
+        return m
+    m = m.copy()
+    np.einsum("...ii->...i", m)[...] -= level[..., np.newaxis]  # the diagonals, as a view
+    return m
+
+
+def _level_free_statistics(
+    h: np.ndarray, psis: np.ndarray, level: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~qgeo.hamiltonian.energy_statistics` of ``psis`` under ``h``, taken of ``h - level``.
+
+    ``level`` is :func:`_level` of ``h``: ``h - level`` has h's dispersion,
+    and its digits do not scale with an energy offset.  ``level`` is added
+    back to the means.
+    """
+    mean, disp = energy_statistics(_less(h, level), psis)
+    if level.any():
+        mean += level[..., np.newaxis]
+    return mean, disp
 
 
 def _require_unit_rows(amps: np.ndarray, error: type[Exception]) -> None:

@@ -229,7 +229,7 @@ def _group_metrics(
     amp = np.einsum("bji,bj->bi", vec.conj(), psi0)
     p = amp.real * amp.real + amp.imag * amp.imag
     p /= np.sum(p, axis=-1, keepdims=True)
-    spectral_norm = np.max(np.abs(lam + shift[:, np.newaxis]), axis=-1)
+    spectral_norm = np.max(np.abs(lam), axis=-1)  # of h - shift: no offset moves it
     disp = energy_statistics(h, psi0[:, np.newaxis])[1][:, 0]
     t_final = u * 0.5 * math.pi / np.maximum(np.maximum(disp, 1e-6 * spectral_norm), 1e-12)
     end = np.abs(_survival(lam, p, t_final[:, np.newaxis])[0][:, 0])

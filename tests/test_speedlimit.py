@@ -372,9 +372,9 @@ class TestClosedForm:
                 a /= mp.norm(a)
                 mean = (a.H * m * a)[0].real
                 disp = mp.sqrt((a.H * m * m * a)[0].real - mean**2)
-                floor = max(disp, 1e-6 * float(np.max(np.abs(np.linalg.eigvalsh(h)))))
-                u = 1.3 / (0.5 * math.pi) * float(floor)  # so that T = u*pi/(2*floor) ~ 1.3
-                t = u * mp.pi / 2 / floor
+                # dE is far above the T floor, 1e-6 max|lam| of h less its offset
+                u = 1.3 / (0.5 * math.pi) * float(disp)  # so that T = u*pi/(2*dE) ~ 1.3
+                t = u * mp.pi / 2 / disp
                 overlap = abs((a.H * mp.expm(-1j * m * t) * a)[0])
                 assert overlap < 1 - 1e-6  # no revival stretch
                 eta = mp.acos(overlap) / (disp * t)
@@ -382,6 +382,33 @@ class TestClosedForm:
             assert abs(float(got[0][0] / eta - 1)) <= ORACLE_ETA_RTOL
             trace = evolve(ConstantMatrix(h), QuantumState.normalized(psi), float(t), 2000)
             assert abs(float(efficiency(trace).eta / eta - 1)) <= EVOLVE_ORACLE_ETA_RTOL
+
+    @pytest.mark.parametrize("offset", [1e4, 1e8, 1e12])
+    def test_an_energy_offset_moves_no_sample(self, offset, monkeypatch):
+        # g + c*I against g itself, where g is the draw with c taken back out:
+        # that subtraction is exact, so the two differ by c*I alone.  Scaled
+        # by max|lam + shift|, the T floor bound at c = 1e8 and eta moved by
+        # up to 3.97x on these draws; scaled by max|lam|, it moves by 2.1e-15
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(20, 5, 5)) + 1j * rng.normal(size=(20, 5, 5)) + offset * np.eye(5)
+        psi = rng.normal(size=(20, 5)) + 1j * rng.normal(size=(20, 5))
+        u = rng.uniform(0.3, 2.5, size=20)
+        got = speedlimit._group_metrics(g, psi, u, 64)
+        want = speedlimit._group_metrics(g - offset * np.eye(5), psi, u, 64)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(got[2], want[2])
+        # and the rate check keeps its units: on the offset geodesic, a
+        # dispersion 1e-6 low flags every node but t = 0, as without the offset
+        args = (
+            np.array([PAULI_X + offset * np.eye(2)]),
+            np.array([[1.0, 0.0]], dtype=complex),
+            np.array([0.9]),
+            256,
+        )
+        assert speedlimit._group_metrics(*args)[2][0] == 0
+        monkeypatch.setattr(speedlimit, "energy_statistics", one_ppm_low(energy_statistics))
+        assert speedlimit._group_metrics(*args)[2][0] == 256
 
     @pytest.mark.parametrize("dim", [2, 5])
     def test_survival_amplitudes_are_the_kernel_overlaps(self, dim):
@@ -392,7 +419,7 @@ class TestClosedForm:
         a = rng.normal(size=(6, dim)) + 1j * rng.normal(size=(6, dim))
         a /= np.linalg.norm(a, axis=-1, keepdims=True)
         dt = rng.uniform(0.01, 0.05, size=6)
-        nodes = propagation.constant_nodes(h, a, dt, 65, 1.0)[0]
+        nodes = np.array([propagation.constant_nodes(*args, 65, 1.0)[0] for args in zip(h, a, dt)])
         lam, vec = np.linalg.eigh(h)
         p = np.abs(np.einsum("bji,bj->bi", vec.conj(), a)) ** 2
         c, x = speedlimit._survival(lam, p, np.arange(65) * dt[:, np.newaxis])
