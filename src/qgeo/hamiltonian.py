@@ -76,34 +76,63 @@ def require_hermitian(
     return m
 
 
-def energy_statistics(h: np.ndarray, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def energy_level(m: np.ndarray) -> np.ndarray:
+    """The level ``Re tr m / d`` of a matrix ``(d, d)`` or of each of a stack ``(..., d, d)``.
+
+    ``m`` less its level (:func:`without_level`) has m's rays and dispersions,
+    and its digits do not scale with an energy offset.  A trace that
+    overflows gives 0: any level moves no ray, and 0 moves nothing.
+    """
+    with np.errstate(over="ignore"):
+        level = np.trace(m, axis1=-2, axis2=-1).real / m.shape[-1]
+    return np.where(np.isinf(level), 0.0, level)
+
+
+def without_level(m: np.ndarray, level: float | np.ndarray) -> np.ndarray:
+    """A complex copy of ``m - level * I``, one ``level`` per matrix of a stack ``(..., d, d)``."""
+    m = np.array(m, dtype=complex)
+    np.einsum("...ii->...i", m)[...] -= np.asarray(level)[..., np.newaxis]  # the diagonals, as a view
+    return m
+
+
+def energy_statistics(
+    h: np.ndarray, psis: np.ndarray, level: float | np.ndarray = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
     """Energy mean and dispersion of states ``psis`` ``(..., n, d)`` under ``h`` ``(..., d, d)``.
 
     Returns two ``(..., n)`` arrays: ``<H> = <psi|H|psi>`` and the residual
     norm ``dE = ||H psi - <H> psi||``, which equals ``sqrt(<H^2> - <H>^2)`` for
     a unit ``psi`` without the cancellation of two large squares when
     ``|<H>| >> dE`` (the two-pass variance of Chan, Golub & LeVeque, Am. Stat.
-    37, 242 (1983)).  Each matrix is first divided by the power of two at or
-    below ``max|H|`` floored at 1: that division is exact, so the results are
-    the unscaled ones bit for bit, but no square overflows, up to the float
-    maximum.  ``<psi|H psi>`` is one complex inner product per state: its
-    real part is the mean, and an imaginary part beyond ``1e-12`` times that
-    floored ``max|H|`` raises :class:`~qgeo.errors.HermiticityError`.
+    37, 242 (1983)).  Both are taken of ``h - level * I``
+    (:func:`without_level`), ``level`` one number or one per matrix, and
+    ``level`` is added back to the means: with h's :func:`energy_level`,
+    no digit of either scales with an energy offset.  Each ``h - level`` is
+    first divided by the power of two at or below its ``max|h - level|``
+    floored at 1: that division is exact, so the results are the unscaled
+    ones bit for bit, but no square overflows, up to the float maximum.
+    ``<psi|H psi>`` is one complex inner product per state: its real part is
+    the mean, and an imaginary part beyond ``1e-12`` times that floored
+    ``max|h - level|`` plus ``|level|`` raises
+    :class:`~qgeo.errors.HermiticityError`.  That threshold is in units of h
+    itself, offset included, as :func:`require_hermitian`'s is.
     """
-    scale = np.abs(h).max(axis=(-2, -1), initial=1.0)[..., np.newaxis]  # against (..., n)
+    level = np.asarray(level, dtype=float)[..., np.newaxis]  # against (..., n)
+    h = without_level(h, level[..., 0])
+    scale = np.abs(h).max(axis=(-2, -1), initial=1.0)[..., np.newaxis]
     pow2 = np.ldexp(1.0, np.frexp(scale)[1] - 1)
-    if pow2.max() > 1.0:  # dividing by 1 would only copy h
-        h = h * (1.0 / pow2)[..., np.newaxis]  # exact
+    if pow2.max() > 1.0:  # dividing by 1 would change nothing
+        h *= (1.0 / pow2)[..., np.newaxis]  # exact
     psis = np.ascontiguousarray(psis, dtype=complex)
     hv = psis @ np.swapaxes(h, -1, -2)
     z = np.einsum("...i,...i->...", psis.conj(), hv)
-    if (np.abs(z.imag) > 1e-12 * (scale / pow2)).any():
+    if (np.abs(z.imag) > 1e-12 * ((scale + np.abs(level)) / pow2)).any():
         raise HermiticityError(
             f"energy expectation has imaginary part {np.max(np.abs(z.imag * pow2)):.3e}"
         )
     mean, v, w = z.real, psis.view(float), hv.view(float)
     w -= mean[..., np.newaxis] * v  # the residual H psi - <H> psi, in place, on (re, im) pairs
-    return mean * pow2, np.sqrt(np.einsum("...i,...i->...", w, w)) * pow2
+    return mean * pow2 + level, np.sqrt(np.einsum("...i,...i->...", w, w)) * pow2
 
 
 class Hamiltonian:

@@ -51,10 +51,12 @@ from .hamiltonian import (
     Hamiltonian,
     PAULI_X,
     PAULI_Z,
+    energy_level,
     energy_statistics,
     hamiltonian_from_json,
     hamiltonian_to_json,
     require_hermitian,
+    without_level,
 )
 from .states import QuantumState
 
@@ -165,9 +167,9 @@ def constant_nodes(
     norm-checked once, after its last write: IntegrationError beyond
     MAX_NORM_DRIFT.
     """
-    shift = _level(k)  # 0 for every preset, whose nodes then keep their bits
-    k = _less(k, shift)
-    step = expm_unitary_step(k - (0.5 * hbar * rate) * PAULI_Z if rate else k, dt, hbar)
+    shift = energy_level(k)  # 0 for every preset, whose nodes then keep their bits
+    free = without_level(k, shift)
+    step = expm_unitary_step(free - (0.5 * hbar * rate) * PAULI_Z if rate else free, dt, hbar)
     psis = np.empty((n_nodes, psi0.size), dtype=complex)
     psis[0] = psi0
     power_t, filled = step.T, 1
@@ -183,7 +185,7 @@ def constant_nodes(
     # product, whose rounding differs from a row of a matrix product
     bounds = [0, *range(block, n_nodes - 1, block), n_nodes]
     for rows in map(slice, bounds, bounds[1:]):
-        mean[rows], disp[rows] = energy_statistics(k, psis[rows])
+        mean[rows], disp[rows] = energy_statistics(k, psis[rows], shift)
         if rate:
             angle = (-0.5 * rate) * times[rows]
             phase = np.empty(angle.shape, dtype=complex)
@@ -192,7 +194,6 @@ def constant_nodes(
             psis[rows, 0] *= phase
             psis[rows, 1] *= np.conjugate(phase, out=phase)
         if shift:
-            mean[rows] += shift
             t = np.arange(rows.start, rows.stop) * dt
             psis[rows] *= np.exp(-1j * shift * t / hbar)[:, np.newaxis]
     _require_unit_rows(psis, IntegrationError)
@@ -225,18 +226,21 @@ def _magnus4_nodes(
         M = B0 - i [B1, B0],
 
     which is Hermitian because the commutator of two Hermitian matrices is
-    anti-Hermitian.  Above 2x2, a chunk whose every ``M`` has ``|M|_inf <= 1``
-    applies the exponential's Taylor polynomial to the state, so forms no
-    propagator; otherwise the chunk takes one stacked :func:`expm_unitary_step`.
-    The steps go in chunks of STACK_CHUNK, one stacked ``sample`` each, after
-    one of the initial node.  Each sample enters as ``H - s``, less its level
-    ``s = Re tr H / d`` (:func:`_level`), so neither the exponential nor the
-    statistics lose digits to an energy offset.  The step's turn, the Simpson
-    mean of its three levels times ``dt/hbar`` (``Re tr B0 / d`` of the
-    unshifted phases), goes back onto its node as the scalar ``e^{-i turn}``,
-    so the nodes stay the Schrodinger solution.  The node samples also give
-    the statistics, chunk by chunk, with the level added back to the mean
-    (:func:`_level_free_statistics`).
+    anti-Hermitian.  It is formed as ``Q + Q^dagger`` with ``Q = B0/2 - i B1 B0``,
+    so it is Hermitian bit for bit: the anti-Hermitian rounding of a sample,
+    about ``eps*s`` at level ``s``, does not make a step non-unitary.  Above
+    2x2, a chunk whose every ``M`` has ``|M|_inf <= 1`` applies the
+    exponential's Taylor polynomial to the state, so forms no propagator;
+    otherwise the chunk takes one stacked :func:`expm_unitary_step`.  The
+    steps go in chunks of STACK_CHUNK, one stacked ``sample`` each, after one
+    of the initial node.  Each sample enters as ``H - s``, less its level
+    ``s = Re tr H / d`` (:func:`~qgeo.hamiltonian.energy_level`), so neither
+    the exponential nor the statistics lose digits to an energy offset.  The
+    step's turn, the Simpson mean of its three levels times ``dt/hbar``
+    (``Re tr B0 / d`` of the unshifted phases), goes back onto its node as
+    the scalar ``e^{-i turn}``, so the nodes stay the Schrodinger solution.
+    The node samples also give the statistics, chunk by chunk, by
+    :func:`~qgeo.hamiltonian.energy_statistics` with their levels.
     Raises IntegrationError when ``M`` overflows or a node's norm drifts
     beyond MAX_NORM_DRIFT.
     """
@@ -244,29 +248,33 @@ def _magnus4_nodes(
     mean, disp = np.empty(times.size), np.empty(times.size)
     psis[0] = psi0
     start = h.sample(times[:1])[0]
-    level_end = _level(start)
-    mean[:1], disp[:1] = _level_free_statistics(start, psis[:1], level_end)
+    level_end = energy_level(start)
+    mean[:1], disp[:1] = energy_statistics(start, psis[:1], level_end)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        a_end = _less(start, level_end) * (dt / h.hbar)
+        a_end = without_level(start, level_end) * (dt / h.hbar)
     for first in range(0, times.size - 1, STACK_CHUNK):
         rows = slice(first + 1, min(first + STACK_CHUNK, times.size - 1) + 1)
         nodes = np.empty(2 * (rows.stop - rows.start))
         nodes[0::2], nodes[1::2] = times[rows] - 0.5 * dt, times[rows]
         samples = h.sample(nodes)
-        levels = _level(samples)
+        levels = energy_level(samples)
         # M from the phases A = (H - s) dt/hbar, so that huge energies over
         # tiny steps square to O(1), not to inf
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            a = samples * (dt / h.hbar)
-            if levels.any():  # A's diagonal from the exact H - s
-                diag = np.diagonal(samples, axis1=-2, axis2=-1) - levels[:, np.newaxis]
-                np.multiply(diag, dt / h.hbar, out=np.einsum("...ii->...i", a))
+            a = without_level(samples, levels)
+            a *= dt / h.hbar
             a0 = np.concatenate((a_end[np.newaxis], a[1:-1:2]))
             am, a1 = a[0::2], a[1::2]
             b0 = (a0 + 4.0 * am + a1) * (1.0 / 6.0)
             b1 = (a1 - a0) * (1.0 / 12.0)
-            p = b1 @ b0  # [B1, B0] = P - P^dagger, since B0 B1 = (B1 B0)^dagger
-            phase = b0 - 1j * (p - p.conj().swapaxes(-1, -2))
+            # M = Q + Q^dagger with Q = B0/2 - i P, P = B1 B0, since [B1, B0] = P - P^dagger
+            q = b1 @ b0
+            q *= -1j
+            q += 0.5 * b0
+            # Q^dagger from a contiguous copy of Q^T: numpy iterates a swapped-axes operand slowly
+            phase = q.swapaxes(-1, -2).copy()
+            np.conjugate(phase, out=phase)
+            phase += q
             # the turn Re tr B0 / d of the levels taken out
             level0 = np.concatenate((level_end[np.newaxis], levels[1:-1:2]))
             turn = (level0 + 4.0 * levels[0::2] + levels[1::2]) * (dt / (6.0 * h.hbar))
@@ -283,48 +291,14 @@ def _magnus4_nodes(
         else:
             for k, u in enumerate(expm_unitary_step(phase, 1.0, 1.0), start=first):
                 psis[k + 1] = u @ psis[k]
-        if turn.any():  # node k + 1 takes the turns e^{-i s} of the chunk's steps up to k
-            psis[rows] *= np.cumprod(np.exp(-1j * turn))[:, np.newaxis]
+        # node k + 1 takes the turns e^{-i s} of the chunk's steps up to k
+        psis[rows] *= np.cumprod(np.exp(-1j * turn))[:, np.newaxis]
         mean[rows], disp[rows] = np.squeeze(
-            _level_free_statistics(samples[1::2], psis[rows, np.newaxis], levels[1::2]), -1
+            energy_statistics(samples[1::2], psis[rows, np.newaxis], levels[1::2]), -1
         )
         a_end, level_end = a1[-1], levels[-1]
     _require_unit_rows(psis, IntegrationError)
     return psis, mean, disp
-
-
-def _level(m: np.ndarray) -> np.ndarray:
-    """``Re tr m / d`` of a matrix ``(d, d)`` or of each of a stack ``(..., d, d)``.
-
-    A trace that overflows gives 0: any level moves no ray, and 0 moves nothing.
-    """
-    with np.errstate(over="ignore"):
-        level = np.trace(m, axis1=-2, axis2=-1).real / m.shape[-1]
-    return np.where(np.isinf(level), 0.0, level)
-
-
-def _less(m: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """``m - level * I``, one ``level`` per matrix; ``m`` itself when every level is 0."""
-    if not level.any():
-        return m
-    m = m.copy()
-    np.einsum("...ii->...i", m)[...] -= level[..., np.newaxis]  # the diagonals, as a view
-    return m
-
-
-def _level_free_statistics(
-    h: np.ndarray, psis: np.ndarray, level: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`~qgeo.hamiltonian.energy_statistics` of ``psis`` under ``h``, taken of ``h - level``.
-
-    ``level`` is :func:`_level` of ``h``: ``h - level`` has h's dispersion,
-    and its digits do not scale with an energy offset.  ``level`` is added
-    back to the means.
-    """
-    mean, disp = energy_statistics(_less(h, level), psis)
-    if level.any():
-        mean += level[..., np.newaxis]
-    return mean, disp
 
 
 def _require_unit_rows(amps: np.ndarray, error: type[Exception]) -> None:

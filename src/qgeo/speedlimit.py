@@ -35,7 +35,7 @@ from .errors import (
     require_positive_finite,
 )
 from .geometry import DEGENERACY_TOL
-from .hamiltonian import energy_statistics
+from .hamiltonian import energy_level, energy_statistics, without_level
 from .propagation import short_time_coefficient
 
 
@@ -220,17 +220,15 @@ def _group_metrics(
     nodes go in blocks of SWEEP_BLOCK_BYTES of phases.  Raises
     DegenerateEndpointsError when endpoints stay within 1e-12 in overlap.
     """
-    dim = g.shape[-1]
     h = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
-    shift = np.trace(h, axis1=-2, axis2=-1).real / dim
-    h -= shift[:, np.newaxis, np.newaxis] * np.eye(dim)
-    lam, vec = np.linalg.eigh(h)
+    shift = energy_level(h)
+    lam, vec = np.linalg.eigh(without_level(h, shift))
     psi0 = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
     amp = np.einsum("bji,bj->bi", vec.conj(), psi0)
     p = amp.real * amp.real + amp.imag * amp.imag
     p /= np.sum(p, axis=-1, keepdims=True)
     spectral_norm = np.max(np.abs(lam), axis=-1)  # of h - shift: no offset moves it
-    disp = energy_statistics(h, psi0[:, np.newaxis])[1][:, 0]
+    disp = energy_statistics(h, psi0[:, np.newaxis], shift)[1][:, 0]
     t_final = u * 0.5 * math.pi / np.maximum(np.maximum(disp, 1e-6 * spectral_norm), 1e-12)
     end = np.abs(_survival(lam, p, t_final[:, np.newaxis])[0][:, 0])
     for _ in range(4):

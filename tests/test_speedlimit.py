@@ -340,8 +340,8 @@ def test_bound_margin_is_action_minus_arccos():
 def one_ppm_low(energy_statistics):
     """``energy_statistics`` with every dispersion scaled by 1 - 1e-6."""
 
-    def low(h, psis):
-        mean, disp = energy_statistics(h, psis)
+    def low(h, psis, level=0.0):
+        mean, disp = energy_statistics(h, psis, level)
         return mean, disp * (1.0 - 1e-6)
 
     return low
@@ -559,15 +559,16 @@ class TestSweep:
 
     def test_sweep_hamiltonians_are_exactly_hermitian(self, monkeypatch):
         # the sweep does not check the stacks it builds as (g + g^dagger)/2 and
-        # shifts by Re tr h/d; eigh reads one triangle, so each must equal its
-        # adjoint bit for bit, as it does on acceptance check 4's draws
-        stacks, real = [], speedlimit.energy_statistics
+        # shifts by Re tr h/d; eigh reads one triangle of each shifted stack,
+        # so each must equal its adjoint bit for bit, as it does on acceptance
+        # check 4's draws
+        stacks, real = [], speedlimit.without_level
 
-        def recording(h, psis):
-            stacks.append(h.copy())
-            return real(h, psis)
+        def recording(h, level):
+            stacks.append(real(h, level))
+            return stacks[-1].copy()
 
-        monkeypatch.setattr(speedlimit, "energy_statistics", recording)
+        monkeypatch.setattr(speedlimit, "without_level", recording)
         run_sweep(samples=1000, seed=20240817, dims=(2, 8), steps=64)
         assert sum(len(h) for h in stacks) == 1000
         for h in stacks:
